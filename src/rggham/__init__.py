@@ -11,8 +11,7 @@ the threshold.
 from .failures import ConstructionError, FailureReason
 from .geometry import lp_distance, unit_disk_area
 from .hamiltonian import (ConstructionOutcome, VerificationReport,
-                          full_construction, verify_cycle,
-                          within_clique_path)
+                          full_construction, verify_cycle)
 from .instance import (EpsilonAbove, EpsilonBelow, ExplicitRadius,
                        InstanceConfig, ThresholdMultiple, VertexSet,
                        build_spatial_index, is_connected, resolve_radius,
@@ -24,7 +23,7 @@ __all__ = [
     "ConstructionError", "FailureReason",
     "lp_distance", "unit_disk_area",
     "ConstructionOutcome", "VerificationReport",
-    "full_construction", "verify_cycle", "within_clique_path",
+    "full_construction", "verify_cycle",
     "EpsilonAbove", "EpsilonBelow", "ExplicitRadius", "InstanceConfig",
     "ThresholdMultiple", "VertexSet", "build_spatial_index", "is_connected",
     "resolve_radius", "sample_points", "threshold_radius",

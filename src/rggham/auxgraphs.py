@@ -20,7 +20,7 @@ skeleton the cycle follows.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Union
 
 import numpy as np
@@ -222,21 +222,6 @@ def attach_sparse_groups(t: Tessellation, cls: CellClassification,
                           adjacency=adjacency, groups=groups, hooks=hooks)
 
 
-def is_augmented_connected(ag: AugmentedGraph) -> bool:
-    nodes = ag.nodes()
-    if not nodes:
-        return False
-    seen = {nodes[0]}
-    queue = deque([nodes[0]])
-    while queue:
-        u = queue.popleft()
-        for v in ag.adjacency.get(u, ()):
-            if v not in seen:
-                seen.add(v)
-                queue.append(v)
-    return len(seen) == len(nodes)
-
-
 # --------------------------------------------------------------------------
 # spanning tree and euler order
 # --------------------------------------------------------------------------
@@ -304,24 +289,3 @@ def euler_traversal(tree: SpanningTree) -> list[Node]:
             seq.append(stack[-1][0])
     assert len(seq) == 2 * (tree.size() - 1) + 1
     return seq
-
-
-def write_edge_list(ag: AugmentedGraph, path: str) -> None:
-    """Debug dump, one undirected edge per line in canonical node order."""
-    m = ag.tessellation.squares_per_side
-
-    def fmt(node: Node) -> str:
-        if isinstance(node, GroupKey):
-            sr, sc = divmod(node.sparse_square, m)
-            lr, lc = divmod(node.label_square, m)
-            return f"N:{sc},{sr}:{lc},{lr}"
-        row, col = divmod(node, m)
-        return f"S:{col},{row}"
-
-    lines = []
-    for u in sorted(ag.adjacency, key=node_sort_key):
-        for v in ag.adjacency[u]:
-            if node_sort_key(u) < node_sort_key(v):
-                lines.append(f"{fmt(u)} {fmt(v)}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + ("\n" if lines else ""))

@@ -4,7 +4,9 @@ A trial samples an instance, times the construction pipeline (tessellation
 through the verified cycle; sampling and the connectivity check are not part
 of the timed span), and records either the verified cycle or the typed
 failure. A verified cycle certifies connectivity, so the connectivity check
-runs only when construction fails. A sweep aggregates trials per (n, radius
+(union-find over the occupied cells of a sparse grid, see instance.py) runs
+only when construction fails; the serpentine fallback keeps its own coarser
+buckets, so a failed trial builds each grid once. A sweep aggregates trials per (n, radius
 multiplier) pair into one summary row; trial seeds are assigned from a
 single base seed by global trial index so any trial can be reproduced in
 isolation.

@@ -27,11 +27,6 @@ def validate_p(p: float) -> float:
     return p
 
 
-class Point2D(NamedTuple):
-    x: float
-    y: float
-
-
 class Box(NamedTuple):
     """Axis-aligned rectangle [x_lo, x_hi] x [y_lo, y_hi], x_lo <= x_hi."""
 

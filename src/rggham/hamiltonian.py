@@ -44,7 +44,7 @@ from .auxgraphs import (AugmentedGraph, GroupKey, Node, attach_sparse_groups,
                         build_density_graph, euler_traversal, spanning_tree)
 from .failures import ConstructionError, FailureReason
 from .geometry import _lp_from_abs, lp_norms, unit_disk_area, validate_p
-from .instance import VertexSet, build_spatial_index
+from .instance import VertexSet
 from .tessellation import (DENSE_THRESHOLD, CellClassification, CellId,
                            Tessellation, build_tessellation,
                            choose_cells_per_side, classify_cells)
@@ -88,10 +88,6 @@ class UsageLedger:
         hi = cls.starts[flat_cell + 1]
         self._cursor[flat_cell] = cls.counts[flat_cell]
         return cls.order[lo:hi]
-
-    def withdrawals(self) -> dict[int, int]:
-        idx = np.nonzero(self._taken)[0]
-        return {int(i): int(self._taken[i]) for i in idx}
 
 
 # --------------------------------------------------------------------------
@@ -165,34 +161,6 @@ def _sweep_square(t: Tessellation, ledger: UsageLedger, flat_sq: int,
     for lc, lr in best_order:
         path.extend(int(x) for x in ledger.drain(flat_of(lc, lr)))
     return path
-
-
-def within_clique_path(t: Tessellation, points: np.ndarray,
-                       vertices, entry: Optional[int] = None
-                       ) -> tuple[list[int], tuple[int, int]]:
-    """Deterministic path through co-located vertices, with its endpoints.
-
-    Orders by cell in row-major cell order, then by vertex index within a
-    cell; a given entry vertex is moved to the front. Callers guarantee the
-    vertices are mutually adjacent (one cell, or one square in a regime
-    where the square is a clique); this function only fixes the order. A
-    single vertex yields a path whose endpoints coincide.
-    """
-    g = t.grid
-    verts = [int(v) for v in vertices]
-    if not verts:
-        raise ValueError("path needs at least one vertex")
-    col = np.minimum((points[verts, 0] * g).astype(np.int64), g - 1)
-    row = np.minimum((points[verts, 1] * g).astype(np.int64), g - 1)
-    flat = {v: int(row[i] * g + col[i]) for i, v in enumerate(verts)}
-    order = sorted(verts, key=lambda v: (flat[v], v))
-    if entry is not None:
-        entry = int(entry)
-        if entry not in flat:
-            raise ValueError(f"entry vertex {entry} is not in the path set")
-        order.remove(entry)
-        order.insert(0, entry)
-    return order, (order[0], order[-1])
 
 
 # --------------------------------------------------------------------------
@@ -386,18 +354,24 @@ class _TourRepair:
         self.n = len(tour)
         self.pos = np.empty(self.n, dtype=np.int64)
         self.pos[tour] = np.arange(self.n)
-        self.idx = build_spatial_index(VertexSet(points), r, p)
+        # buckets of width >= r: a neighbour lies in the 3x3 patch around v
+        side = self.side = max(1, math.floor(1.0 / r))
+        self.cell = np.minimum((points * side).astype(np.int64), side - 1)
+        flat = self.cell[:, 1] * side + self.cell[:, 0]
+        self.starts = np.zeros(side * side + 1, dtype=np.int64)
+        np.cumsum(np.bincount(flat, minlength=side * side), out=self.starts[1:])
+        # keys made unique by the vertex index: the plain sort is then stable
+        self.order = np.argsort(flat * self.n + np.arange(self.n))
         self._near: dict[int, np.ndarray] = {}
 
     def near(self, v: int) -> np.ndarray:
         """Vertices within r of v, from the 3x3 bucket patch around it."""
         got = self._near.get(v)
         if got is None:
-            idx = self.idx
-            col, row, side = idx.bucket_col[v], idx.bucket_row[v], idx.side
+            (col, row), side = self.cell[v], self.side
             lo, hi = max(col - 1, 0), min(col + 1, side - 1) + 1
             cand = np.concatenate([
-                idx.order[idx.starts[rr * side + lo]:idx.starts[rr * side + hi]]
+                self.order[self.starts[rr * side + lo]:self.starts[rr * side + hi]]
                 for rr in range(max(row - 1, 0), min(row + 2, side))])
             got = cand[self._within(cand, v) & (cand != v)]
             self._near[v] = got

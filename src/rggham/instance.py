@@ -23,7 +23,7 @@ from typing import Union
 
 import numpy as np
 
-from .geometry import lp_distance, lp_norms, unit_disk_area, validate_p
+from .geometry import _lp_from_abs, lp_norms, unit_disk_area, validate_p
 
 
 # --------------------------------------------------------------------------
@@ -174,123 +174,141 @@ def sample_points(cfg: InstanceConfig) -> VertexSet:
 # spatial index and connectivity
 # --------------------------------------------------------------------------
 
+# rounding margins of the grid: a point may sit an ulp outside its cell, and
+# lp_norms rounds too
+_REL_SLACK, _ABS_SLACK = 1e-9, 1e-15
+_MAX_SIDE = 1 << 32  # flat cell keys row * side + col then fit in uint64
+# ceiling on the point pairs tested at once; point files come from outside,
+# so one cell may hold any share of the points
+_PAIR_CHUNK = 1 << 21
+
+
 @dataclass(frozen=True)
 class SpatialIndex:
-    """Uniform bucket grid of width >= r over [0, 1]^2.
-
-    Vertices at l_p distance <= r always lie in the same or edge/corner
-    adjacent buckets, so neighbour enumeration only ever inspects a 3x3
-    bucket patch. Membership is stored CSR style: `order` lists vertex
-    indices grouped by bucket, `starts[b]:starts[b+1]` slices bucket b.
-    """
+    """The occupied cells of a side x side grid over [0, 1]^2, CSR style, in
+    O(n) memory: `cells` holds their flat keys row * side + col, ascending,
+    and `order[starts[i]:starts[i + 1]]` lists the vertices of cells[i]."""
 
     points: np.ndarray
     r: float
     p: float
     side: int
-    bucket_col: np.ndarray
-    bucket_row: np.ndarray
+    cells: np.ndarray
     order: np.ndarray
     starts: np.ndarray
 
 
 def build_spatial_index(vs: VertexSet, r: float, p: float) -> SpatialIndex:
-    if r <= 0.0:
+    """Grid of cell side at most r / (2 ||(1, 1)||_p), less a rounding
+    margin. Two points in one 3x3 block of cells then differ by at most two
+    cell sides on each axis, so they are within r: the block is a clique.
+
+    Raises ValueError for points outside [0, 1]^2, and for radii so small
+    that the grid would need more than 2^32 cells per side.
+    """
+    if not r > 0.0:
         raise ValueError(f"radius must be positive, got {r}")
     p = validate_p(p)
-    side = max(1, math.floor(1.0 / r))
     pts = vs.points
-    col = np.minimum((pts[:, 0] * side).astype(np.int64), side - 1)
-    row = np.minimum((pts[:, 1] * side).astype(np.int64), side - 1)
-    flat = row * side + col
-    counts = np.bincount(flat, minlength=side * side)
-    starts = np.zeros(side * side + 1, dtype=np.int64)
-    np.cumsum(counts, out=starts[1:])
-    # keys made unique by the vertex index: the plain sort is then stable
-    order = np.argsort(flat * len(pts) + np.arange(len(pts)))
-    return SpatialIndex(points=pts, r=r, p=p, side=side,
-                        bucket_col=col, bucket_row=row,
-                        order=order, starts=starts)
+    if not ((pts >= 0.0) & (pts <= 1.0)).all():
+        raise ValueError("points must lie in [0, 1]^2")
+    side = 2.0 * _lp_from_abs(p, 1.0, 1.0) / (r * (1.0 - _REL_SLACK) - _ABS_SLACK)
+    if not 0.0 <= side <= _MAX_SIDE:
+        raise ValueError(f"radius {r} is below the grid's resolution")
+    side = max(1, math.ceil(side))
+    col, row = (np.minimum((pts[:, i] * side).astype(np.uint64),
+                           np.uint64(side - 1)) for i in (0, 1))
+    key = row * np.uint64(side) + col
+    order = np.argsort(key)
+    cells, first = np.unique(key[order], return_index=True)
+    return SpatialIndex(points=pts, r=r, p=p, side=side, cells=cells,
+                        order=order, starts=np.append(first, len(pts)))
 
 
-def adjacent(idx: SpatialIndex, u: int, v: int) -> bool:
-    """Edge test: l_p distance at most r, the boundary inclusive."""
-    pu = idx.points[u]
-    pv = idx.points[v]
-    return lp_distance(idx.p, (pu[0], pu[1]), (pv[0], pv[1])) <= idx.r
+def _far_offsets(idx: SpatialIndex) -> list[tuple[int, int]]:
+    """Cell offsets beyond the 3x3 block that can hold a pair within r,
+    one of each +/- pair, nearest first."""
+    s, reach = 1.0 / idx.side, int(min(idx.r * idx.side + 2, idx.side - 1))
+    near = sorted((_lp_from_abs(idx.p, max(abs(dc) - 1, 0) * s, max(dr - 1, 0) * s),
+                   dr, dc)
+                  for dr in range(reach + 1) for dc in range(-reach, reach + 1)
+                  if (dr > 0 or dc > 0) and max(abs(dc), dr) > 1)
+    return [(dc, dr) for gap, dr, dc in near
+            if gap <= idx.r * (1.0 + _REL_SLACK) + _ABS_SLACK]
 
 
-_BUCKET_OFFSETS = [(di, dj) for di in (-1, 0, 1) for dj in (-1, 0, 1)]
+def _members(idx: SpatialIndex, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Vertices of the listed cells, with the position in cells of each."""
+    first = idx.starts[cells]
+    cnt = idx.starts[cells + 1] - first
+    at = np.repeat(np.arange(len(cells)), cnt)
+    return at, idx.order[np.arange(len(at)) + (first + cnt - np.cumsum(cnt))[at]]
 
 
-def _gather_members(idx: SpatialIndex, buckets: np.ndarray,
-                    sources: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """CSR gather: members of each bucket, with the querying source repeated."""
-    first = idx.starts[buckets]
-    cnt = idx.starts[buckets + 1] - first
-    keep = cnt > 0
-    if not keep.any():
-        return np.empty(0, np.int64), np.empty(0, np.int64)
-    first, cnt, sources = first[keep], cnt[keep], sources[keep]
-    total = int(cnt.sum())
-    base = np.repeat(first, cnt)
-    shift = np.repeat(np.cumsum(cnt) - cnt, cnt)
-    members = idx.order[base + (np.arange(total) - shift)]
-    return np.repeat(sources, cnt), members
+def _hook(parent: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
+    """Union the components of cells a[i] and b[i].
+
+    parent points every cell at its root, the smallest cell of its
+    component. Each round hooks the larger root of every split pair under
+    the smaller (np.minimum.at keeps one per root), then pointer jumping
+    restores parent = root; pairs still split go round again.
+    """
+    while True:
+        ra, rb = parent[a], parent[b]
+        split = ra != rb
+        if not split.any():
+            return
+        a, b, ra, rb = a[split], b[split], ra[split], rb[split]
+        np.minimum.at(parent, np.maximum(ra, rb), np.minimum(ra, rb))
+        while not np.array_equal(up := parent[parent], parent):
+            parent[:] = up
 
 
-# ceiling on (source, candidate) pairs materialized at once; keeps the BFS
-# within memory even when a huge radius folds the whole square into one bucket
-_PAIR_CHUNK = 1 << 21
+def _hook_close(idx: SpatialIndex, parent: np.ndarray, a: np.ndarray,
+                b: np.ndarray) -> None:
+    """Union cells a[i] and b[i] that hold a pair of points within r.
+
+    Only cells whose roots still differ are tested: each vertex u of a[i]
+    against all of b[i], in slabs of at most max(_PAIR_CHUNK, n) point pairs.
+    """
+    keep = parent[a] != parent[b]
+    at, u = _members(idx, a[keep])
+    a, b = a[keep][at], b[keep][at]
+    most = int((idx.starts[b + 1] - idx.starts[b]).max(initial=1))
+    step = max(1, _PAIR_CHUNK // most)
+    for lo in range(0, len(u), step):
+        live = lo + np.flatnonzero(parent[a[lo:lo + step]] != parent[b[lo:lo + step]])
+        at, v = _members(idx, b[live])
+        src, pts = u[live[at]], idx.points
+        close = lp_norms(idx.p, pts[src, 0] - pts[v, 0],
+                         pts[src, 1] - pts[v, 1]) <= idx.r
+        hit = live[at[close]]
+        _hook(parent, a[hit], b[hit])
 
 
 def is_connected(idx: SpatialIndex) -> bool:
-    """BFS over the bucket grid, one vectorized layer at a time.
+    """Union-find over the occupied cells of the grid.
 
-    Each layer gathers the 3x3 bucket neighbourhood of the frontier in
-    bounded slabs, filters by distance, and claims the newly reached
-    vertices. No global edge list is ever materialized; total work is
-    O(n * expected bucket occupancy).
+    Every 3x3 block of cells is a clique (see build_spatial_index), so
+    neighbouring occupied cells are joined outright. Then each farther
+    offset that can hold a pair within r, nearest first, tests point pairs
+    only between the cells it pairs whose roots still differ. Stops as soon
+    as one component is left.
     """
-    n = idx.points.shape[0]
-    if n <= 1:
-        return True
-    visited = np.zeros(n, dtype=bool)
-    visited[0] = True
-    frontier = np.array([0], dtype=np.int64)
-    side = idx.side
-    while frontier.size:
-        fcol = idx.bucket_col[frontier]
-        frow = idx.bucket_row[frontier]
-        claimed = []
-        for di, dj in _BUCKET_OFFSETS:
-            nc = fcol + di
-            nr = frow + dj
-            ok = (nc >= 0) & (nc < side) & (nr >= 0) & (nr < side)
-            if not ok.any():
-                continue
-            buckets = nr[ok] * side + nc[ok]
-            sources = frontier[ok]
-            bounds = np.cumsum(idx.starts[buckets + 1] - idx.starts[buckets])
-            lo = 0
-            while lo < len(buckets):
-                base = int(bounds[lo - 1]) if lo else 0
-                hi = int(np.searchsorted(bounds, base + _PAIR_CHUNK, side="right"))
-                hi = max(hi, lo + 1)
-                src, mem = _gather_members(idx, buckets[lo:hi], sources[lo:hi])
-                lo = hi
-                fresh = ~visited[mem] if mem.size else mem.astype(bool)
-                src, mem = src[fresh], mem[fresh]
-                if mem.size == 0:
-                    continue
-                delta = idx.points[src] - idx.points[mem]
-                close = lp_norms(idx.p, delta[:, 0], delta[:, 1]) <= idx.r
-                new = np.unique(mem[close])
-                if new.size:
-                    # claim eagerly so later slabs skip these vertices
-                    visited[new] = True
-                    claimed.append(new)
-        if not claimed:
+    side = np.uint64(idx.side)
+    row, col = (x.astype(np.int64) for x in np.divmod(idx.cells, side))
+    parent = np.arange(len(idx.cells))
+    offsets = [(1, 0), (-1, 1), (0, 1), (1, 1)] + _far_offsets(idx)
+    for i, (dc, dr) in enumerate(offsets):
+        if not parent.any():
             break
-        frontier = np.concatenate(claimed)
-    return bool(visited.all())
+        a = np.flatnonzero((col + dc >= 0) & (col + dc < idx.side)
+                           & (row + dr < idx.side))
+        key = (row[a] + dr).astype(np.uint64) * side + (col[a] + dc).astype(np.uint64)
+        b = np.minimum(np.searchsorted(idx.cells, key), len(idx.cells) - 1)
+        hit = idx.cells[b] == key
+        if i < 4:
+            _hook(parent, a[hit], b[hit])
+        else:
+            _hook_close(idx, parent, a[hit], b[hit])
+    return not parent.any()

@@ -27,7 +27,7 @@ there are at most 24 visits); they are deliberately not configurable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -173,20 +173,6 @@ class CellClassification:
 
     def cell_members(self, flat_cell: int) -> np.ndarray:
         return self.order[self.starts[flat_cell]:self.starts[flat_cell + 1]]
-
-    def dense_cells_of_square(self, flat_sq: int) -> list[int]:
-        """Flat ids of the square's dense cells, row-major order."""
-        t = self.tessellation
-        k = t.cells_per_side
-        g = t.grid
-        srow, scol = divmod(flat_sq, t.squares_per_side)
-        out = []
-        for lr in range(k):
-            base = (srow * k + lr) * g + scol * k
-            for lc in range(k):
-                if self.dense_mask[base + lc]:
-                    out.append(base + lc)
-        return out
 
 
 def classify_cells(t: Tessellation, vs: VertexSet) -> CellClassification:

@@ -7,8 +7,7 @@ from helpers import cell_points
 from rggham.auxgraphs import (AugmentedGraph, DensityGraph, GroupKey,
                               SpanningTree, attach_sparse_groups,
                               build_density_graph, euler_traversal,
-                              find_hook_cell, is_augmented_connected,
-                              node_sort_key, spanning_tree, write_edge_list)
+                              find_hook_cell, node_sort_key, spanning_tree)
 from rggham.failures import ConstructionError, FailureReason
 from rggham.instance import VertexSet
 from rggham.tessellation import (DENSE_THRESHOLD, CellId, build_tessellation,
@@ -100,7 +99,7 @@ def test_attach_groups_row_major_membership(t):
     assert ag.adjacency[0] == [key]
     assert ag.adjacency[key] == [0]
     assert sorted(ag.nodes(), key=node_sort_key) == [0, key]
-    assert is_augmented_connected(ag)
+    assert spanning_tree(ag).size() == 2
 
 
 def _two_cluster_blocks(t, bridged):
@@ -123,7 +122,9 @@ def test_attach_groups_split_by_label_square(t):
     assert ag.groups[GroupKey(5, 8)] == [6 * g + 6]
     assert ag.hooks[4 * g + 4] == 3
     assert ag.hooks[6 * g + 6] == 8 * g
-    assert not is_augmented_connected(ag)
+    with pytest.raises(ConstructionError) as err:
+        spanning_tree(ag)
+    assert err.value.reason is FailureReason.DISCONNECTED
 
 
 def test_spanning_tree_on_split_graph_reports_sizes(t):
@@ -142,7 +143,6 @@ def test_spanning_tree_without_old_vertices(t):
     ag = AugmentedGraph(tessellation=t, density=dg,
                         old_vertices=dg.square_ids, adjacency={},
                         groups={}, hooks={})
-    assert not is_augmented_connected(ag)
     with pytest.raises(ConstructionError) as err:
         spanning_tree(ag)
     assert err.value.reason is FailureReason.DISCONNECTED
@@ -152,7 +152,6 @@ def test_spanning_tree_without_old_vertices(t):
 def test_spanning_tree_and_euler_on_chained_instance(t):
     cls = classify(t, _two_cluster_blocks(t, bridged=True))
     ag = attach_sparse_groups(t, cls, build_density_graph(t, cls))
-    assert is_augmented_connected(ag)
     tree = spanning_tree(ag)
     assert tree.root == 0
     assert tree.size() == 5
@@ -188,16 +187,3 @@ def test_euler_hand_case():
     tree = SpanningTree(root=0, parent={1: 0, g: 0, 5: 1},
                         children={0: [1, g], 1: [5], 5: [], g: []})
     assert euler_traversal(tree) == [0, 1, 5, 1, 0, g, 0]
-
-
-def test_write_edge_list_golden(t, tmp_path):
-    cls = classify(t, _two_cluster_blocks(t, bridged=True))
-    ag = attach_sparse_groups(t, cls, build_density_graph(t, cls))
-    path = tmp_path / "edges.txt"
-    write_edge_list(ag, str(path))
-    assert path.read_text() == (
-        "S:0,0 S:0,1\n"
-        "S:0,0 N:1,1:0,0\n"
-        "S:0,1 S:0,2\n"
-        "S:0,1 N:1,1:0,1\n"
-    )

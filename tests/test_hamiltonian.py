@@ -8,8 +8,7 @@ from helpers import cell_points
 from rggham.auxgraphs import attach_sparse_groups, build_density_graph
 from rggham.failures import ConstructionError, FailureReason
 from rggham.hamiltonian import (UsageLedger, _serpentine_orders,
-                                full_construction, verify_cycle,
-                                within_clique_path)
+                                full_construction, verify_cycle)
 from rggham.instance import VertexSet, threshold_radius
 from rggham.tessellation import (DENSE_THRESHOLD, build_tessellation,
                                  cells_close, classify_cells)
@@ -60,8 +59,6 @@ def test_ledger_drain_is_uncounted_remainder():
     assert len(rest) == 57
     assert sorted(first + rest) == list(cls.cell_members(0))
     assert ledger.remaining(0) == 0
-    # drained vertices do not count against the cap
-    assert ledger.withdrawals() == {0: 3}
     with pytest.raises(ConstructionError):
         ledger.take(0)          # empty now, regardless of cap
 
@@ -85,45 +82,6 @@ def test_serpentine_orders_cover_grid_with_unit_steps(k):
         corners = {0, k - 1}
         assert set(first) <= corners and set(last) <= corners
         assert (first[0] == last[0]) != (first[1] == last[1])
-
-
-# --------------------------------------------------------------------------
-# clique path ordering
-# --------------------------------------------------------------------------
-
-def test_clique_path_single_vertex():
-    t = build_tessellation(2.0, 0.5, 4)
-    pts = cell_points(t, 0, 0, 5)
-    order, (a, b) = within_clique_path(t, pts, [3])
-    assert order == [3] and a == b == 3
-
-
-def test_clique_path_groups_by_cell_then_index():
-    t = build_tessellation(2.0, 0.5, 4)
-    # vertices 0-2 in cell (1,0) (flat 1), vertices 3-4 in cell (0,0)
-    pts = np.vstack([cell_points(t, 1, 0, 3), cell_points(t, 0, 0, 2)])
-    order, (first, last) = within_clique_path(t, pts, [0, 1, 2, 3, 4])
-    assert order == [3, 4, 0, 1, 2]
-    assert (first, last) == (3, 2)
-    again, _ = within_clique_path(t, pts, [4, 2, 0, 3, 1])
-    assert again == order
-
-
-def test_clique_path_entry_moves_to_front():
-    t = build_tessellation(2.0, 0.5, 4)
-    pts = np.vstack([cell_points(t, 1, 0, 3), cell_points(t, 0, 0, 2)])
-    order, (first, last) = within_clique_path(t, pts, [0, 1, 2, 3, 4], entry=1)
-    assert order == [1, 3, 4, 0, 2]
-    assert first == 1 and last == 2
-
-
-def test_clique_path_rejects_bad_input():
-    t = build_tessellation(2.0, 0.5, 4)
-    pts = cell_points(t, 0, 0, 4)
-    with pytest.raises(ValueError):
-        within_clique_path(t, pts, [])
-    with pytest.raises(ValueError):
-        within_clique_path(t, pts, [0, 1], entry=3)
 
 
 # --------------------------------------------------------------------------
@@ -262,13 +220,12 @@ def test_construction_keeps_group_vertices_contiguous():
     cyc = list(out.cycle)
 
     # cells (4,4) and (5,4) share hook (3,0): one group, visited as a block
-    # in row-major cell order with ascending indices inside a cell
+    # in row-major cell order with ascending indices inside a cell, that is
+    # cell (4,4)'s vertices g1, then cell (5,4)'s g2
     block = list(idx["g1"]) + list(idx["g2"])
     at = [cyc.index(v) for v in block]
     assert at == list(range(min(at), min(at) + len(block)))
-    # matches the declared clique-path order for those vertices
-    want, _ = within_clique_path(t, pts, block)
-    assert [cyc[i] for i in sorted(at)] == want
+    assert [cyc[i] for i in sorted(at)] == block
     # flanked by hook withdrawals from the dense cell (3,0)
     g = t.grid
     hook_cell = {int(v) for v in range(len(pts))

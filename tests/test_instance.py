@@ -1,14 +1,15 @@
+import itertools
 import math
+import time
 
 import numpy as np
 import pytest
 
-from rggham.geometry import lp_distance
+from rggham.geometry import lp_distance, lp_norms
 from rggham.instance import (EpsilonAbove, EpsilonBelow, ExplicitRadius,
                              InstanceConfig, ThresholdMultiple, VertexSet,
-                             adjacent, build_spatial_index, is_connected,
-                             max_radius, resolve_radius, sample_points,
-                             threshold_radius)
+                             build_spatial_index, is_connected, max_radius,
+                             resolve_radius, sample_points, threshold_radius)
 
 # frozen reference radii, checked against direct sqrt(log n / (area n))
 THRESHOLD_CASES = [
@@ -145,29 +146,28 @@ def test_csv_rejects_wrong_field_count(tmp_path):
 # --------------------------------------------------------------------------
 
 def test_adjacent_matches_direct_distance():
+    # two points are connected iff they are adjacent
     rng = np.random.default_rng(7)
-    vs = VertexSet(rng.random((80, 2)))
+    pts = rng.random((80, 2))
     r = 0.2
     for p in (1.0, 2.0, math.inf):
-        idx = build_spatial_index(vs, r, p)
         for u in range(0, 80, 5):
             for v in range(u + 1, 80, 7):
-                want = lp_distance(p, vs.points[u], vs.points[v]) <= r
-                assert adjacent(idx, u, v) == want
-                assert adjacent(idx, v, u) == want
+                want = lp_distance(p, pts[u], pts[v]) <= r
+                pair = VertexSet(pts[[u, v]])
+                assert is_connected(build_spatial_index(pair, r, p)) == want
 
 
 def _brute_connected(points, r, p):
-    n = len(points)
-    seen = np.zeros(n, dtype=bool)
+    """Search over all pairs, with the edge test lp_norms(...) <= r."""
+    seen = np.zeros(len(points), dtype=bool)
     seen[0] = True
     stack = [0]
     while stack:
-        u = stack.pop()
-        for v in range(n):
-            if not seen[v] and lp_distance(p, points[u], points[v]) <= r:
-                seen[v] = True
-                stack.append(v)
+        d = points - points[stack.pop()]
+        new = ~seen & (lp_norms(p, d[:, 0], d[:, 1]) <= r)
+        seen |= new
+        stack.extend(np.flatnonzero(new).tolist())
     return bool(seen.all())
 
 
@@ -180,15 +180,90 @@ def test_is_connected_simple_cases():
     assert is_connected(build_spatial_index(one, 0.1, 2.0))
 
 
-def test_is_connected_matches_brute_force():
+def _random_instances():
     rng = np.random.default_rng(31)
     for trial in range(30):
         n = int(rng.integers(3, 60))
-        pts = rng.random((n, 2))
         r = float(rng.uniform(0.05, 0.6))
-        p = [1.0, 1.5, 2.0, math.inf][trial % 4]
-        idx = build_spatial_index(VertexSet(pts), r, p)
-        assert is_connected(idx) == _brute_connected(pts, r, p), (trial, n, r, p)
+        yield rng.random((n, 2)), r, [1.0, 1.5, 2.0, math.inf][trial % 4], None
+
+
+def _ulp_either_way(x):
+    return [np.nextafter(x, -1.0), x, np.nextafter(x, 2.0)]
+
+
+def _cell_edge_instances():
+    """Two points (a, a) and (b, b) on the cell edges of a grid of side
+    k = 2 ||(1, 1)||_p / r, two cells apart, each exact or one ulp off. Some
+    pairs are just over r, yet cells of side exactly r / (2 ||(1, 1)||_p)
+    can hold them in neighbouring cells."""
+    for p in (1.0, 2.0, math.inf):
+        for k in (5, 6, 7, 10, 13):
+            r = 2.0 * lp_distance(p, (0.0, 0.0), (1.0, 1.0)) / k
+            for i in range(k - 1):
+                near, far = (_ulp_either_way(x) for x in (i / k, (i + 2) / k))
+                for a, b in itertools.product(near, far):
+                    if 0.0 <= a and b <= 1.0:
+                        yield np.array([[a, a], [b, b]]), r, p, None
+
+
+def _gap_instances():
+    """Two chains of points 0.01 apart, then two blobs of 2000 points each
+    (more than one slab of point pairs), with a gap just under or over r
+    between their nearest points."""
+    r = 0.05
+    gaps = ((r * (1.0 - 1e-12), True), (r * (1.0 + 1e-12), False))
+    chain = 0.01 * np.arange(20)
+    for p in (1.0, 2.0, math.inf):
+        for gap, joined in gaps:
+            xs = np.concatenate([0.1 + chain, 0.1 + chain[-1] + gap + chain])
+            yield np.column_stack([xs, np.full(40, 0.5)]), r, p, joined
+    blob = np.random.default_rng(3).random((1999, 2)) * 0.005
+    for gap, joined in gaps:
+        left = np.vstack([[0.3, 0.5], [0.3, 0.4975] - blob])
+        right = np.vstack([[0.3 + gap, 0.5], [0.3 + gap, 0.4975] + blob])
+        yield np.vstack([left, right]), r, 2.0, joined
+
+
+def test_is_connected_matches_brute_force():
+    for cases in (_random_instances(), _cell_edge_instances(), _gap_instances()):
+        answers = set()
+        for pts, r, p, want in cases:
+            got = is_connected(build_spatial_index(VertexSet(pts), r, p))
+            truth = _brute_connected(pts, r, p)
+            assert got == truth, (pts, r, p)
+            assert want in (None, truth)
+            answers.add(truth)
+        # each kind of case reaches both answers, so none of them is idle
+        assert answers == {True, False}
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
+def test_is_connected_at_a_tiny_radius(p):
+    rng = np.random.default_rng(5)
+    spread = VertexSet(rng.random((50, 2)))
+    assert not is_connected(build_spatial_index(spread, 1e-9, p))
+    for xy in ([0.3, 0.7], [1.0, 1.0]):
+        twice = VertexSet(np.array([xy, xy]))
+        assert is_connected(build_spatial_index(twice, 1e-9, p))
+
+
+def test_build_spatial_index_rejects_unusable_input():
+    vs = VertexSet(np.array([[0.1, 0.2], [0.3, 0.4]]))
+    with pytest.raises(ValueError, match="resolution"):
+        build_spatial_index(vs, 1e-12, 2.0)
+    with pytest.raises(ValueError, match="positive"):
+        build_spatial_index(vs, 0.0, 2.0)
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        build_spatial_index(VertexSet(np.array([[0.1, 1.5]])), 0.1, 2.0)
+
+
+def test_is_connected_fast_at_a_large_radius():
+    cfg = InstanceConfig(n=20000, p=2.0, radius=ExplicitRadius(0.45), seed=5)
+    vs = sample_points(cfg)
+    t0 = time.perf_counter()
+    assert is_connected(build_spatial_index(vs, 0.45, 2.0))
+    assert time.perf_counter() - t0 < 2.0
 
 
 def test_is_connected_dense_instance():

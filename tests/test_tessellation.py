@@ -170,21 +170,6 @@ def test_classify_members_grouped_and_ascending():
     assert sorted(seen) == list(range(500))
 
 
-def test_dense_cells_of_square_row_major():
-    t = build_tessellation(2.0, 0.5, 4)
-    g = t.grid
-    # square (1, 1): make cells (5, 4) and (4, 5) dense, plus noise elsewhere
-    pts = np.vstack([
-        cell_points(t, 5, 4, DENSE_THRESHOLD),
-        cell_points(t, 4, 5, DENSE_THRESHOLD + 2),
-        cell_points(t, 6, 6, 10),
-    ])
-    cls = classify_cells(t, VertexSet(pts))
-    flat_sq = 1 * t.squares_per_side + 1
-    assert cls.dense_cells_of_square(flat_sq) == [4 * g + 5, 5 * g + 4]
-    assert cls.dense_cells_of_square(0) == []
-
-
 # --------------------------------------------------------------------------
 # quadrant counting and the choice of k
 # --------------------------------------------------------------------------
