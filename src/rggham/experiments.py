@@ -6,10 +6,10 @@ of the timed span), and records either the verified cycle or the typed
 failure. A verified cycle certifies connectivity, so the connectivity check
 (union-find over the occupied cells of a sparse grid, see instance.py) runs
 only when construction fails; the serpentine fallback keeps its own coarser
-buckets, so a failed trial builds each grid once. A sweep aggregates trials per (n, radius
-multiplier) pair into one summary row; trial seeds are assigned from a
-single base seed by global trial index so any trial can be reproduced in
-isolation.
+buckets, so a failed trial builds each grid once. A sweep aggregates trials
+per (n, radius multiplier) pair into one summary row; trial seeds are
+assigned from a single base seed by global trial index so any trial can be
+reproduced in isolation.
 """
 
 from __future__ import annotations

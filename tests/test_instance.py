@@ -225,8 +225,18 @@ def _gap_instances():
         yield np.vstack([left, right]), r, 2.0, joined
 
 
+def _tiny_radius_instances():
+    """r = 1e-9: spread points are isolated, coincident ones adjacent."""
+    spread = np.random.default_rng(5).random((50, 2))
+    for p in (1.0, 2.0, math.inf):
+        yield spread, 1e-9, p, False
+        for xy in ([0.3, 0.7], [1.0, 1.0]):
+            yield np.array([xy, xy]), 1e-9, p, True
+
+
 def test_is_connected_matches_brute_force():
-    for cases in (_random_instances(), _cell_edge_instances(), _gap_instances()):
+    for cases in (_random_instances(), _cell_edge_instances(), _gap_instances(),
+                  _tiny_radius_instances()):
         answers = set()
         for pts, r, p, want in cases:
             got = is_connected(build_spatial_index(VertexSet(pts), r, p))
@@ -236,16 +246,6 @@ def test_is_connected_matches_brute_force():
             answers.add(truth)
         # each kind of case reaches both answers, so none of them is idle
         assert answers == {True, False}
-
-
-@pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
-def test_is_connected_at_a_tiny_radius(p):
-    rng = np.random.default_rng(5)
-    spread = VertexSet(rng.random((50, 2)))
-    assert not is_connected(build_spatial_index(spread, 1e-9, p))
-    for xy in ([0.3, 0.7], [1.0, 1.0]):
-        twice = VertexSet(np.array([xy, xy]))
-        assert is_connected(build_spatial_index(twice, 1e-9, p))
 
 
 def test_build_spatial_index_rejects_unusable_input():
