@@ -26,8 +26,9 @@ from typing import NamedTuple, Union
 import numpy as np
 
 from .failures import ConstructionError, FailureReason
-from .tessellation import (MAX_FRIENDS, CellClassification, CellId, SquareId,
-                           Tessellation, cells_close, close_offsets, friends)
+from .tessellation import (FRIEND_CHEBYSHEV, MAX_FRIENDS, CellClassification,
+                           CellId, SquareId, Tessellation, cells_close,
+                           close_offsets, friends)
 
 
 class GroupKey(NamedTuple):
@@ -70,25 +71,30 @@ class DensityGraph:
         return ca, cb
 
 
-def _close_cell_pairs(t: Tessellation, dsc: int, dsr: int) -> list[tuple[int, int, int, int]]:
-    """Cell pairs (lcR, lrR, lcS, lrS) close across square offset (dsc, dsr).
+def _closeness(t: Tessellation) -> np.ndarray:
+    """close[|drow|, |dcol|] tells whether cells at that index offset are
+    close, for every offset between cells of friend squares (below 3k)."""
+    span = (FRIEND_CHEBYSHEV + 1) * t.cells_per_side
+    return np.array([[cells_close(t, CellId(0, 0), CellId(dc, dr))
+                      for dc in range(span)] for dr in range(span)])
+
+
+def _close_cell_pairs(t: Tessellation, close: np.ndarray, dsc: int,
+                      dsr: int) -> list[tuple[int, int]]:
+    """Cell pairs close across square offset (dsc, dsr), as flat id offsets
+    (of R's cell from R's first cell, of S's cell from S's first cell).
 
     Scan order is row-major over R's cells, then row-major over S's cells,
     so taking the first dense hit is deterministic. Closeness depends on the
     index offset only, hence the table is shared by all square pairs at the
     same offset.
     """
-    k = t.cells_per_side
-    out = []
-    for lr_r in range(k):
-        for lc_r in range(k):
-            a = CellId(lc_r, lr_r)
-            for lr_s in range(k):
-                for lc_s in range(k):
-                    b = CellId(dsc * k + lc_s, dsr * k + lr_s)
-                    if cells_close(t, a, b):
-                        out.append((lc_r, lr_r, lc_s, lr_s))
-    return out
+    k, g = t.cells_per_side, t.grid
+    lr_r, lc_r, lr_s, lc_s = (a.ravel() for a in np.meshgrid(
+        *[np.arange(k)] * 4, indexing="ij"))
+    hit = close[np.abs(dsr * k + lr_s - lr_r), np.abs(dsc * k + lc_s - lc_r)]
+    return list(zip((lr_r * g + lc_r)[hit].tolist(),
+                    (lr_s * g + lc_s)[hit].tolist()))
 
 
 def build_density_graph(t: Tessellation, cls: CellClassification) -> DensityGraph:
@@ -97,6 +103,7 @@ def build_density_graph(t: Tessellation, cls: CellClassification) -> DensityGrap
     g = t.grid
     dense_squares = np.nonzero(cls.square_dense_count > 0)[0]
     dense_set = set(int(s) for s in dense_squares)
+    close = _closeness(t) if dense_squares.size else None
     pair_tables: dict[tuple[int, int], list] = {}
     adjacency: dict[int, list[int]] = {int(s): [] for s in dense_squares}
     witness: dict[tuple[int, int], tuple[int, int]] = {}
@@ -111,10 +118,11 @@ def build_density_graph(t: Tessellation, cls: CellClassification) -> DensityGrap
             off = (sq.col - r_col, sq.row - r_row)
             table = pair_tables.get(off)
             if table is None:
-                table = pair_tables[off] = _close_cell_pairs(t, off[0], off[1])
-            for lc_r, lr_r, lc_s, lr_s in table:
-                ca = (r_row * k + lr_r) * g + (r_col * k + lc_r)
-                cb = (sq.row * k + lr_s) * g + (sq.col * k + lc_s)
+                table = pair_tables[off] = _close_cell_pairs(t, close, *off)
+            base_r = r_row * k * g + r_col * k
+            base_s = sq.row * k * g + sq.col * k
+            for da, db in table:
+                ca, cb = base_r + da, base_s + db
                 if cls.dense_mask[ca] and cls.dense_mask[cb]:
                     witness[(r_flat, s_flat)] = (ca, cb)
                     adjacency[r_flat].append(s_flat)

@@ -20,13 +20,15 @@ LedgerExhausted rather than a corrupt cycle.
 
 The tessellation path needs dense cells of 48 points, which near the
 connectivity threshold only exist once log n is in the thousands; at any
-practical n it stops at HookMissing. full_construction then falls back to a
-serpentine tour: every vertex in rows of clique cells, sorted along each
-row, with a return lane that closes the tour. The few hops longer than r,
-at gaps in a row, are repaired locally with 2-opt moves and single-vertex
-moves that use only edges within r (after Posa's rotations). The fallback
-reports its failures with existing reasons: Disconnected when a vertex at
-the unrepaired hop has no neighbour within r, EdgeTooLong otherwise.
+practical n it stops at HookMissing. It also gives up, at any n, when its
+augmented graph splits, which the point graph need not do. full_construction
+then falls back to a serpentine tour: every vertex in rows of clique cells,
+sorted along each row, with a return lane that closes the tour. The few
+hops longer than r, at gaps in a row, are repaired locally with 2-opt moves
+and single-vertex moves that use only edges within r (after Posa's
+rotations). The fallback reports its failures with existing reasons:
+Disconnected when a vertex at the unrepaired hop has no neighbour within r,
+EdgeTooLong otherwise.
 
 Every constructed cycle is self-verified (zero tolerance) before being
 returned, so callers get either a valid cycle or a typed failure.
@@ -36,6 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -44,7 +47,7 @@ from .auxgraphs import (AugmentedGraph, GroupKey, Node, attach_sparse_groups,
                         build_density_graph, euler_traversal, spanning_tree)
 from .failures import ConstructionError, FailureReason
 from .geometry import _lp_from_abs, lp_norms, unit_disk_area, validate_p
-from .instance import VertexSet
+from .instance import VertexSet, validate_points
 from .tessellation import (DENSE_THRESHOLD, CellClassification, CellId,
                            Tessellation, build_tessellation,
                            choose_cells_per_side, classify_cells)
@@ -65,8 +68,9 @@ class UsageLedger:
         self._cursor = np.zeros(len(cls.counts), dtype=np.int64)
         self._taken = np.zeros(len(cls.counts), dtype=np.int64)
 
-    def remaining(self, flat_cell: int) -> int:
-        return int(self._cls.counts[flat_cell] - self._cursor[flat_cell])
+    def remaining(self, flat_cell):
+        """Vertices left in a cell, or in each of an array of cells."""
+        return self._cls.counts[flat_cell] - self._cursor[flat_cell]
 
     def take(self, flat_cell: int) -> int:
         cls = self._cls
@@ -82,21 +86,28 @@ class UsageLedger:
         self._taken[flat_cell] += 1
         return int(v)
 
-    def drain(self, flat_cell: int) -> np.ndarray:
+    def drain(self, flat_cells) -> np.ndarray:
+        """What is left of one cell, or of each of a sequence of distinct
+        cells in turn."""
         cls = self._cls
-        lo = cls.starts[flat_cell] + self._cursor[flat_cell]
-        hi = cls.starts[flat_cell + 1]
-        self._cursor[flat_cell] = cls.counts[flat_cell]
-        return cls.order[lo:hi]
+        cells = np.atleast_1d(flat_cells)
+        lo = cls.starts[cells] + self._cursor[cells]
+        size = cls.counts[cells] - self._cursor[cells]
+        self._cursor[cells] = cls.counts[cells]
+        # positions lo[i], ..., lo[i] + size[i] - 1 of each cell, in turn
+        at = np.repeat(lo - np.cumsum(size) + size, size) + np.arange(size.sum())
+        return cls.order[at]
 
 
 # --------------------------------------------------------------------------
 # serpentine sweeps
 # --------------------------------------------------------------------------
 
-def _serpentine_orders(k: int) -> list[list[tuple[int, int]]]:
+@lru_cache(maxsize=None)
+def _serpentine_orders(k: int) -> np.ndarray:
     """Eight boustrophedon orders of the k x k local cell grid.
 
+    An (8, k * k, 2) array of local (col, row) steps, built once per k.
     Variants are rows-first/cols-first crossed with both start corners per
     axis. With even k each full sweep starts and ends in side-adjacent
     corners, which keeps the entry and exit hops short.
@@ -113,54 +124,44 @@ def _serpentine_orders(k: int) -> list[list[tuple[int, int]]]:
                     for b in minors:
                         order.append((b, major) if not transpose else (major, b))
                 out.append(order)
-    return out
-
-
-def _cell_sup_distance(t: Tessellation, a: CellId, b: CellId) -> float:
-    s = t.cell_side
-    return _lp_from_abs(t.p, (abs(a.col - b.col) + 1) * s,
-                        (abs(a.row - b.row) + 1) * s)
+    orders = np.array(out, dtype=np.int64)
+    orders.flags.writeable = False
+    return orders
 
 
 def _sweep_square(t: Tessellation, ledger: UsageLedger, flat_sq: int,
-                  start_near: Optional[CellId], end_near: Optional[CellId]) -> list[int]:
+                  start_near: Optional[CellId],
+                  end_near: Optional[CellId]) -> np.ndarray:
     """Drain every remaining vertex of the square, serpentine cell order.
 
-    Picks the variant whose last occupied cell lands nearest end_near (and
-    whose first lands nearest start_near as a tie break), so the hops into
-    and out of the sweep stay short.
+    Returns them as one segment of the cycle, cell after cell. Picks the
+    variant whose last occupied cell lands nearest end_near (and whose
+    first lands nearest start_near as a tie break), so the hops into and
+    out of the sweep stay short.
     """
-    m = t.squares_per_side
     k = t.cells_per_side
     g = t.grid
-    srow, scol = divmod(flat_sq, m)
+    s = t.cell_side
+    srow, scol = divmod(flat_sq, t.squares_per_side)
+    orders = _serpentine_orders(k)
+    # flat cell ids along each variant
+    cells = (srow * k + orders[:, :, 1]) * g + (scol * k + orders[:, :, 0])
+    left = ledger.remaining(cells) > 0
+    # first and last occupied cell of each variant (any cell, if none is)
+    ends = cells[np.arange(len(cells)),
+                 [left.argmax(axis=1), k * k - 1 - left[:, ::-1].argmax(axis=1)]]
+    cols, rows = (ends % g).tolist(), (ends // g).tolist()
 
-    def flat_of(lc: int, lr: int) -> int:
-        return (srow * k + lr) * g + (scol * k + lc)
+    def gap(i: int, v: int, near: Optional[CellId]) -> float:
+        """Sup distance between end i of variant v and the near cell."""
+        if near is None:
+            return 0.0
+        return _lp_from_abs(t.p, (abs(cols[i][v] - near.col) + 1) * s,
+                            (abs(rows[i][v] - near.row) + 1) * s)
 
-    occupied = {(lc, lr) for lr in range(k) for lc in range(k)
-                if ledger.remaining(flat_of(lc, lr)) > 0}
-    if not occupied:
-        return []
-
-    best = None
-    best_order = None
-    for v, order in enumerate(_serpentine_orders(k)):
-        occ = [c for c in order if c in occupied]
-        first = CellId(scol * k + occ[0][0], srow * k + occ[0][1])
-        last = CellId(scol * k + occ[-1][0], srow * k + occ[-1][1])
-        score = (
-            _cell_sup_distance(t, last, end_near) if end_near is not None else 0.0,
-            _cell_sup_distance(t, first, start_near) if start_near is not None else 0.0,
-            v,
-        )
-        if best is None or score < best:
-            best = score
-            best_order = occ
-    path: list[int] = []
-    for lc, lr in best_order:
-        path.extend(int(x) for x in ledger.drain(flat_of(lc, lr)))
-    return path
+    _, _, v = min((gap(1, v, end_near), gap(0, v, start_near), v)
+                  for v in range(len(cells)))
+    return ledger.drain(cells[v][left[v]])
 
 
 # --------------------------------------------------------------------------
@@ -176,25 +177,28 @@ def construct_cycle(points: np.ndarray, t: Tessellation,
                     order: list[Node]) -> np.ndarray:
     """Build the Hamiltonian cycle along an euler traversal of the tree.
 
-    Returns the cycle as a vertex permutation. Raises ConstructionError
-    (EdgeTooLong) when the self check finds an overlong edge; structural
-    breakage surfaces as LedgerExhausted or an assertion.
+    Returns the cycle as an int64 vertex permutation. It is assembled from
+    array segments (one per withdrawal, square sweep and group walk) joined
+    once at the end, so the Python work grows with squares and tree nodes,
+    not with n. Raises ConstructionError (EdgeTooLong) when the self check
+    finds an overlong edge; structural breakage surfaces as
+    LedgerExhausted or an assertion.
     """
     ledger = UsageLedger(cls)
     last_pos: dict[Node, int] = {node: i for i, node in enumerate(order)}
-    path: list[int] = []
-    # cell of the most recent path vertex, for sweep scoring
+    segments: list = []
+    # cell of the most recent withdrawal, for sweep scoring
     prev_cell: Optional[CellId] = None
 
     def push(v: int, cell: int) -> None:
         nonlocal prev_cell
-        path.append(v)
+        segments.append([v])
         prev_cell = _cell_of(t, cell)
 
     if len(order) == 1:
         root = order[0]
         assert isinstance(root, int)
-        path = _sweep_square(t, ledger, root, None, None)
+        segments = [_sweep_square(t, ledger, root, None, None)]
     else:
         i = 0
         while i < len(order) - 1:
@@ -207,9 +211,7 @@ def construct_cycle(points: np.ndarray, t: Tessellation,
                 hook_in = ag.hooks[cells[0]]
                 hook_out = ag.hooks[cells[-1]]
                 push(ledger.take(hook_in), hook_in)
-                for c in cells:
-                    for x in ledger.drain(c):
-                        push(int(x), c)
+                segments.append(ledger.drain(cells))
                 push(ledger.take(hook_out), hook_out)
                 i += 2
                 continue
@@ -217,7 +219,8 @@ def construct_cycle(points: np.ndarray, t: Tessellation,
             if i == last_pos[u]:
                 # final departure: empty the square before leaving
                 exit_v = ledger.take(cu)
-                path.extend(_sweep_square(t, ledger, u, prev_cell, _cell_of(t, cu)))
+                segments.append(_sweep_square(t, ledger, u, prev_cell,
+                                              _cell_of(t, cu)))
                 push(exit_v, cu)
             else:
                 push(ledger.take(cu), cu)
@@ -225,10 +228,11 @@ def construct_cycle(points: np.ndarray, t: Tessellation,
             i += 1
         root = order[-1]
         assert isinstance(root, int)
-        first_cell = t.locate(points[path[0], 0], points[path[0], 1])
-        path.extend(_sweep_square(t, ledger, root, prev_cell, first_cell))
+        first = segments[0][0]     # the first step withdraws a vertex
+        first_cell = t.locate(points[first, 0], points[first, 1])
+        segments.append(_sweep_square(t, ledger, root, prev_cell, first_cell))
 
-    cycle = np.asarray(path, dtype=np.int64)
+    cycle = np.concatenate(segments).astype(np.int64, copy=False)
     report = verify_cycle(points, t.radius, t.p, cycle)
     if not report.valid:
         violation = report.violation
@@ -547,14 +551,18 @@ def full_construction(points: np.ndarray, p: float, r: float,
     cells_per_square overrides the subdivision; otherwise it is chosen from
     the slack between r and the connectivity threshold (falling back to the
     minimum when r sits at or below threshold). When the tessellation path
-    stops at HookMissing, the serpentine fallback builds the cycle instead,
-    or raises Disconnected or EdgeTooLong; every other failure of the
-    tessellation path is raised as it is. r > 1 takes an angular order.
+    gives up, at HookMissing or because the augmented graph splits (which
+    the point graph need not), the serpentine fallback builds the cycle
+    instead, or raises Disconnected or EdgeTooLong; every other failure of
+    the tessellation path is raised as it is. r > 1 takes an angular order.
+    Raises ValueError for fewer than 3 points, points outside [0, 1]^2, and
+    radii that are not positive or too small for the tessellation.
     """
     p = validate_p(p)
     n = len(points)
     if n < 3:
         raise ValueError(f"a cycle needs at least 3 vertices, got {n}")
+    validate_points(points)
     if not r > 0.0:
         raise ValueError(f"radius must be positive, got {r}")
     if r > 1.0:
@@ -568,7 +576,10 @@ def full_construction(points: np.ndarray, p: float, r: float,
     try:
         cycle = _tessellation_cycle(points, p, r, cells_per_square)
     except ConstructionError as exc:
-        if exc.reason is not FailureReason.HOOK_MISSING:
+        # the only Disconnected the tessellation path raises is a split of
+        # the augmented graph: no certificate, so the fallback gets its turn
+        if exc.reason not in (FailureReason.HOOK_MISSING,
+                              FailureReason.DISCONNECTED):
             raise
     else:
         return ConstructionOutcome(cycle, cells_per_square)

@@ -183,6 +183,16 @@ _MAX_SIDE = 1 << 32  # flat cell keys row * side + col then fit in uint64
 _PAIR_CHUNK = 1 << 21
 
 
+def validate_points(points: np.ndarray) -> None:
+    """Raise ValueError unless every coordinate lies in [0, 1] (NaN fails).
+
+    Every grid over the unit square files points by their coordinates, so
+    this is checked where points enter the library.
+    """
+    if not ((points >= 0.0) & (points <= 1.0)).all():
+        raise ValueError("points must lie in [0, 1]^2")
+
+
 @dataclass(frozen=True)
 class SpatialIndex:
     """The occupied cells of a side x side grid over [0, 1]^2, CSR style, in
@@ -210,8 +220,7 @@ def build_spatial_index(vs: VertexSet, r: float, p: float) -> SpatialIndex:
         raise ValueError(f"radius must be positive, got {r}")
     p = validate_p(p)
     pts = vs.points
-    if not ((pts >= 0.0) & (pts <= 1.0)).all():
-        raise ValueError("points must lie in [0, 1]^2")
+    validate_points(pts)
     side = 2.0 * _lp_from_abs(p, 1.0, 1.0) / (r * (1.0 - _REL_SLACK) - _ABS_SLACK)
     if not 0.0 <= side <= _MAX_SIDE:
         raise ValueError(f"radius {r} is below the grid's resolution")

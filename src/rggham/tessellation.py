@@ -176,15 +176,25 @@ class CellClassification:
 
 
 def classify_cells(t: Tessellation, vs: VertexSet) -> CellClassification:
+    """Bucket the vertices by cell and mark the dense cells.
+
+    Raises ValueError when the radius is so small that flat cell ids times
+    n overflow int64: r = 1e-9 at any n, for every p.
+    """
     g = t.grid
     m = t.squares_per_side
     k = t.cells_per_side
+    n = len(vs)
+    if g * g * max(n, 1) > np.iinfo(np.int64).max:
+        raise ValueError(f"radius {t.radius} is below the tessellation's "
+                         f"resolution ({g} cells per side, {n} points)")
     col, row = t.locate_many(vs.points)
     flat = row * g + col
     counts = np.bincount(flat, minlength=g * g)
     starts = np.zeros(g * g + 1, dtype=np.int64)
     np.cumsum(counts, out=starts[1:])
-    order = np.argsort(flat, kind="stable").astype(np.int64)
+    # keys made unique by the vertex index: the default sort is then stable
+    order = np.argsort(flat * n + np.arange(n)).astype(np.int64, copy=False)
     dense = counts >= DENSE_THRESHOLD
     per_square = counts.reshape(m, k, m, k)
     square_vertex = per_square.sum(axis=(1, 3)).reshape(-1)

@@ -1,3 +1,4 @@
+import math
 from collections import Counter
 
 import numpy as np
@@ -5,13 +6,14 @@ import pytest
 
 from helpers import cell_points
 from rggham.auxgraphs import (AugmentedGraph, DensityGraph, GroupKey,
-                              SpanningTree, attach_sparse_groups,
+                              SpanningTree, _close_cell_pairs, _closeness,
+                              attach_sparse_groups,
                               build_density_graph, euler_traversal,
                               find_hook_cell, node_sort_key, spanning_tree)
 from rggham.failures import ConstructionError, FailureReason
 from rggham.instance import VertexSet
 from rggham.tessellation import (DENSE_THRESHOLD, CellId, build_tessellation,
-                                 classify_cells)
+                                 cells_close, classify_cells)
 
 # p = 2, r = 0.5: m = 4, k = 4, g = 16; cells with index offsets (dc, dr)
 # are close iff (|dc|+1)^2 + (|dr|+1)^2 <= 64, so offsets reach out to 6
@@ -47,6 +49,26 @@ def test_density_witness_takes_first_row_major_pair(t):
     blocks = [dense(t, c, r) for r in range(4) for c in range(8)]
     dg = build_density_graph(t, classify(t, blocks))
     assert dg.witness[(0, 1)] == (0, 4)
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0, math.inf])
+@pytest.mark.parametrize("r, k", [(0.5, 4), (0.2, 4), (0.45, 6)])
+def test_close_cell_pairs_match_a_scan_of_cells_close(p, r, k):
+    # every friend offset later in row-major order, against the scan over
+    # R's cells then S's cells, both row-major
+    t = build_tessellation(p, r, k)
+    g = t.grid
+    close = _closeness(t)
+    for dsr in range(3):
+        for dsc in range(-2, 3):
+            if dsr == 0 and dsc <= 0:
+                continue
+            want = [(lr_r * g + lc_r, lr_s * g + lc_s)
+                    for lr_r in range(k) for lc_r in range(k)
+                    for lr_s in range(k) for lc_s in range(k)
+                    if cells_close(t, CellId(lc_r, lr_r),
+                                   CellId(dsc * k + lc_s, dsr * k + lr_s))]
+            assert _close_cell_pairs(t, close, dsc, dsr) == want
 
 
 def test_density_graph_needs_close_dense_pair(t):

@@ -40,6 +40,16 @@ def test_run_trial_failure_fields():
     assert t.connected is False
 
 
+def test_run_trial_split_augmented_graph_is_no_disconnected_row():
+    # the augmented graph splits on this connected instance; the trial gets
+    # its cycle from the fallback instead of a Disconnected row
+    t = run_trial(10000, 1.0, 0.45, seed=0)
+    assert t.outcome == OUTCOME_CYCLE
+    assert t.failure_reason is None
+    assert t.connected is True
+    assert t.cells_per_side is None
+
+
 def test_run_trial_skips_connectivity_when_asked():
     t = run_trial(DESK["n"], DESK["p"], desk_r(2.0), seed=0,
                   check_connectivity=False)

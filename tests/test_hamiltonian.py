@@ -1,3 +1,4 @@
+import hashlib
 import math
 import time
 
@@ -5,7 +6,8 @@ import numpy as np
 import pytest
 
 from helpers import cell_points
-from rggham.auxgraphs import attach_sparse_groups, build_density_graph
+from rggham.auxgraphs import (attach_sparse_groups, build_density_graph,
+                               spanning_tree)
 from rggham.failures import ConstructionError, FailureReason
 from rggham.hamiltonian import (UsageLedger, _serpentine_orders,
                                 full_construction, verify_cycle)
@@ -63,14 +65,26 @@ def test_ledger_drain_is_uncounted_remainder():
         ledger.take(0)          # empty now, regardless of cap
 
 
+def test_ledger_drains_cells_in_turn():
+    t = build_tessellation(2.0, 0.5, 4)
+    cls, ledger = make_ledger(t, [cell_points(t, 0, 0, 5),
+                                  cell_points(t, 2, 0, 4),
+                                  cell_points(t, 1, 0, 3)])
+    taken = ledger.take(1)
+    got = ledger.drain([2, 0, 1, 3]).tolist()
+    assert got == [5, 6, 7, 8, 0, 1, 2, 3, 4, 10, 11]
+    assert taken == 9
+    assert ledger.drain([0, 2]).size == 0
+
+
 # --------------------------------------------------------------------------
 # serpentine orders
 # --------------------------------------------------------------------------
 
 @pytest.mark.parametrize("k", [2, 4, 6])
 def test_serpentine_orders_cover_grid_with_unit_steps(k):
-    orders = _serpentine_orders(k)
-    assert len(orders) == 8
+    assert _serpentine_orders(k).shape == (8, k * k, 2)
+    orders = [list(map(tuple, o)) for o in _serpentine_orders(k).tolist()]
     assert len(set(map(tuple, orders))) == 8
     cells = {(a, b) for a in range(k) for b in range(k)}
     for order in orders:
@@ -362,3 +376,80 @@ def test_fallback_gives_up_at_a_pendant_vertex():
     assert 1 in ctx["degrees"]
     assert ctx["distance"] > ctx["radius"] == 0.1
     assert isinstance(ctx["position"], int)
+
+
+@pytest.mark.parametrize("n, p, r, seed", [(10000, 1.0, 0.45, 0),
+                                           (10000, 1.0, 0.45, 1),
+                                           (60000, 2.0, 0.2, 0)])
+def test_split_augmented_graph_falls_back(n, p, r, seed):
+    # a dense square with no close dense cell pair towards its friends
+    # splits the augmented graph; the points themselves are connected, so
+    # the split is no certificate and the fallback builds the cycle
+    pts = rand_points(n, seed)
+    t = build_tessellation(p, r, 4)
+    cls = classify_cells(t, VertexSet(pts))
+    ag = attach_sparse_groups(t, cls, build_density_graph(t, cls))
+    with pytest.raises(ConstructionError) as err:
+        spanning_tree(ag)
+    assert err.value.context["detail"] == "augmented graph splits"
+    out = full_construction(pts, p, r)
+    assert out.cells_per_side is None
+    assert verify_cycle(pts, r, p, out.cycle).valid
+
+
+# --------------------------------------------------------------------------
+# golden cycles: the construction's output, pinned bit for bit
+# --------------------------------------------------------------------------
+
+# sha256 of full_construction(PCG64(seed).random((n, 2)), p, r).cycle as
+# int64 bytes, with the cells per square side it reports
+GOLDEN = [
+    # tessellation path, no group nodes
+    (20000, 1.0, 0.45, 0, 4,
+     "9d83c0ccec09bbed87b53434989d4e8840a934a5f4e57ec236095b1620ab764b"),
+    (20000, 2.0, 0.45, 0, 4,
+     "b35b8d50f10a96926654571d02827224ed5b72ff7b54de3e7be8d11a1dc4f26c"),
+    (20000, 3.0, 0.45, 0, 4,
+     "65ecb064223e2da566aeeb805965c95007166feafe079255b3dfc0b2ece72fcc"),
+    (20000, math.inf, 0.45, 0, 4,
+     "af12421946ce83f74e113388cdc1daf97245307cd03d34b409cbb1c407a57624"),
+    # tessellation path through 15 and 8 group nodes
+    (10000, 2.0, 0.45, 1, 4,
+     "0d62903425cc616058ff65ee40b6d43bf0a8c2f457d252f64d2cc8985d5f3d8a"),
+    (10000, math.inf, 0.45, 1, 4,
+     "f4a2c107b85678ef8f5069453e0ba676b96276b902e8d27f2e20915dc4fb1b68"),
+    # serpentine fallback at 2x threshold
+    (10000, 2.0, 2.0 * threshold_radius(10000, 2.0), 0, None,
+     "9452e1d9fbfbb6df69a427476d5199c6da8938b99948e57deb9a6a06bf77e031"),
+]
+
+
+@pytest.mark.parametrize("n, p, r, seed, k, digest", GOLDEN)
+def test_golden_cycle(n, p, r, seed, k, digest):
+    out = full_construction(rand_points(n, seed), p, r)
+    assert out.cells_per_side == k
+    assert out.cycle.dtype == np.int64
+    assert hashlib.sha256(out.cycle.tobytes()).hexdigest() == digest
+
+
+# --------------------------------------------------------------------------
+# input checks at the library boundary
+# --------------------------------------------------------------------------
+
+@pytest.mark.parametrize("bad", [(-0.1, 0.5), (1.5, 0.5), (0.5, math.nan),
+                                 (math.inf, 0.5)])
+@pytest.mark.parametrize("r", [0.3, 1.5])
+def test_full_construction_rejects_points_outside_the_square(bad, r):
+    pts = rand_points(200, 0)
+    pts[7] = bad
+    with pytest.raises(ValueError, match=r"\[0, 1\]\^2"):
+        full_construction(pts, 2.0, r)
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
+@pytest.mark.parametrize("r", [1e-9, 2e-9])
+def test_tiny_radius_is_a_value_error(p, r):
+    # 2e-9 leaves fewer than 2^32 cells per side, but their flat ids squared
+    # already overflow int64
+    with pytest.raises(ValueError, match="resolution"):
+        full_construction(rand_points(10, 0), p, r)
