@@ -27,8 +27,7 @@ import numpy as np
 
 from .failures import ConstructionError, FailureReason
 from .tessellation import (FRIEND_CHEBYSHEV, MAX_FRIENDS, CellClassification,
-                           CellId, SquareId, Tessellation, cells_close,
-                           close_offsets, friends)
+                           CellId, Tessellation, cells_close, close_offsets)
 
 
 class GroupKey(NamedTuple):
@@ -80,9 +79,10 @@ def _closeness(t: Tessellation) -> np.ndarray:
 
 
 def _close_cell_pairs(t: Tessellation, close: np.ndarray, dsc: int,
-                      dsr: int) -> list[tuple[int, int]]:
-    """Cell pairs close across square offset (dsc, dsr), as flat id offsets
-    (of R's cell from R's first cell, of S's cell from S's first cell).
+                      dsr: int) -> tuple[np.ndarray, np.ndarray]:
+    """Cell pairs close across square offset (dsc, dsr), as two aligned
+    arrays of flat id offsets (of R's cell from R's first cell, of S's cell
+    from S's first cell).
 
     Scan order is row-major over R's cells, then row-major over S's cells,
     so taking the first dense hit is deterministic. Closeness depends on the
@@ -93,45 +93,89 @@ def _close_cell_pairs(t: Tessellation, close: np.ndarray, dsc: int,
     lr_r, lc_r, lr_s, lc_s = (a.ravel() for a in np.meshgrid(
         *[np.arange(k)] * 4, indexing="ij"))
     hit = close[np.abs(dsr * k + lr_s - lr_r), np.abs(dsc * k + lc_s - lc_r)]
-    return list(zip((lr_r * g + lc_r)[hit].tolist(),
-                    (lr_s * g + lc_s)[hit].tolist()))
+    return (lr_r * g + lc_r)[hit], (lr_s * g + lc_s)[hit]
+
+
+# friend offsets (dcol, drow) of the squares after a square in row-major order
+_FORWARD_FRIENDS = [(dc, dr) for dr in range(FRIEND_CHEBYSHEV + 1)
+                    for dc in range(-FRIEND_CHEBYSHEV, FRIEND_CHEBYSHEV + 1)
+                    if dr > 0 or dc > 0]
+# ceiling on the (square pair, cell pair) tests made at once
+_TEST_CHUNK = 1 << 20
+
+
+def _first_dense_pair(dense: np.ndarray, base_r: np.ndarray,
+                      base_s: np.ndarray, da: np.ndarray,
+                      db: np.ndarray) -> np.ndarray:
+    """For each square pair i, the first j with dense cells base_r[i] + da[j]
+    and base_s[i] + db[j], or -1 if none.
+
+    Tests the pairs still without a hit against a block of the table at
+    once. The first block is one entry, which settles most pairs where
+    most cells are dense; each next block is twice as long, up to
+    _TEST_CHUNK tests a block.
+    """
+    first = np.full(len(base_r), -1)
+    todo = np.arange(len(base_r))
+    lo, step = 0, 1
+    while todo.size and lo < len(da):
+        hit = (dense[base_r[todo, None] + da[lo:lo + step]]
+               & dense[base_s[todo, None] + db[lo:lo + step]])
+        got = hit.any(axis=1)
+        first[todo[got]] = lo + hit[got].argmax(axis=1)
+        todo = todo[~got]
+        lo += step
+        step = max(1, min(2 * step, _TEST_CHUNK // max(todo.size, 1)))
+    return first
 
 
 def build_density_graph(t: Tessellation, cls: CellClassification) -> DensityGraph:
+    """Link dense friend squares that own a close pair of dense cells.
+
+    The witness of an edge is the first such pair in _close_cell_pairs'
+    scan order. For each of the 12 forward friend offsets, all dense square
+    pairs at that offset are tested at once against its table.
+    """
     m = t.squares_per_side
     k = t.cells_per_side
     g = t.grid
     dense_squares = np.nonzero(cls.square_dense_count > 0)[0]
-    dense_set = set(int(s) for s in dense_squares)
-    close = _closeness(t) if dense_squares.size else None
-    pair_tables: dict[tuple[int, int], list] = {}
-    adjacency: dict[int, list[int]] = {int(s): [] for s in dense_squares}
-    witness: dict[tuple[int, int], tuple[int, int]] = {}
-
-    for r_flat in dense_squares:
-        r_flat = int(r_flat)
-        r_row, r_col = divmod(r_flat, m)
-        for sq in friends(t, SquareId(r_col, r_row)):
-            s_flat = sq.row * m + sq.col
-            if s_flat <= r_flat or s_flat not in dense_set:
-                continue
-            off = (sq.col - r_col, sq.row - r_row)
-            table = pair_tables.get(off)
-            if table is None:
-                table = pair_tables[off] = _close_cell_pairs(t, close, *off)
-            base_r = r_row * k * g + r_col * k
-            base_s = sq.row * k * g + sq.col * k
-            for da, db in table:
-                ca, cb = base_r + da, base_s + db
-                if cls.dense_mask[ca] and cls.dense_mask[cb]:
-                    witness[(r_flat, s_flat)] = (ca, cb)
-                    adjacency[r_flat].append(s_flat)
-                    adjacency[s_flat].append(r_flat)
-                    break
-
-    for s, nbrs in adjacency.items():
-        nbrs.sort()
-        assert len(nbrs) <= MAX_FRIENDS
+    if not dense_squares.size:
+        return DensityGraph(tessellation=t, square_ids=dense_squares,
+                            adjacency={}, witness={})
+    close = _closeness(t)
+    r_row, r_col = np.divmod(dense_squares, m)
+    # columns (R, S, R's witness cell, S's witness cell), one per edge
+    blocks = [np.zeros((4, 0), dtype=np.int64)]
+    for dc, dr in _FORWARD_FRIENDS:
+        s_col, s_row = r_col + dc, r_row + dr
+        at = np.flatnonzero((s_col >= 0) & (s_col < m) & (s_row < m))
+        at = at[cls.square_dense_count[s_row[at] * m + s_col[at]] > 0]
+        if not at.size:
+            continue
+        base_r = r_row[at] * k * g + r_col[at] * k
+        base_s = s_row[at] * k * g + s_col[at] * k
+        da, db = _close_cell_pairs(t, close, dc, dr)
+        j = _first_dense_pair(cls.dense_mask, base_r, base_s, da, db)
+        hit = j >= 0
+        j = j[hit]
+        blocks.append(np.stack((dense_squares[at[hit]],
+                                s_row[at[hit]] * m + s_col[at[hit]],
+                                base_r[hit] + da[j], base_s[hit] + db[j])))
+    edges = np.concatenate(blocks, axis=1)
+    # R ascending, then S ascending: the order a scan of R's friends finds
+    r_sq, s_sq, ca, cb = edges[:, np.lexsort((edges[1], edges[0]))].tolist()
+    witness = dict(zip(zip(r_sq, s_sq), zip(ca, cb)))
+    # each edge in both directions, sorted by end, then by neighbour
+    end = np.concatenate((edges[0], edges[1]))
+    nbr = np.concatenate((edges[1], edges[0]))
+    by_end = np.lexsort((nbr, end))
+    hi = np.searchsorted(end[by_end], dense_squares, side="right")
+    lo = np.append(0, hi[:-1])
+    assert (hi - lo).max(initial=0) <= MAX_FRIENDS
+    nbr = nbr[by_end].tolist()
+    adjacency = {s: nbr[a:b] for s, a, b in
+                 zip(dense_squares.tolist(), lo.tolist(), hi.tolist())}
     return DensityGraph(tessellation=t, square_ids=dense_squares,
                         adjacency=adjacency, witness=witness)
 

@@ -183,6 +183,23 @@ _MAX_SIDE = 1 << 32  # flat cell keys row * side + col then fit in uint64
 _PAIR_CHUNK = 1 << 21
 
 
+def radix_argsort(key: np.ndarray, bound: int) -> np.ndarray:
+    """np.argsort(key, kind="stable") for integer keys in [0, bound).
+
+    Least significant digit first, 16 bits a pass: a stable argsort of
+    uint16 digits, which numpy does by radix sort in linear time. The bound
+    sets the number of passes: one per 16 bits of bound - 1, at least one.
+    """
+    word = key.dtype.type
+    order = np.argsort((key & word(0xFFFF)).astype(np.uint16), kind="stable")
+    shift = 16
+    while bound > 1 << shift:
+        digit = (key[order] >> word(shift)) & word(0xFFFF)
+        order = order[np.argsort(digit.astype(np.uint16), kind="stable")]
+        shift += 16
+    return order
+
+
 def validate_points(points: np.ndarray) -> None:
     """Raise ValueError unless every coordinate lies in [0, 1] (NaN fails).
 
@@ -228,7 +245,7 @@ def build_spatial_index(vs: VertexSet, r: float, p: float) -> SpatialIndex:
     col, row = (np.minimum((pts[:, i] * side).astype(np.uint64),
                            np.uint64(side - 1)) for i in (0, 1))
     key = row * np.uint64(side) + col
-    order = np.argsort(key)
+    order = radix_argsort(key, side * side)
     cells, first = np.unique(key[order], return_index=True)
     return SpatialIndex(points=pts, r=r, p=p, side=side, cells=cells,
                         order=order, starts=np.append(first, len(pts)))

@@ -34,7 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .geometry import _lp_from_abs, validate_p, unit_disk_area
-from .instance import VertexSet
+from .instance import VertexSet, radix_argsort
 
 DENSE_THRESHOLD = 48
 FRIEND_CHEBYSHEV = 2
@@ -135,22 +135,6 @@ def close_offsets(t: Tessellation) -> list[tuple[int, int]]:
     return out
 
 
-def friends(t: Tessellation, sq: SquareId) -> list[SquareId]:
-    """Squares within index Chebyshev distance 2, excluding sq, row-major."""
-    m = t.squares_per_side
-    out = []
-    for dr in range(-FRIEND_CHEBYSHEV, FRIEND_CHEBYSHEV + 1):
-        row = sq.row + dr
-        if not 0 <= row < m:
-            continue
-        for dc in range(-FRIEND_CHEBYSHEV, FRIEND_CHEBYSHEV + 1):
-            col = sq.col + dc
-            if (dc == 0 and dr == 0) or not 0 <= col < m:
-                continue
-            out.append(SquareId(col, row))
-    return out
-
-
 # --------------------------------------------------------------------------
 # classification
 # --------------------------------------------------------------------------
@@ -178,8 +162,13 @@ class CellClassification:
 def classify_cells(t: Tessellation, vs: VertexSet) -> CellClassification:
     """Bucket the vertices by cell and mark the dense cells.
 
-    Raises ValueError when the radius is so small that flat cell ids times
-    n overflow int64: r = 1e-9 at any n, for every p.
+    order lists the vertices by flat cell id, ascending vertex index within
+    a cell: a stable radix sort of the flat ids, whose bound g^2 sets the
+    number of 16-bit passes (one up to g = 256).
+
+    Raises ValueError when g^2 * n exceeds int64, r = 1e-9 at any n, for
+    every p: flat cell ids must fit int64, and such radii would ask for
+    dense per-cell arrays far beyond memory.
     """
     g = t.grid
     m = t.squares_per_side
@@ -193,8 +182,7 @@ def classify_cells(t: Tessellation, vs: VertexSet) -> CellClassification:
     counts = np.bincount(flat, minlength=g * g)
     starts = np.zeros(g * g + 1, dtype=np.int64)
     np.cumsum(counts, out=starts[1:])
-    # keys made unique by the vertex index: the default sort is then stable
-    order = np.argsort(flat * n + np.arange(n)).astype(np.int64, copy=False)
+    order = radix_argsort(flat, g * g).astype(np.int64, copy=False)
     dense = counts >= DENSE_THRESHOLD
     per_square = counts.reshape(m, k, m, k)
     square_vertex = per_square.sum(axis=(1, 3)).reshape(-1)

@@ -4,7 +4,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from helpers import cell_points
+from helpers import cell_points, filled_grid
+from rggham import auxgraphs
 from rggham.auxgraphs import (AugmentedGraph, DensityGraph, GroupKey,
                               SpanningTree, _close_cell_pairs, _closeness,
                               attach_sparse_groups,
@@ -68,7 +69,74 @@ def test_close_cell_pairs_match_a_scan_of_cells_close(p, r, k):
                     for lr_s in range(k) for lc_s in range(k)
                     if cells_close(t, CellId(lc_r, lr_r),
                                    CellId(dsc * k + lc_s, dsr * k + lr_s))]
-            assert _close_cell_pairs(t, close, dsc, dsr) == want
+            da, db = _close_cell_pairs(t, close, dsc, dsr)
+            assert list(zip(da.tolist(), db.tolist())) == want
+
+
+def _scanned_density_graph(t, cls):
+    """Edges and witnesses by a scan: every dense square R, its dense
+    friends S after it in row-major order, and the first close pair of
+    dense cells, R's cells then S's cells, both row-major."""
+    m, k, g = t.squares_per_side, t.cells_per_side, t.grid
+    dense = [s for s in range(m * m) if cls.square_dense_count[s] > 0]
+    adjacency = {s: [] for s in dense}
+    witness = {}
+    for r_sq in dense:
+        r_row, r_col = divmod(r_sq, m)
+        for s_row in range(r_row - 2, r_row + 3):
+            for s_col in range(r_col - 2, r_col + 3):
+                s_sq = s_row * m + s_col
+                if (not (0 <= s_row < m and 0 <= s_col < m) or s_sq <= r_sq
+                        or cls.square_dense_count[s_sq] == 0):
+                    continue
+                pairs = ((ra * g + rc, sa * g + sc)
+                         for ra in range(r_row * k, r_row * k + k)
+                         for rc in range(r_col * k, r_col * k + k)
+                         for sa in range(s_row * k, s_row * k + k)
+                         for sc in range(s_col * k, s_col * k + k)
+                         if cells_close(t, CellId(rc, ra), CellId(sc, sa)))
+                for ca, cb in pairs:
+                    if cls.dense_mask[ca] and cls.dense_mask[cb]:
+                        witness[(r_sq, s_sq)] = (ca, cb)
+                        adjacency[r_sq].append(s_sq)
+                        adjacency[s_sq].append(r_sq)
+                        break
+    return adjacency, witness
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0, math.inf])
+@pytest.mark.parametrize("share", [0.02, 0.1, 0.5])
+@pytest.mark.parametrize("chunk", [None, 7])
+def test_density_graph_matches_a_scan_of_friend_pairs(p, share, chunk,
+                                                      monkeypatch):
+    # random dense cells over m = 10 squares of k = 4 cells a side; chunk 7
+    # tests a few table entries at a time, so most pairs need several blocks
+    if chunk is not None:
+        monkeypatch.setattr(auxgraphs, "_TEST_CHUNK", chunk)
+    t = build_tessellation(p, 0.2, 4)
+    rng = np.random.default_rng(int(share * 100))
+    cells = np.flatnonzero(rng.random(t.grid ** 2) < share)
+    cls = classify(t, [dense(t, c % t.grid, c // t.grid) for c in cells])
+    dg = build_density_graph(t, cls)
+    adjacency, witness = _scanned_density_graph(t, cls)
+    assert dg.adjacency == {s: sorted(v) for s, v in adjacency.items()}
+    assert list(dg.witness.items()) == list(witness.items())
+    assert len(witness) > 0
+
+
+def test_density_graph_links_every_friend_square():
+    # l_inf, r = 0.35: m = 5 squares of k = 4 cells, and cells up to 6
+    # apart are close, so with every cell dense each square is linked to
+    # exactly its friends, the squares within Chebyshev distance 2
+    t = build_tessellation(math.inf, 0.35, 4)
+    m = t.squares_per_side
+    assert m == 5
+    dg = build_density_graph(t, classify(t, [filled_grid(t, DENSE_THRESHOLD)]))
+    for s, nbrs in dg.adjacency.items():
+        assert nbrs == [q for q in range(m * m) if q != s and max(
+            abs(q // m - s // m), abs(q % m - s % m)) <= 2]
+    # centre, corner and edge squares
+    assert [len(dg.adjacency[s]) for s in (12, 0, 2)] == [24, 8, 14]
 
 
 def test_density_graph_needs_close_dense_pair(t):

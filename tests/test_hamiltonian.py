@@ -9,6 +9,7 @@ from helpers import cell_points
 from rggham.auxgraphs import (attach_sparse_groups, build_density_graph,
                                spanning_tree)
 from rggham.failures import ConstructionError, FailureReason
+from rggham.geometry import lp_norms
 from rggham.hamiltonian import (UsageLedger, _serpentine_orders,
                                 full_construction, verify_cycle)
 from rggham.instance import VertexSet, threshold_radius
@@ -156,6 +157,97 @@ def test_verify_tolerance_slack():
     assert not verify_cycle(pts, 0.1, 2.0, cyc).valid
     assert not verify_cycle(pts, 0.1, 2.0, cyc, tolerance=0.05).valid
     assert verify_cycle(pts, 0.1, 2.0, cyc, tolerance=0.11).valid
+
+
+def _reference_verdict(points, r, p, cycle, tolerance=0.0):
+    """verify_cycle's verdict by its definition: the first out-of-range
+    position, else the first repeat, else lp_norms over every hop and the
+    first hop over r + tolerance."""
+    n = len(points)
+    cyc = np.asarray(cycle)
+    if cyc.ndim != 1 or len(cyc) != n or not np.issubdtype(cyc.dtype, np.integer):
+        return False, (0, "NotPermutation", None)
+    vals = cyc.tolist()
+    outside = [i for i, v in enumerate(vals) if not 0 <= v < n]
+    if outside:
+        return False, (outside[0], "NotPermutation", None)
+    first_at = {}
+    for i, v in enumerate(vals):
+        if first_at.setdefault(v, i) != i:
+            return False, (i, "NotPermutation", None)
+    q = points[cyc]
+    step = np.roll(q, -1, axis=0) - q
+    d = lp_norms(p, step[:, 0], step[:, 1])
+    over = np.flatnonzero(d > r + tolerance)
+    if over.size:
+        return False, (int(over[0]), "EdgeTooLong", float(d[over[0]]))
+    return True, None
+
+
+def _assert_same_verdict(points, r, p, cycle, tolerance=0.0):
+    rep = verify_cycle(points, r, p, cycle, tolerance)
+    assert (rep.valid, rep.violation) == _reference_verdict(
+        points, r, p, cycle, tolerance)
+    return rep
+
+
+def _closed_walk(rng, n, long_at, v):
+    """n points visited in index order, whose hops (the last one back to
+    the start) are under 0.01 except hop long_at, about the vector v."""
+    steps = rng.uniform(-0.004, 0.004, (n, 2))
+    steps -= steps.mean(axis=0) + v / (n - 1)
+    steps[long_at] = v
+    return 0.5 + np.vstack([np.zeros(2), np.cumsum(steps[:-1], axis=0)])
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 10.0, math.inf])
+@pytest.mark.parametrize("tolerance", [0.0, 1e-3])
+def test_verify_matches_the_exact_norm_at_the_bound(p, tolerance):
+    rng = np.random.default_rng(7)
+    cycle = np.arange(200)
+    # the longest hop inside the cycle, then the wraparound hop
+    for long_at, v in ((57, np.array([0.05, 0.03])),
+                       (199, np.array([-0.02, 0.07]))):
+        pts = _closed_walk(rng, 200, long_at, v)
+        hops = lp_norms(p, *(np.roll(pts, -1, axis=0) - pts).T)
+        assert hops.argmax() == long_at
+        longest = hops.max()
+        for bound in (np.nextafter(longest, 0), longest,
+                      np.nextafter(longest, 1)):
+            for r in (bound - tolerance, bound):
+                rep = _assert_same_verdict(pts, float(r), p, cycle, tolerance)
+            assert rep.valid == (bound + tolerance >= longest)
+    # hops of exactly 0.125 along either axis, at radii an ulp either side
+    line = np.column_stack([np.arange(8) * 0.125, np.zeros(8)])
+    for r in (np.nextafter(0.875, 0), 0.875, np.nextafter(0.875, 1),
+              np.nextafter(0.125, 0), 0.125):
+        for pts in (line, line[:, ::-1]):
+            _assert_same_verdict(pts, float(r), p, np.arange(8), tolerance)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0, math.inf])
+def test_verify_matches_the_reference_on_odd_input(p):
+    rng = np.random.default_rng(3)
+    pts = rng.random((6, 2))
+    odd = np.array([[0.5, 0.5], [math.nan, 0.5], [0.6, 0.5], [math.inf, 0.5],
+                    [math.inf, 0.1], [0.2, -math.inf]])
+    cases = [
+        (np.zeros((0, 2)), np.zeros(0, dtype=np.int64)),
+        (np.zeros((0, 2)), np.zeros(0)),
+        (pts[:1], np.array([0])), (pts[:1], np.array([1])),
+        (pts[:1], np.array([-1])),
+        (pts[:2], np.array([0, 1])), (pts[:2], np.array([1, 0])),
+        (pts[:2], np.array([1, 1])), (pts[:2], np.array([0], dtype=np.uint8)),
+        (pts, np.array([0, 1, 5, 1, 9, 2])), (pts, np.array([0, 1, 5, 1, 4, 2])),
+        (pts, np.array([3, 1, 2, 0, 4, -7])), (pts, np.arange(6, dtype=np.uint32)),
+        (pts, np.arange(6).reshape(2, 3)), (pts, [5, 4, 3, 2, 1, 0]),
+        (odd, np.arange(6)), (odd, np.array([0, 2, 1, 3, 4, 5])),
+        (odd, np.array([3, 4, 0, 2, 1, 5])), (odd[:3], np.arange(3)),
+    ]
+    for points, cycle in cases:
+        for r in (0.05, 0.3, 10.0, math.inf):
+            _assert_same_verdict(points, r, p, cycle)
 
 
 # --------------------------------------------------------------------------

@@ -9,7 +9,8 @@ from rggham.geometry import lp_distance, lp_norms
 from rggham.instance import (EpsilonAbove, EpsilonBelow, ExplicitRadius,
                              InstanceConfig, ThresholdMultiple, VertexSet,
                              build_spatial_index, is_connected, max_radius,
-                             resolve_radius, sample_points, threshold_radius)
+                             radix_argsort, resolve_radius, sample_points,
+                             threshold_radius)
 
 # frozen reference radii, checked against direct sqrt(log n / (area n))
 THRESHOLD_CASES = [
@@ -246,6 +247,23 @@ def test_is_connected_matches_brute_force():
             answers.add(truth)
         # each kind of case reaches both answers, so none of them is idle
         assert answers == {True, False}
+
+
+@pytest.mark.parametrize("bound", [1, 2**16 - 1, 2**16, 2**16 + 1, 2**32,
+                                   2**40])
+@pytest.mark.parametrize("dtype", [np.int64, np.uint64])
+def test_radix_argsort_is_the_stable_argsort(bound, dtype):
+    rng = np.random.default_rng(bound % 1000)
+    # a few values, both extremes among them, so that most keys tie
+    values = np.concatenate([rng.integers(0, bound, 5, dtype=np.uint64),
+                             np.array([0, bound - 1], dtype=np.uint64)]
+                            ).astype(dtype)
+    keyed = [rng.integers(0, bound, 3000, dtype=np.uint64).astype(dtype),
+             rng.choice(values, 3000), np.zeros(0, dtype), values[-1:],
+             np.full(50, values[-1])]
+    for key in keyed:
+        got = radix_argsort(key, bound)
+        assert np.array_equal(got, np.argsort(key, kind="stable"))
 
 
 def test_build_spatial_index_rejects_unusable_input():

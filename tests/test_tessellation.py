@@ -12,7 +12,7 @@ from rggham.tessellation import (DENSE_THRESHOLD, MAX_CELLS_PER_SIDE,
                                  MAX_FRIENDS, CellId, SquareId,
                                  build_tessellation, cells_close,
                                  choose_cells_per_side, classify_cells,
-                                 close_offsets, density_diagnostics, friends,
+                                 close_offsets, density_diagnostics,
                                  quadrant_close_count)
 
 
@@ -101,26 +101,6 @@ def test_close_offsets_sorted_symmetric_contains_origin():
         assert all((-dc, -dr) in have for dc, dr in offs)
         for dc, dr in offs:
             assert cells_close(t, CellId(10, 10), CellId(10 + dc, 10 + dr))
-
-
-def test_friend_counts_by_position():
-    t = build_tessellation(2.0, 0.35, 4)   # m = 5
-    assert t.squares_per_side == 5
-    center = friends(t, SquareId(2, 2))
-    assert len(center) == 24 == MAX_FRIENDS
-    assert SquareId(2, 2) not in center
-    assert len(friends(t, SquareId(0, 0))) == 8
-    assert len(friends(t, SquareId(2, 0))) == 14
-    # m = 4: the window always clips one side
-    t4 = build_tessellation(2.0, 0.5, 4)
-    assert len(friends(t4, SquareId(1, 1))) == 15
-
-
-def test_friends_row_major_order():
-    t = build_tessellation(2.0, 0.35, 4)
-    out = friends(t, SquareId(2, 2))
-    keys = [(s.row, s.col) for s in out]
-    assert keys == sorted(keys)
 
 
 # --------------------------------------------------------------------------
