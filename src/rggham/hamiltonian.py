@@ -380,8 +380,11 @@ class _TourRepair:
         self.pos[tour] = np.arange(self.n)
         # buckets of width >= r: a neighbour lies in the 3x3 patch around v
         side = self.side = max(1, math.floor(1.0 / r))
-        self.cell = np.minimum((points * side).astype(np.int64), side - 1)
-        flat = self.cell[:, 1] * side + self.cell[:, 0]
+        # flat bucket row * side + col of each vertex
+        flat = self.bucket = np.minimum(
+            (points[:, 1] * side).astype(np.int64), side - 1)
+        flat *= side
+        flat += np.minimum((points[:, 0] * side).astype(np.int64), side - 1)
         self.starts = np.zeros(side * side + 1, dtype=np.int64)
         np.cumsum(np.bincount(flat, minlength=side * side), out=self.starts[1:])
         self.order = radix_argsort(flat, side * side)
@@ -391,7 +394,8 @@ class _TourRepair:
         """Vertices within r of v, from the 3x3 bucket patch around it."""
         got = self._near.get(v)
         if got is None:
-            (col, row), side = self.cell[v], self.side
+            side = self.side
+            row, col = divmod(int(self.bucket[v]), side)
             lo, hi = max(col - 1, 0), min(col + 1, side - 1) + 1
             cand = np.concatenate([
                 self.order[self.starts[rr * side + lo]:self.starts[rr * side + hi]]
@@ -503,9 +507,9 @@ def _repaired_tour_cycle(points: np.ndarray, p: float, r: float) -> np.ndarray:
     nearest in the tour.
     """
     tour = _serpentine_tour(points, p, r)
-    q = np.take(points, tour, axis=0)
-    step = np.roll(q, -1, axis=0) - q
-    hop = lp_norms(p, step[:, 0], step[:, 1])
+    q = np.take(points, np.append(tour, tour[:1]), axis=0)
+    hop = lp_norms(p, q[1:, 0] - q[:-1, 0], q[1:, 1] - q[:-1, 1])
+    del q
     if (hop > r).all():
         raise _TourRepair(points, p, r, tour).failure(0)
     # rotate so that a short hop closes the tour
@@ -524,14 +528,17 @@ def _repaired_tour_cycle(points: np.ndarray, p: float, r: float) -> np.ndarray:
         if (min(len(mend.near(u)), len(mend.near(v))) < 2
                 or not mend.repair(i)):
             raise mend.failure(i)
-    report = verify_cycle(points, r, p, mend.tour)
+    # the repair's index arrays go before the check allocates its own
+    tour = mend.tour
+    del mend, pos, hop
+    report = verify_cycle(points, r, p, tour)
     if not report.valid:
         raise ConstructionError(
             FailureReason.EDGE_TOO_LONG,
             {"detail": "repaired tour failed its self check",
              "position": report.violation.position,
              "distance": report.violation.distance, "radius": r})
-    return mend.tour
+    return tour
 
 
 # --------------------------------------------------------------------------

@@ -178,11 +178,18 @@ def classify_cells(t: Tessellation, vs: VertexSet) -> CellClassification:
         raise ValueError(f"radius {t.radius} is below the tessellation's "
                          f"resolution ({g} cells per side, {n} points)")
     col, row = t.locate_many(vs.points)
-    flat = row * g + col
-    counts = np.bincount(flat, minlength=g * g)
-    starts = np.zeros(g * g + 1, dtype=np.int64)
-    np.cumsum(counts, out=starts[1:])
+    flat = row
+    flat *= g
+    flat += col
+    del col, row
     order = radix_argsort(flat, g * g).astype(np.int64, copy=False)
+    # at desk-scale n there are about four cells a vertex, so the per-cell
+    # arrays dominate memory: 32-bit while n fits
+    small = np.int32 if n <= np.iinfo(np.int32).max else np.int64
+    counts = np.bincount(flat, minlength=g * g).astype(small)
+    del flat
+    starts = np.zeros(g * g + 1, dtype=small)
+    np.cumsum(counts, out=starts[1:], dtype=small)
     dense = counts >= DENSE_THRESHOLD
     per_square = counts.reshape(m, k, m, k)
     square_vertex = per_square.sum(axis=(1, 3)).reshape(-1)

@@ -124,21 +124,6 @@ def test_density_graph_matches_a_scan_of_friend_pairs(p, share, chunk,
     assert len(witness) > 0
 
 
-def test_density_graph_links_every_friend_square():
-    # l_inf, r = 0.35: m = 5 squares of k = 4 cells, and cells up to 6
-    # apart are close, so with every cell dense each square is linked to
-    # exactly its friends, the squares within Chebyshev distance 2
-    t = build_tessellation(math.inf, 0.35, 4)
-    m = t.squares_per_side
-    assert m == 5
-    dg = build_density_graph(t, classify(t, [filled_grid(t, DENSE_THRESHOLD)]))
-    for s, nbrs in dg.adjacency.items():
-        assert nbrs == [q for q in range(m * m) if q != s and max(
-            abs(q // m - s // m), abs(q % m - s % m)) <= 2]
-    # centre, corner and edge squares
-    assert [len(dg.adjacency[s]) for s in (12, 0, 2)] == [24, 8, 14]
-
-
 def test_density_graph_needs_close_dense_pair(t):
     # friends at Chebyshev 2, but the only dense cells sit 11 columns apart
     # ((11+1)^2 > 64), so no witness and no edge

@@ -6,10 +6,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import cell_points, filled_grid
+from rggham.auxgraphs import build_density_graph
 from rggham.geometry import max_box_distance, unit_disk_area
 from rggham.instance import VertexSet
-from rggham.tessellation import (DENSE_THRESHOLD, MAX_CELLS_PER_SIDE,
-                                 MAX_FRIENDS, CellId, SquareId,
+from rggham.tessellation import (DENSE_THRESHOLD, FRIEND_CHEBYSHEV,
+                                 MAX_CELLS_PER_SIDE, MAX_FRIENDS, CellId,
+                                 SquareId,
                                  build_tessellation, cells_close,
                                  choose_cells_per_side, classify_cells,
                                  close_offsets, density_diagnostics,
@@ -101,6 +103,34 @@ def test_close_offsets_sorted_symmetric_contains_origin():
         assert all((-dc, -dr) in have for dc, dr in offs)
         for dc, dr in offs:
             assert cells_close(t, CellId(10, 10), CellId(10 + dc, 10 + dr))
+
+
+def friend_lists(r, m):
+    """Each square's friends, as the density graph of a fully dense grid
+    links them. l_inf, k = 4: cells up to 7 (m = 4) or 6 (m = 5) apart are
+    close, so friends (cells from 5 apart) are linked and squares 3 apart
+    (cells from 9 apart) are not."""
+    t = build_tessellation(math.inf, r, 4)
+    assert t.squares_per_side == m
+    cls = classify_cells(t, VertexSet(filled_grid(t, DENSE_THRESHOLD)))
+    return build_density_graph(t, cls).adjacency
+
+
+def test_friend_counts_by_position():
+    adj = friend_lists(0.35, 5)
+    for s, nbrs in adj.items():
+        assert set(nbrs) == {q for q in range(25) if q != s and max(
+            abs(q // 5 - s // 5), abs(q % 5 - s % 5)) <= FRIEND_CHEBYSHEV}
+    # centre, corner and edge squares
+    assert [len(adj[s]) for s in (12, 0, 2)] == [MAX_FRIENDS, 8, 14]
+    # m = 4: the window always clips one side
+    assert len(friend_lists(0.5, 4)[1 * 4 + 1]) == 15
+
+
+def test_friends_row_major_order():
+    # flat square ids are row * m + col, so ascending is row-major
+    adj = friend_lists(0.35, 5)
+    assert all(nbrs == sorted(nbrs) for nbrs in adj.values())
 
 
 # --------------------------------------------------------------------------
