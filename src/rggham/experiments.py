@@ -6,10 +6,12 @@ of the timed span), and records either the verified cycle or the typed
 failure. A verified cycle certifies connectivity, so the connectivity check
 (union-find over the occupied cells of a sparse grid, see instance.py) runs
 only when construction fails; the serpentine fallback keeps its own coarser
-buckets, so a failed trial builds each grid once. A sweep aggregates trials
-per (n, radius multiplier) pair into one summary row; trial seeds are
-assigned from a single base seed by global trial index so any trial can be
-reproduced in isolation.
+buckets, so a failed trial builds each grid once. At and below the
+threshold the check usually ends at an isolated vertex, found right after
+neighbouring cells are joined, before any farther cells are paired. A sweep
+aggregates trials per (n, radius multiplier) pair into one summary row;
+trial seeds are assigned from a single base seed by global trial index so
+any trial can be reproduced in isolation.
 """
 
 from __future__ import annotations
@@ -226,22 +228,25 @@ def scaling_bench(ns: list[int], p: float, multiplier: float = 2.0,
     """Median construction wall time per n, with consecutive-size ratios.
 
     Sizes must be ascending and at least 1000 so per-trial noise does not
-    swamp the medians. Timing covers the construction pipeline only.
+    swamp the medians. Timing covers the construction pipeline only. The
+    sizes take turns, one trial each, so a spell of slower machine moves
+    every size alike instead of one size's median; trial i of the j-th size
+    gets seed base_seed + j * trials + i.
     """
     if list(ns) != sorted(set(ns)):
         raise ValueError("bench sizes must be strictly ascending")
     if any(n < 1000 for n in ns):
         raise ValueError("bench sizes below 1000 are all noise")
+    radii = [resolve_radius(n, p, ThresholdMultiple(multiplier)) for n in ns]
+    walls: list[list[float]] = [[] for _ in ns]
+    for i in range(trials):
+        for j, (n, r) in enumerate(zip(ns, radii)):
+            seed = base_seed + j * trials + i
+            walls[j].append(run_trial(n, p, r, seed, check_connectivity=False).wall_ms)
     rows: list[BenchRow] = []
-    seed = base_seed
     prev = None
-    for n in ns:
-        r = resolve_radius(n, p, ThresholdMultiple(multiplier))
-        walls = []
-        for _ in range(trials):
-            walls.append(run_trial(n, p, r, seed, check_connectivity=False).wall_ms)
-            seed += 1
-        med = float(np.median(walls))
+    for n, r, w in zip(ns, radii, walls):
+        med = float(np.median(w))
         rows.append(BenchRow(n=n, r=r, median_ms=med,
                              ratio=None if prev is None else med / prev))
         prev = med

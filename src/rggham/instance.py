@@ -246,8 +246,12 @@ def build_spatial_index(vs: VertexSet, r: float, p: float) -> SpatialIndex:
                            np.uint64(side - 1)) for i in (0, 1))
     key = row * np.uint64(side) + col
     order = radix_argsort(key, side * side)
-    cells, first = np.unique(key[order], return_index=True)
-    return SpatialIndex(points=pts, r=r, p=p, side=side, cells=cells,
+    key = key[order]
+    # the keys are sorted, so each cell starts where the key changes
+    new = np.ones(len(key), dtype=bool)
+    np.not_equal(key[1:], key[:-1], out=new[1:])
+    first = np.flatnonzero(new)
+    return SpatialIndex(points=pts, r=r, p=p, side=side, cells=key[first],
                         order=order, starts=np.append(first, len(pts)))
 
 
@@ -312,29 +316,76 @@ def _hook_close(idx: SpatialIndex, parent: np.ndarray, a: np.ndarray,
         _hook(parent, a[hit], b[hit])
 
 
+def _shifted(idx: SpatialIndex, row: np.ndarray, col: np.ndarray, dc: int,
+             dr: int) -> tuple[np.ndarray, np.ndarray]:
+    """Positions i at which cell (row[i] + dr, col[i] + dc) is occupied, and
+    that cell's index in idx.cells."""
+    row, col = row + dr, col + dc
+    i = np.flatnonzero((col >= 0) & (col < idx.side) & (row >= 0) & (row < idx.side))
+    key = row[i].astype(np.uint64) * np.uint64(idx.side) + col[i].astype(np.uint64)
+    b = np.minimum(np.searchsorted(idx.cells, key), len(idx.cells) - 1)
+    hit = idx.cells[b] == key
+    return i[hit], b[hit]
+
+
+def _isolated_vertex(idx: SpatialIndex, parent: np.ndarray, row: np.ndarray,
+                     col: np.ndarray, far: list[tuple[int, int]]) -> bool:
+    """Whether some vertex has no other point within r, once the near
+    offsets are joined.
+
+    Only a cell that holds one point and is still a component of its own
+    can hold such a vertex: any other occupied cell of its 3x3 block would
+    have joined it. Its point is tested against every far offset with both
+    signs, nearest first, by the far phase's exact test; a point with a
+    neighbour drops out at once. Pairs go in slabs of at most
+    max(_PAIR_CHUNK, n), as in _hook_close.
+    """
+    # parent holds roots, so a root counted once is a component of one cell
+    alone = np.flatnonzero(np.bincount(parent, minlength=len(parent)) == 1)
+    alone = alone[idx.starts[alone + 1] - idx.starts[alone] == 1]
+    u, row, col = idx.order[idx.starts[alone]], row[alone], col[alone]
+    pts = idx.points
+    for dc, dr in [o for dc, dr in far for o in ((dc, dr), (-dc, -dr))]:
+        if not len(u):
+            return False
+        i, b = _shifted(idx, row, col, dc, dr)
+        most = int((idx.starts[b + 1] - idx.starts[b]).max(initial=1))
+        step = max(1, _PAIR_CHUNK // most)
+        found = np.zeros(len(u), dtype=bool)
+        for lo in range(0, len(i), step):
+            at, v = _members(idx, b[lo:lo + step])
+            at = i[lo:lo + step][at]
+            close = lp_norms(idx.p, pts[u[at], 0] - pts[v, 0],
+                             pts[u[at], 1] - pts[v, 1]) <= idx.r
+            found[at[close]] = True
+        u, row, col = u[~found], row[~found], col[~found]
+    return len(u) > 0
+
+
 def is_connected(idx: SpatialIndex) -> bool:
     """Union-find over the occupied cells of the grid.
 
     Every 3x3 block of cells is a clique (see build_spatial_index), so
-    neighbouring occupied cells are joined outright. Then each farther
-    offset that can hold a pair within r, nearest first, tests point pairs
-    only between the cells it pairs whose roots still differ. Stops as soon
-    as one component is left.
+    neighbouring occupied cells are joined outright. If more than one
+    component is left, a vertex with no other point within r answers False
+    at once: the graph then has at least two vertices and one of them is
+    isolated. Near the connectivity threshold this is how disconnection
+    almost always shows (the threshold is where the last isolated vertex
+    disappears), and only one-point cells with no occupied cell around them
+    need testing. Otherwise each farther offset that can hold a pair within
+    r, nearest first, tests point pairs only between the cells it pairs
+    whose roots still differ. Stops as soon as one component is left.
     """
     side = np.uint64(idx.side)
     row, col = (x.astype(np.int64) for x in np.divmod(idx.cells, side))
     parent = np.arange(len(idx.cells))
-    offsets = [(1, 0), (-1, 1), (0, 1), (1, 1)] + _far_offsets(idx)
-    for i, (dc, dr) in enumerate(offsets):
+    for dc, dr in ((1, 0), (-1, 1), (0, 1), (1, 1)):
+        _hook(parent, *_shifted(idx, row, col, dc, dr))
+    far = _far_offsets(idx)
+    if parent.any() and _isolated_vertex(idx, parent, row, col, far):
+        return False
+    for dc, dr in far:
         if not parent.any():
             break
-        a = np.flatnonzero((col + dc >= 0) & (col + dc < idx.side)
-                           & (row + dr < idx.side))
-        key = (row[a] + dr).astype(np.uint64) * side + (col[a] + dc).astype(np.uint64)
-        b = np.minimum(np.searchsorted(idx.cells, key), len(idx.cells) - 1)
-        hit = idx.cells[b] == key
-        if i < 4:
-            _hook(parent, a[hit], b[hit])
-        else:
-            _hook_close(idx, parent, a[hit], b[hit])
+        _hook_close(idx, parent, *_shifted(idx, row, col, dc, dr))
     return not parent.any()

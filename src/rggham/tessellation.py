@@ -164,7 +164,9 @@ def classify_cells(t: Tessellation, vs: VertexSet) -> CellClassification:
 
     order lists the vertices by flat cell id, ascending vertex index within
     a cell: a stable radix sort of the flat ids, whose bound g^2 sets the
-    number of 16-bit passes (one up to g = 256).
+    number of 16-bit passes (one up to g = 256). The square summaries come
+    from starts read at the square-column edges of every cell row and from
+    the dense cells alone, not from reductions over all g^2 cells.
 
     Raises ValueError when g^2 * n exceeds int64, r = 1e-9 at any n, for
     every p: flat cell ids must fit int64, and such radii would ask for
@@ -191,9 +193,13 @@ def classify_cells(t: Tessellation, vs: VertexSet) -> CellClassification:
     starts = np.zeros(g * g + 1, dtype=small)
     np.cumsum(counts, out=starts[1:], dtype=small)
     dense = counts >= DENSE_THRESHOLD
-    per_square = counts.reshape(m, k, m, k)
-    square_vertex = per_square.sum(axis=(1, 3)).reshape(-1)
-    square_dense = dense.reshape(m, k, m, k).sum(axis=(1, 3)).reshape(-1)
+    # starts at the square-column edges of each cell row, summed over the k
+    # rows of a square row, differ by the squares' vertex counts
+    left = starts[:-1].reshape(m, k, m, k)[:, :, :, 0].sum(axis=1)
+    right = starts[g::g].reshape(m, k).sum(axis=1)
+    square_vertex = np.diff(np.column_stack([left, right]), axis=1).reshape(-1)
+    at = np.flatnonzero(dense)
+    square_dense = np.bincount(at // g // k * m + at % g // k, minlength=m * m)
     return CellClassification(tessellation=t, counts=counts, order=order,
                               starts=starts, dense_mask=dense,
                               square_vertex_count=square_vertex,

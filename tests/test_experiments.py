@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from rggham import experiments
 from rggham.experiments import (OUTCOME_CYCLE, OUTCOME_FAILURE,
                                 SWEEP_CSV_HEADER, SweepConfig, SweepRow,
                                 _encode_failures, run_trial, scaling_bench,
@@ -186,6 +187,20 @@ def test_bench_rows_and_ratios():
         assert row.median_ms > 0.0
         assert row.r == resolve_radius(row.n, 2.0, ThresholdMultiple(2.0))
         json.dumps(row.to_json())
+
+
+def test_bench_sizes_take_turns(monkeypatch):
+    calls = []
+    real = experiments.run_trial
+
+    def spy(n, p, r, seed, check_connectivity=True):
+        calls.append((n, seed))
+        return real(n, p, r, seed, check_connectivity)
+
+    monkeypatch.setattr(experiments, "run_trial", spy)
+    scaling_bench([1000, 1300, 1700], 2.0, trials=2, base_seed=10)
+    assert calls == [(1000, 10), (1300, 12), (1700, 14),
+                     (1000, 11), (1300, 13), (1700, 15)]
 
 
 def test_bench_single_size():

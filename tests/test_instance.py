@@ -5,6 +5,7 @@ import time
 import numpy as np
 import pytest
 
+from rggham import instance
 from rggham.geometry import lp_distance, lp_norms
 from rggham.instance import (EpsilonAbove, EpsilonBelow, ExplicitRadius,
                              InstanceConfig, ThresholdMultiple, VertexSet,
@@ -160,15 +161,25 @@ def test_adjacent_matches_direct_distance():
 
 
 def _brute_connected(points, r, p):
-    """Search over all pairs, with the edge test lp_norms(...) <= r."""
+    """Search over all pairs, with the edge test lp_norms(...) <= r.
+
+    Pairs more than 2r apart in x are skipped: lp_norms is at least |dx| for
+    every p, so they are never adjacent, rounding included.
+    """
+    by_x = np.argsort(points[:, 0], kind="stable")
+    xs = points[by_x, 0]
     seen = np.zeros(len(points), dtype=bool)
     seen[0] = True
     stack = [0]
     while stack:
-        d = points - points[stack.pop()]
-        new = ~seen & (lp_norms(p, d[:, 0], d[:, 1]) <= r)
-        seen |= new
-        stack.extend(np.flatnonzero(new).tolist())
+        u = stack.pop()
+        x = points[u, 0]
+        w = by_x[np.searchsorted(xs, x - 2.0 * r):
+                 np.searchsorted(xs, x + 2.0 * r, "right")]
+        d = points[w] - points[u]
+        new = w[~seen[w] & (lp_norms(p, d[:, 0], d[:, 1]) <= r)]
+        seen[new] = True
+        stack.extend(new.tolist())
     return bool(seen.all())
 
 
@@ -179,6 +190,36 @@ def test_is_connected_simple_cases():
     assert is_connected(build_spatial_index(chain, 0.16, 2.0))
     one = VertexSet(np.array([[0.5, 0.5]]))
     assert is_connected(build_spatial_index(one, 0.1, 2.0))
+    same = VertexSet(np.array([[0.3, 0.7], [0.3, 0.7]]))
+    assert is_connected(build_spatial_index(same, 0.1, 2.0))
+
+
+def test_is_connected_leaves_at_an_isolated_vertex(monkeypatch):
+    def far_phase(*args):
+        raise AssertionError("the far phase ran")
+
+    cfg = InstanceConfig(n=2000, p=2.0, radius=ThresholdMultiple(0.7), seed=9)
+    vs = sample_points(cfg)
+    two_far = VertexSet(np.array([[0.05, 0.05], [0.95, 0.95]]))
+    monkeypatch.setattr(instance, "_hook_close", far_phase)
+    assert not is_connected(build_spatial_index(vs, cfg.resolved_radius(), 2.0))
+    assert not is_connected(build_spatial_index(two_far, 0.2, 2.0))
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0, math.inf])
+@pytest.mark.parametrize("dx,dy", [(0.0, -0.15), (-0.15, 0.0), (-0.15, -0.04),
+                                   (0.04, -0.15)])
+def test_is_connected_sees_a_neighbour_at_a_negative_far_offset(p, dx, dy):
+    # each point is alone in its 3x3 block of cells, and (0.505, 0.505) sees
+    # its only neighbour at a far offset of negative sign, which
+    # _far_offsets does not list
+    pts = np.array([[0.505, 0.505], [0.505 + dx, 0.505 + dy]])
+    r = 0.2
+    assert lp_distance(p, pts[0], pts[1]) <= r
+    idx = build_spatial_index(VertexSet(pts), r, p)
+    row, col = np.divmod(idx.cells.astype(np.int64), idx.side)
+    assert max(abs(np.diff(row)[0]), abs(np.diff(col)[0])) > 1
+    assert is_connected(idx)
 
 
 def _random_instances():
@@ -235,9 +276,19 @@ def _tiny_radius_instances():
             yield np.array([xy, xy]), 1e-9, p, True
 
 
+def _threshold_instances():
+    """n = 10^4 from 0.5x to 1.2x the threshold, where most instances have
+    isolated vertices and is_connected leaves at the first one."""
+    for mult, p, seed in ((0.5, 1.0, 0), (0.7, 2.0, 1), (1.0, math.inf, 2),
+                          (1.0, 2.0, 3), (1.2, 2.0, 4), (1.2, 1.0, 5)):
+        cfg = InstanceConfig(n=10_000, p=p, radius=ThresholdMultiple(mult),
+                             seed=seed)
+        yield sample_points(cfg).points, cfg.resolved_radius(), p, None
+
+
 def test_is_connected_matches_brute_force():
     for cases in (_random_instances(), _cell_edge_instances(), _gap_instances(),
-                  _tiny_radius_instances()):
+                  _tiny_radius_instances(), _threshold_instances()):
         answers = set()
         for pts, r, p, want in cases:
             got = is_connected(build_spatial_index(VertexSet(pts), r, p))
@@ -247,6 +298,25 @@ def test_is_connected_matches_brute_force():
             answers.add(truth)
         # each kind of case reaches both answers, so none of them is idle
         assert answers == {True, False}
+
+
+def test_is_connected_in_small_slabs(monkeypatch):
+    # slabs of at most 3 point pairs, so that the exit and the far phase
+    # both cross many slab boundaries
+    monkeypatch.setattr(instance, "_PAIR_CHUNK", 3)
+    # n = 2000: 0.9x is disconnected; 1.2x is connected, with one-point
+    # cells alone in their 3x3 block that the exit must clear
+    cfgs = [InstanceConfig(n=2000, p=2.0, radius=ThresholdMultiple(mult),
+                           seed=seed) for mult, seed in ((0.9, 4), (1.2, 0))]
+    cases = itertools.chain(_random_instances(), [
+        (sample_points(cfg).points, cfg.resolved_radius(), 2.0, None)
+        for cfg in cfgs])
+    answers = set()
+    for pts, r, p, _ in cases:
+        got = is_connected(build_spatial_index(VertexSet(pts), r, p))
+        assert got == _brute_connected(pts, r, p), (pts, r, p)
+        answers.add(got)
+    assert answers == {True, False}
 
 
 @pytest.mark.parametrize("bound", [1, 2**16 - 1, 2**16, 2**16 + 1, 2**32,

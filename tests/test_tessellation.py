@@ -162,6 +162,28 @@ def test_classify_counts_and_density():
     assert cls.square_vertex_count[srow * m + scol] == 3
 
 
+@pytest.mark.parametrize("k", [4, 6, 8])
+@pytest.mark.parametrize("with_dense", [False, True])
+def test_classify_square_summaries_match_reshape_sums(k, with_dense):
+    t = build_tessellation(2.0, 0.3, k)
+    g, m = t.grid, t.squares_per_side
+    blocks = [np.random.default_rng(k).random((3000, 2))]
+    if with_dense:
+        # dense cells in the four corner cells of the grid, on the last cell
+        # row and column, and inside one interior square
+        blocks += [cell_points(t, c, r, DENSE_THRESHOLD + 2)
+                   for c, r in ((0, 0), (g - 1, 0), (0, g - 1), (g - 1, g - 1),
+                                (k + 1, g - 1), (g - 1, k), (k, k))]
+    cls = classify_cells(t, VertexSet(np.vstack(blocks)))
+    vertex = cls.counts.reshape(m, k, m, k).sum(axis=(1, 3)).reshape(-1)
+    dense = cls.dense_mask.reshape(m, k, m, k).sum(axis=(1, 3)).reshape(-1)
+    assert dense.any() == with_dense
+    for got, want in ((cls.square_vertex_count, vertex),
+                      (cls.square_dense_count, dense)):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+
 def test_classify_members_grouped_and_ascending():
     t = build_tessellation(2.0, 0.5, 4)
     rng = np.random.default_rng(5)
