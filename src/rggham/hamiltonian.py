@@ -7,26 +7,37 @@ from each side of the edge's witness cell pair; a visit to a group node
 walks all vertices of the group's sparse cells between two hook
 withdrawals. When a square is visited for the last time, all its remaining
 vertices are stitched in with a serpentine sweep of its cells before
-leaving.
+leaving. construct_cycle runs in two passes: a walk over the euler order
+records these events, then array passes turn them into one permutation.
 
 Budget argument, and why the per-cell withdrawal cap equals the density
 threshold: counted withdrawals from a cell happen only on edge steps
 adjacent to the cell's square, at most one per step; a tree vertex of degree
 d has 2d adjacent steps and d <= 24, so at most 48 vertices leave any single
 cell before the final sweep. Witness and hook cells are dense, hence hold at
-least 48 vertices, and the ledger never runs dry on the intended path. The
-cap stays enforced anyway; a breach marks a logic error, reported as
-LedgerExhausted rather than a corrupt cycle.
+least 48 vertices, and withdrawals never run dry on the intended path. The
+cap stays enforced anyway, in _withdrawal_positions, which ranks every
+withdrawal within its cell: a rank that reaches min(occupancy, 48) marks a
+logic error, reported as LedgerExhausted rather than a corrupt cycle.
+
+Why one pass of counts is exact: every withdrawal from a square's cells
+happens while that square is the current node of the walk (hook cells lie
+in the label square, and a group node hangs from that square), so all of
+them come before the square's sweep, at its last visit. Group drains touch
+only cells of sparse squares, which are never swept and never withdrawn
+from. So at every sweep a cell holds its occupancy less its withdrawals,
+and each withdrawal's vertex is found from its rank alone.
 
 The tessellation path needs dense cells of 48 points, which near the
 connectivity threshold only exist once log n is in the thousands; at any
 practical n it stops at HookMissing. It also gives up, at any n, when its
-augmented graph splits, which the point graph need not do. full_construction
-then falls back to a serpentine tour: every vertex in rows of clique cells,
-sorted along each row, with a return lane that closes the tour. The few
-hops longer than r, at gaps in a row, are repaired locally with 2-opt moves
-and single-vertex moves that use only edges within r (after Posa's
-rotations). The fallback reports its failures with existing reasons:
+augmented graph splits, which the point graph need not do, and when its
+cycle has a hop longer than r (at p = 1 a square can be wider than r).
+full_construction then falls back to a serpentine tour: every vertex in rows
+of clique cells, sorted along each row, with a return lane that closes the
+tour. The few hops longer than r, at gaps in a row, are repaired locally
+with 2-opt moves and single-vertex moves that use only edges within r
+(after Posa's rotations). The fallback reports its failures with existing reasons:
 Disconnected when a vertex at the unrepaired hop has no neighbour within r,
 EdgeTooLong otherwise.
 
@@ -48,55 +59,61 @@ from .auxgraphs import (AugmentedGraph, GroupKey, Node, attach_sparse_groups,
 from .failures import ConstructionError, FailureReason
 from .geometry import _lp_from_abs, lp_norms, unit_disk_area, validate_p
 from .instance import VertexSet, radix_argsort, validate_points
-from .tessellation import (DENSE_THRESHOLD, CellClassification, CellId,
+from .tessellation import (DENSE_THRESHOLD, CellClassification,
                            Tessellation, build_tessellation,
                            choose_cells_per_side, classify_cells)
 
 
-class UsageLedger:
-    """Tracks vertex withdrawals per cell.
+# --------------------------------------------------------------------------
+# withdrawals, remainders and the gather that joins them
+# --------------------------------------------------------------------------
 
-    take() is a counted withdrawal, capped at the density threshold; going
-    past the cap (or taking from an empty cell) raises LedgerExhausted.
-    drain() hands over whatever is left, uncounted; it backs the final
-    sweeps, which may empty any cell. Vertices leave in ascending index
-    order either way.
+def _withdrawal_positions(cls: CellClassification, cells) -> np.ndarray:
+    """Positions in cls.order of a sequence of withdrawals, one per cell.
+
+    Each withdrawal takes the next vertex of its cell in ascending index
+    order, so its position is starts[c] plus the number of earlier
+    withdrawals from c, which a stable sort of the cells counts. Raises
+    LedgerExhausted at the first withdrawal, in sequence order, that finds
+    its cell empty or that goes past the density threshold for the cell.
     """
+    cells = np.asarray(cells, dtype=np.int64)
+    by = np.argsort(cells, kind="stable")
+    ranked = cells[by]
+    at = np.arange(len(cells))
+    run_start = np.ones(len(cells), dtype=bool)
+    run_start[1:] = ranked[1:] != ranked[:-1]
+    rank = np.empty(len(cells), dtype=np.int64)
+    rank[by] = at - np.maximum.accumulate(np.where(run_start, at, 0))
+    occupancy = cls.counts[cells]
+    over = rank >= np.minimum(occupancy, DENSE_THRESHOLD)
+    if over.any():
+        i = int(np.argmax(over))
+        raise ConstructionError(
+            FailureReason.LEDGER_EXHAUSTED,
+            {"cell": int(cells[i]), "occupancy": int(occupancy[i]),
+             "withdrawn": int(rank[i])})
+    return cls.starts[cells] + rank
 
-    def __init__(self, cls: CellClassification):
-        self._cls = cls
-        self._cursor = np.zeros(len(cls.counts), dtype=np.int64)
-        self._taken = np.zeros(len(cls.counts), dtype=np.int64)
 
-    def remaining(self, flat_cell):
-        """Vertices left in a cell, or in each of an array of cells."""
-        return self._cls.counts[flat_cell] - self._cursor[flat_cell]
+def _remainder_runs(cls: CellClassification, cells,
+                    withdrawn) -> tuple[np.ndarray, np.ndarray]:
+    """(start, length) in cls.order of what each cell holds after the
+    withdrawals from the cell sequence withdrawn; any array shape."""
+    cells = np.asarray(cells, dtype=np.int64)
+    got, times = np.unique(np.asarray(withdrawn, dtype=np.int64),
+                           return_counts=True)
+    taken = np.zeros(cells.shape, dtype=np.int64)
+    if got.size:
+        j = np.minimum(np.searchsorted(got, cells), got.size - 1)
+        taken = np.where(got[j] == cells, times[j], 0)
+    return cls.starts[cells] + taken, cls.counts[cells] - taken
 
-    def take(self, flat_cell: int) -> int:
-        cls = self._cls
-        if (self._cursor[flat_cell] >= cls.counts[flat_cell]
-                or self._taken[flat_cell] >= DENSE_THRESHOLD):
-            raise ConstructionError(
-                FailureReason.LEDGER_EXHAUSTED,
-                {"cell": int(flat_cell),
-                 "occupancy": int(cls.counts[flat_cell]),
-                 "withdrawn": int(self._taken[flat_cell])})
-        v = cls.order[cls.starts[flat_cell] + self._cursor[flat_cell]]
-        self._cursor[flat_cell] += 1
-        self._taken[flat_cell] += 1
-        return int(v)
 
-    def drain(self, flat_cells) -> np.ndarray:
-        """What is left of one cell, or of each of a sequence of distinct
-        cells in turn."""
-        cls = self._cls
-        cells = np.atleast_1d(flat_cells)
-        lo = cls.starts[cells] + self._cursor[cells]
-        size = cls.counts[cells] - self._cursor[cells]
-        self._cursor[cells] = cls.counts[cells]
-        # positions lo[i], ..., lo[i] + size[i] - 1 of each cell, in turn
-        at = np.repeat(lo - np.cumsum(size) + size, size) + np.arange(size.sum())
-        return cls.order[at]
+def _gather(order: np.ndarray, lo: np.ndarray, size: np.ndarray) -> np.ndarray:
+    """order at positions lo[i], ..., lo[i] + size[i] - 1 of each run, in turn."""
+    return order[np.repeat(lo - np.cumsum(size) + size, size)
+                 + np.arange(size.sum())]
 
 
 # --------------------------------------------------------------------------
@@ -129,47 +146,79 @@ def _serpentine_orders(k: int) -> np.ndarray:
     return orders
 
 
-def _sweep_square(t: Tessellation, ledger: UsageLedger, flat_sq: int,
-                  start_near: Optional[CellId],
-                  end_near: Optional[CellId]) -> np.ndarray:
-    """Drain every remaining vertex of the square, serpentine cell order.
+def _cell_gaps(t: Tessellation, dcol: np.ndarray, drow: np.ndarray) -> np.ndarray:
+    """_lp_from_abs(p, dcol * s, drow * s) for arrays of integer steps.
 
-    Returns them as one segment of the cycle, cell after cell. Picks the
-    variant whose last occupied cell lands nearest end_near (and whose
-    first lands nearest start_near as a tie break), so the hops into and
-    out of the sweep stay short.
+    Evaluated once per distinct pair with the scalar norm, so every value
+    is the exact float a scalar call gives: lp_norms rounds differently in
+    the last bit for some p, which can break a tie between variants the
+    other way.
     """
-    k = t.cells_per_side
-    g = t.grid
+    span = int(drow.max(initial=0)) + 1
+    pairs, at = np.unique(dcol * span + drow, return_inverse=True)
     s = t.cell_side
-    srow, scol = divmod(flat_sq, t.squares_per_side)
+    dcol_of, drow_of = divmod(pairs, span)
+    norms = np.array([_lp_from_abs(t.p, dc * s, dr * s) for dc, dr
+                      in zip(dcol_of.tolist(), drow_of.tolist())], dtype=float)
+    return norms[at].reshape(dcol.shape)
+
+
+def _sweep_runs(t: Tessellation, cls: CellClassification, squares: np.ndarray,
+                start_near: np.ndarray, end_near: np.ndarray,
+                withdrawn: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Runs of every vertex left in each square, serpentine cell order.
+
+    Works on all the squares at once. For each it picks the variant whose
+    last occupied cell lands nearest end_near, then whose first lands
+    nearest start_near, then the lowest variant index, so the hops into and
+    out of the sweep stay short. The near cells are flat cell ids, -1 for
+    none (gap 0). Returns (start, length) of every occupied cell's
+    remainder, square after square, and the number of runs per square.
+    """
+    k, g, m = t.cells_per_side, t.grid, t.squares_per_side
+    kk = k * k
     orders = _serpentine_orders(k)
-    # flat cell ids along each variant
-    cells = (srow * k + orders[:, :, 1]) * g + (scol * k + orders[:, :, 0])
-    left = ledger.remaining(cells) > 0
-    # first and last occupied cell of each variant (any cell, if none is)
-    ends = cells[np.arange(len(cells)),
-                 [left.argmax(axis=1), k * k - 1 - left[:, ::-1].argmax(axis=1)]]
-    cols, rows = (ends % g).tolist(), (ends // g).tolist()
+    # local row-major cell of each step of each variant, and its inverse
+    steps = orders[:, :, 1] * k + orders[:, :, 0]
+    step_of = np.empty_like(steps)
+    step_of[np.arange(8)[:, None], steps] = np.arange(kk)
+    srow, scol = np.divmod(squares, m)
+    local = np.arange(kk)
+    cells = (srow * k * g + scol * k)[:, None] + (local // k * g + local % k)
+    lo, size = _remainder_runs(cls, cells, withdrawn)
+    left = size > 0
+    # first and last occupied step of each variant (any step, if none is)
+    first = np.stack([np.where(left, step_of[v], kk).min(axis=1)
+                      for v in range(8)], axis=1)
+    last = np.stack([np.where(left, step_of[v], -1).max(axis=1)
+                     for v in range(8)], axis=1)
+    empty = ~left.any(axis=1)
+    first[empty], last[empty] = 0, kk - 1
 
-    def gap(i: int, v: int, near: Optional[CellId]) -> float:
-        """Sup distance between end i of variant v and the near cell."""
-        if near is None:
-            return 0.0
-        return _lp_from_abs(t.p, (abs(cols[i][v] - near.col) + 1) * s,
-                            (abs(rows[i][v] - near.row) + 1) * s)
+    def gap(step: np.ndarray, near: np.ndarray) -> np.ndarray:
+        cell = steps[np.arange(8), step]
+        dcol = np.abs(scol[:, None] * k + cell % k - (near % g)[:, None]) + 1
+        drow = np.abs(srow[:, None] * k + cell // k - (near // g)[:, None]) + 1
+        return np.where(near[:, None] < 0, 0.0, _cell_gaps(t, dcol, drow))
 
-    _, _, v = min((gap(1, v, end_near), gap(0, v, start_near), v)
-                  for v in range(len(cells)))
-    return ledger.drain(cells[v][left[v]])
+    # the lexicographic minimum of (end gap, start gap, variant)
+    end_gap = gap(last, end_near)
+    best = end_gap == end_gap.min(axis=1, keepdims=True)
+    start_gap = np.where(best, gap(first, start_near), np.inf)
+    best &= start_gap == start_gap.min(axis=1, keepdims=True)
+    at = steps[best.argmax(axis=1)]
+    lo = np.take_along_axis(lo, at, axis=1)
+    size = np.take_along_axis(size, at, axis=1)
+    keep = size > 0
+    return lo[keep], size[keep], keep.sum(axis=1)
 
 
 # --------------------------------------------------------------------------
 # cycle construction
 # --------------------------------------------------------------------------
 
-def _cell_of(t: Tessellation, flat_cell: int) -> CellId:
-    return CellId(flat_cell % t.grid, flat_cell // t.grid)
+# kinds of the events the walk places, in cycle order
+_TAKE, _DRAIN, _SWEEP = 0, 1, 2
 
 
 def construct_cycle(points: np.ndarray, t: Tessellation,
@@ -177,28 +226,31 @@ def construct_cycle(points: np.ndarray, t: Tessellation,
                     order: list[Node]) -> np.ndarray:
     """Build the Hamiltonian cycle along an euler traversal of the tree.
 
-    Returns the cycle as an int64 vertex permutation. It is assembled from
-    array segments (one per withdrawal, square sweep and group walk) joined
-    once at the end, so the Python work grows with squares and tree nodes,
-    not with n. Raises ConstructionError (EdgeTooLong) when the self check
-    finds an overlong edge; structural breakage surfaces as
-    LedgerExhausted or an assertion.
+    Returns the cycle as an int64 vertex permutation. A walk over the euler
+    order records its events, in cycle order: withdrawals (a cell each),
+    group drains (a list of sparse cells each) and square sweeps (a square,
+    the cell of the withdrawal placed last before it, and the cell to end
+    near). Array passes then rank the withdrawals, pick every sweep's
+    variant, and gather the cycle once from cls.order, so the Python work
+    grows with squares and tree nodes, not with n. Raises ConstructionError
+    (EdgeTooLong) when the self check finds an overlong edge; structural
+    breakage surfaces as LedgerExhausted or an assertion.
     """
-    ledger = UsageLedger(cls)
     last_pos: dict[Node, int] = {node: i for i, node in enumerate(order)}
-    segments: list = []
-    # cell of the most recent withdrawal, for sweep scoring
-    prev_cell: Optional[CellId] = None
-
-    def push(v: int, cell: int) -> None:
-        nonlocal prev_cell
-        segments.append([v])
-        prev_cell = _cell_of(t, cell)
+    takes: list[int] = []       # withdrawal cells
+    events: list[int] = []      # the kind of each event
+    drains: list[list[int]] = []
+    swept: list[int] = []
+    start_near: list[int] = []
+    end_near: list[int] = []
 
     if len(order) == 1:
         root = order[0]
         assert isinstance(root, int)
-        segments = [_sweep_square(t, ledger, root, None, None)]
+        swept.append(root)
+        start_near.append(-1)
+        end_near.append(-1)
+        events.append(_SWEEP)
     else:
         i = 0
         while i < len(order) - 1:
@@ -208,31 +260,50 @@ def construct_cycle(points: np.ndarray, t: Tessellation,
                 # leaf roundtrip: hook in, walk the sparse cells, hook out
                 assert order[i + 2] == u
                 cells = ag.groups[v]
-                hook_in = ag.hooks[cells[0]]
-                hook_out = ag.hooks[cells[-1]]
-                push(ledger.take(hook_in), hook_in)
-                segments.append(ledger.drain(cells))
-                push(ledger.take(hook_out), hook_out)
+                drains.append(cells)
+                takes += [ag.hooks[cells[0]], ag.hooks[cells[-1]]]
+                events += [_TAKE, _DRAIN, _TAKE]
                 i += 2
                 continue
             cu, cv = ag.density.witness_cells(u, v)
             if i == last_pos[u]:
-                # final departure: empty the square before leaving
-                exit_v = ledger.take(cu)
-                segments.append(_sweep_square(t, ledger, u, prev_cell,
-                                              _cell_of(t, cu)))
-                push(exit_v, cu)
-            else:
-                push(ledger.take(cu), cu)
-            push(ledger.take(cv), cv)
+                # final departure: empty the square before leaving. The exit
+                # vertex is withdrawn first but placed after the sweep; no
+                # withdrawal lies between, so recording it here keeps the
+                # order of withdrawals
+                swept.append(u)
+                start_near.append(takes[-1])
+                end_near.append(cu)
+                events.append(_SWEEP)
+            takes += [cu, cv]
+            events += [_TAKE, _TAKE]
             i += 1
         root = order[-1]
         assert isinstance(root, int)
-        first = segments[0][0]     # the first step withdraws a vertex
-        first_cell = t.locate(points[first, 0], points[first, 1])
-        segments.append(_sweep_square(t, ledger, root, prev_cell, first_cell))
+        swept.append(root)
+        start_near.append(takes[-1])
+        end_near.append(takes[0])   # the first step withdraws a vertex
+        events.append(_SWEEP)
 
-    cycle = np.concatenate(segments).astype(np.int64, copy=False)
+    taken = np.array(takes, dtype=np.int64)
+    take_lo = _withdrawal_positions(cls, taken)
+    drained = np.array([c for cells in drains for c in cells], dtype=np.int64)
+    drain_lo, drain_size = _remainder_runs(cls, drained, taken)
+    sweep_lo, sweep_size, sweep_runs = _sweep_runs(
+        t, cls, np.array(swept), np.array(start_near), np.array(end_near),
+        taken)
+    # every run, sorted by the event it belongs to
+    kind = np.array(events)
+    event = np.arange(len(kind))
+    which = np.concatenate([
+        event[kind == _TAKE],
+        np.repeat(event[kind == _DRAIN], [len(cells) for cells in drains]),
+        np.repeat(event[kind == _SWEEP], sweep_runs)])
+    by = np.argsort(which, kind="stable")
+    lo = np.concatenate([take_lo, drain_lo, sweep_lo])[by]
+    size = np.concatenate([np.ones(len(take_lo), dtype=np.int64),
+                           drain_size, sweep_size])[by]
+    cycle = _gather(cls.order, lo, size).astype(np.int64, copy=False)
     report = verify_cycle(points, t.radius, t.p, cycle)
     if not report.valid:
         violation = report.violation
@@ -577,10 +648,12 @@ def full_construction(points: np.ndarray, p: float, r: float,
     cells_per_square overrides the subdivision; otherwise it is chosen from
     the slack between r and the connectivity threshold (falling back to the
     minimum when r sits at or below threshold). When the tessellation path
-    gives up, at HookMissing or because the augmented graph splits (which
-    the point graph need not), the serpentine fallback builds the cycle
-    instead, or raises Disconnected or EdgeTooLong; every other failure of
-    the tessellation path is raised as it is. r > 1 takes an angular order.
+    gives up, at HookMissing, because the augmented graph splits (which the
+    point graph need not), or at an overlong hop of its own cycle (at p = 1
+    a square's diameter 2/m can exceed r), the serpentine fallback builds
+    the cycle instead, or raises Disconnected or EdgeTooLong. Every other
+    failure of the tessellation path, LedgerExhausted included, is raised
+    as it is. r > 1 takes an angular order.
     Raises ValueError for fewer than 3 points, points outside [0, 1]^2, and
     radii that are not positive or too small for the tessellation.
     """
@@ -602,10 +675,12 @@ def full_construction(points: np.ndarray, p: float, r: float,
     try:
         cycle = _tessellation_cycle(points, p, r, cells_per_square)
     except ConstructionError as exc:
-        # the only Disconnected the tessellation path raises is a split of
-        # the augmented graph: no certificate, so the fallback gets its turn
+        # none of these is a certificate: the only Disconnected the
+        # tessellation path raises is a split of the augmented graph, and
+        # its EdgeTooLong is an overlong hop of its own cycle
         if exc.reason not in (FailureReason.HOOK_MISSING,
-                              FailureReason.DISCONNECTED):
+                              FailureReason.DISCONNECTED,
+                              FailureReason.EDGE_TOO_LONG):
             raise
     else:
         return ConstructionOutcome(cycle, cells_per_square)

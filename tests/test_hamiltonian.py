@@ -6,14 +6,17 @@ import numpy as np
 import pytest
 
 from helpers import cell_points
-from rggham.auxgraphs import (attach_sparse_groups, build_density_graph,
+from rggham.auxgraphs import (GroupKey, attach_sparse_groups,
+                               build_density_graph, euler_traversal,
                                spanning_tree)
 from rggham.failures import ConstructionError, FailureReason
-from rggham.geometry import lp_norms
-from rggham.hamiltonian import (UsageLedger, _serpentine_orders,
+from rggham.geometry import _lp_from_abs, lp_norms
+from rggham.hamiltonian import (_cell_gaps, _gather, _remainder_runs,
+                                _serpentine_orders, _tessellation_cycle,
+                                _withdrawal_positions, construct_cycle,
                                 full_construction, verify_cycle)
 from rggham.instance import VertexSet, threshold_radius
-from rggham.tessellation import (DENSE_THRESHOLD, build_tessellation,
+from rggham.tessellation import (DENSE_THRESHOLD, CellId, build_tessellation,
                                  cells_close, classify_cells)
 
 
@@ -22,60 +25,71 @@ def rand_points(n, seed):
 
 
 # --------------------------------------------------------------------------
-# usage ledger
+# withdrawals and remainders
 # --------------------------------------------------------------------------
 
-def make_ledger(t, blocks):
-    cls = classify_cells(t, VertexSet(np.vstack(blocks)))
-    return cls, UsageLedger(cls)
+def classified(t, blocks):
+    return classify_cells(t, VertexSet(np.vstack(blocks)))
+
+
+def withdraw(cls, cells):
+    """The vertices a sequence of withdrawals takes, one per cell."""
+    return cls.order[_withdrawal_positions(cls, cells)].tolist()
 
 
 def test_ledger_takes_ascending_until_cap():
     t = build_tessellation(2.0, 0.5, 4)
-    cls, ledger = make_ledger(t, [cell_points(t, 0, 0, 60),
-                                  cell_points(t, 5, 5, 2)])
-    got = [ledger.take(0) for _ in range(DENSE_THRESHOLD)]
-    assert got == sorted(got)
+    cls = classified(t, [cell_points(t, 0, 0, 60), cell_points(t, 5, 5, 2)])
+    got = withdraw(cls, [0] * DENSE_THRESHOLD)
+    assert got == sorted(set(got))
     assert set(got) <= set(range(60))
     with pytest.raises(ConstructionError) as err:
-        ledger.take(0)
+        withdraw(cls, [0] * (DENSE_THRESHOLD + 1))
     assert err.value.reason is FailureReason.LEDGER_EXHAUSTED
     assert err.value.context == {"cell": 0, "occupancy": 60,
                                  "withdrawn": DENSE_THRESHOLD}
+    # interleaved cells rank apart, each in ascending vertex order
+    small = 5 * t.grid + 5
+    assert withdraw(cls, [0, small, 0, small, 0]) == [0, 60, 1, 61, 2]
 
 
 def test_ledger_take_from_empty_cell():
     t = build_tessellation(2.0, 0.5, 4)
-    cls, ledger = make_ledger(t, [cell_points(t, 0, 0, 3)])
+    cls = classified(t, [cell_points(t, 0, 0, 3)])
     with pytest.raises(ConstructionError) as err:
-        ledger.take(1)
+        withdraw(cls, [1])
     assert err.value.reason is FailureReason.LEDGER_EXHAUSTED
     assert err.value.context["occupancy"] == 0
+    # a cell emptied by withdrawals stops them below the cap, and the
+    # failure names the first withdrawal past the end, in sequence order
+    with pytest.raises(ConstructionError) as err:
+        withdraw(cls, [0, 0, 0, 0, 1])
+    assert err.value.context == {"cell": 0, "occupancy": 3, "withdrawn": 3}
 
 
 def test_ledger_drain_is_uncounted_remainder():
     t = build_tessellation(2.0, 0.5, 4)
-    cls, ledger = make_ledger(t, [cell_points(t, 0, 0, 60)])
-    first = [ledger.take(0) for _ in range(3)]
-    assert ledger.remaining(0) == 57
-    rest = list(ledger.drain(0))
-    assert len(rest) == 57
+    cls = classified(t, [cell_points(t, 0, 0, 60)])
+    first = withdraw(cls, [0, 0, 0])
+    lo, size = _remainder_runs(cls, [0], [0, 0, 0])
+    assert size.tolist() == [57]
+    rest = _gather(cls.order, lo, size).tolist()
     assert sorted(first + rest) == list(cls.cell_members(0))
-    assert ledger.remaining(0) == 0
-    with pytest.raises(ConstructionError):
-        ledger.take(0)          # empty now, regardless of cap
+    # every vertex withdrawn: nothing remains
+    assert _remainder_runs(cls, [0], [0] * 60)[1].tolist() == [0]
 
 
 def test_ledger_drains_cells_in_turn():
     t = build_tessellation(2.0, 0.5, 4)
-    cls, ledger = make_ledger(t, [cell_points(t, 0, 0, 5),
-                                  cell_points(t, 2, 0, 4),
-                                  cell_points(t, 1, 0, 3)])
-    taken = ledger.take(1)
-    got = ledger.drain([2, 0, 1, 3]).tolist()
+    cls = classified(t, [cell_points(t, 0, 0, 5), cell_points(t, 2, 0, 4),
+                         cell_points(t, 1, 0, 3)])
+    taken = withdraw(cls, [1])
+    got = _gather(cls.order, *_remainder_runs(cls, [2, 0, 1, 3], [1])).tolist()
     assert got == [5, 6, 7, 8, 0, 1, 2, 3, 4, 10, 11]
-    assert taken == 9
-    assert ledger.drain([0, 2]).size == 0
+    assert taken == [9]
+    lo, size = _remainder_runs(cls, [1, 2], [1, 1, 2, 1, 2, 2, 2])
+    assert size.tolist() == [0, 0]
+    assert _gather(cls.order, lo, size).size == 0
 
 
 # --------------------------------------------------------------------------
@@ -97,6 +111,22 @@ def test_serpentine_orders_cover_grid_with_unit_steps(k):
         corners = {0, k - 1}
         assert set(first) <= corners and set(last) <= corners
         assert (first[0] == last[0]) != (first[1] == last[1])
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 7.0, math.inf])
+@pytest.mark.parametrize("r", [0.1, 0.2, 0.45])
+def test_sweep_gaps_are_the_scalar_norms(p, r):
+    # bit for bit: a gap one ulp off can break a tie between sweep variants
+    # the other way; lp_norms differs from the scalar norm in the last bit
+    # on some of these pairs at p = 1.5, 2, 3 and 7
+    t = build_tessellation(p, r, 4)
+    dcol, drow = np.meshgrid(np.arange(1, 13), np.arange(1, 13))
+    want = [[_lp_from_abs(p, c * t.cell_side, d * t.cell_side)
+             for c, d in zip(cs, ds)]
+            for cs, ds in zip(dcol.tolist(), drow.tolist())]
+    got = _cell_gaps(t, dcol, drow)
+    assert got.shape == dcol.shape
+    assert got.tolist() == want
 
 
 # --------------------------------------------------------------------------
@@ -345,6 +375,179 @@ def test_construction_keeps_group_vertices_contiguous():
     assert cyc[at3 - 1] in bridge and cyc[(at3 + 1) % len(cyc)] in bridge
 
 
+# --------------------------------------------------------------------------
+# the per-step construction, kept as the reference for the array passes
+# --------------------------------------------------------------------------
+
+class ReferenceLedger:
+    """Withdrawals one call at a time: take() counted and capped, drain()
+    uncounted; ascending vertex index within a cell either way."""
+
+    def __init__(self, cls):
+        self.cls = cls
+        self.cursor = np.zeros(len(cls.counts), dtype=np.int64)
+        self.taken = np.zeros(len(cls.counts), dtype=np.int64)
+
+    def take(self, cell):
+        cls = self.cls
+        if (self.cursor[cell] >= cls.counts[cell]
+                or self.taken[cell] >= DENSE_THRESHOLD):
+            raise ConstructionError(
+                FailureReason.LEDGER_EXHAUSTED,
+                {"cell": int(cell), "occupancy": int(cls.counts[cell]),
+                 "withdrawn": int(self.taken[cell])})
+        v = cls.order[cls.starts[cell] + self.cursor[cell]]
+        self.cursor[cell] += 1
+        self.taken[cell] += 1
+        return int(v)
+
+    def drain(self, cells):
+        out = []
+        for c in np.atleast_1d(cells).tolist():
+            members = self.cls.cell_members(c)
+            out.extend(members[self.cursor[c]:].tolist())
+            self.cursor[c] = len(members)
+        return out
+
+
+def reference_sweep(t, ledger, square, start_near, end_near):
+    """One square's serpentine sweep, its eight variants scored one by one."""
+    k, g, s = t.cells_per_side, t.grid, t.cell_side
+    srow, scol = divmod(square, t.squares_per_side)
+    best = None
+    for v, steps in enumerate(_serpentine_orders(k).tolist()):
+        cells = [(srow * k + row) * g + scol * k + col for col, row in steps]
+        left = [c for c in cells
+                if ledger.cls.counts[c] - ledger.cursor[c] > 0]
+        ends = (left[0], left[-1]) if left else (cells[0], cells[-1])
+
+        def gap(cell, near):
+            if near is None:
+                return 0.0
+            return _lp_from_abs(t.p, (abs(cell % g - near.col) + 1) * s,
+                                (abs(cell // g - near.row) + 1) * s)
+
+        key = (gap(ends[1], end_near), gap(ends[0], start_near), v)
+        if best is None or key < best[0]:
+            best = (key, left)
+    return ledger.drain(best[1])
+
+
+def reference_cycle(points, t, cls, ag, order):
+    """The cycle built one step of the euler walk at a time."""
+    ledger = ReferenceLedger(cls)
+    last_pos = {node: i for i, node in enumerate(order)}
+    cycle = []
+    prev = None     # cell of the vertex placed last
+
+    def place(v, cell):
+        nonlocal prev
+        cycle.append(v)
+        prev = CellId(cell % t.grid, cell // t.grid)
+
+    if len(order) == 1:
+        cycle = reference_sweep(t, ledger, order[0], None, None)
+    else:
+        i = 0
+        while i < len(order) - 1:
+            u, v = order[i], order[i + 1]
+            if isinstance(v, GroupKey):
+                cells = ag.groups[v]
+                place(ledger.take(ag.hooks[cells[0]]), ag.hooks[cells[0]])
+                cycle.extend(ledger.drain(cells))
+                place(ledger.take(ag.hooks[cells[-1]]), ag.hooks[cells[-1]])
+                i += 2
+                continue
+            cu, cv = ag.density.witness_cells(u, v)
+            if i == last_pos[u]:
+                exit_v = ledger.take(cu)
+                cycle.extend(reference_sweep(
+                    t, ledger, u, prev, CellId(cu % t.grid, cu // t.grid)))
+                place(exit_v, cu)
+            else:
+                place(ledger.take(cu), cu)
+            place(ledger.take(cv), cv)
+            i += 1
+        first = cycle[0]
+        cycle.extend(reference_sweep(t, ledger, order[-1], prev,
+                                     t.locate(points[first, 0],
+                                              points[first, 1])))
+    cycle = np.array(cycle, dtype=np.int64)
+    report = verify_cycle(points, t.radius, t.p, cycle)
+    if not report.valid:
+        raise ConstructionError(
+            FailureReason.EDGE_TOO_LONG,
+            {"position": report.violation.position,
+             "distance": report.violation.distance, "radius": t.radius})
+    return cycle
+
+
+def tessellation_walk(points, p, r, k):
+    """The tessellation path's inputs to construct_cycle, or None where it
+    stops before construction."""
+    t = build_tessellation(p, r, k)
+    cls = classify_cells(t, VertexSet(points))
+    try:
+        ag = attach_sparse_groups(t, cls, build_density_graph(t, cls))
+        order = euler_traversal(spanning_tree(ag))
+    except ConstructionError:
+        return None
+    return t, cls, ag, order
+
+
+def same_as_reference(points, walk):
+    """construct_cycle's answer is the reference's, bit for bit: the same
+    cycle, or the same failure."""
+    try:
+        want = reference_cycle(points, *walk)
+    except ConstructionError as exc:
+        with pytest.raises(ConstructionError) as err:
+            construct_cycle(points, *walk)
+        assert (err.value.reason, err.value.context) == (exc.reason,
+                                                         exc.context)
+        return
+    got = construct_cycle(points, *walk)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0, math.inf])
+@pytest.mark.parametrize("r", [0.3, 0.45, 0.6])
+def test_construction_matches_the_per_step_reference(p, r):
+    # every size and subdivision that reaches construction, at least three
+    # of them for each (p, r)
+    compared = 0
+    for n in (2000, 10000, 50000):
+        pts = rand_points(n, 0)
+        for k in (2, 4):
+            walk = tessellation_walk(pts, p, r, k)
+            if walk is not None:
+                same_as_reference(pts, walk)
+                compared += 1
+    assert compared >= 3
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0, math.inf])
+def test_construction_matches_the_reference_through_group_nodes(p):
+    pts = rand_points(10000, 1)
+    walk = tessellation_walk(pts, p, 0.45, 4)
+    assert walk[2].groups
+    same_as_reference(pts, walk)
+
+
+def test_construction_matches_the_reference_on_crafted_instances():
+    t = build_tessellation(2.0, 0.5, 4)
+    pts, _ = _grouped_instance(t)
+    walk = tessellation_walk(pts, 2.0, 0.5, 4)
+    assert len(walk[2].groups) == 2
+    same_as_reference(pts, walk)
+    # one dense square: the walk is a single sweep
+    pts = np.vstack([cell_points(t, 0, 0, 60), cell_points(t, 3, 2, 5)])
+    walk = tessellation_walk(pts, 2.0, 0.5, 4)
+    assert walk[3] == [0]
+    same_as_reference(pts, walk)
+
+
 def test_full_construction_validates_arguments():
     pts = rand_points(2, 0)
     with pytest.raises(ValueError):
@@ -470,20 +673,29 @@ def test_fallback_gives_up_at_a_pendant_vertex():
     assert isinstance(ctx["position"], int)
 
 
-@pytest.mark.parametrize("n, p, r, seed", [(10000, 1.0, 0.45, 0),
-                                           (10000, 1.0, 0.45, 1),
-                                           (60000, 2.0, 0.2, 0)])
+# instances where the tessellation path gives up without a certificate:
+# a dense square with no close dense cell pair towards its friends splits
+# the augmented graph; at p = 1, where a square's l_1 diameter 2/m exceeds
+# r, a hop between two cells of one square can be longer than r
+SPLIT = (FailureReason.DISCONNECTED, "augmented graph splits")
+LONG_HOP = (FailureReason.EDGE_TOO_LONG, None)
+TESSELLATION_GIVES_UP = {(10000, 1.0, 0.45, 0): SPLIT,
+                         (10000, 1.0, 0.45, 1): SPLIT,
+                         (60000, 2.0, 0.2, 0): SPLIT,
+                         (50000, 1.0, 0.3, 0): LONG_HOP,
+                         (50000, 1.0, 0.3, 1): LONG_HOP}
+
+
+@pytest.mark.parametrize("n, p, r, seed", list(TESSELLATION_GIVES_UP))
 def test_split_augmented_graph_falls_back(n, p, r, seed):
-    # a dense square with no close dense cell pair towards its friends
-    # splits the augmented graph; the points themselves are connected, so
-    # the split is no certificate and the fallback builds the cycle
+    # the points themselves are connected, so the tessellation's failure is
+    # no certificate and the fallback builds the cycle
     pts = rand_points(n, seed)
-    t = build_tessellation(p, r, 4)
-    cls = classify_cells(t, VertexSet(pts))
-    ag = attach_sparse_groups(t, cls, build_density_graph(t, cls))
     with pytest.raises(ConstructionError) as err:
-        spanning_tree(ag)
-    assert err.value.context["detail"] == "augmented graph splits"
+        _tessellation_cycle(pts, p, r, 4)
+    reason, detail = TESSELLATION_GIVES_UP[n, p, r, seed]
+    assert err.value.reason is reason
+    assert err.value.context.get("detail") == detail
     out = full_construction(pts, p, r)
     assert out.cells_per_side is None
     assert verify_cycle(pts, r, p, out.cycle).valid
