@@ -26,6 +26,7 @@ from typing import NamedTuple, Union
 import numpy as np
 
 from .failures import ConstructionError, FailureReason
+from .instance import find_slots
 from .tessellation import (FRIEND_CHEBYSHEV, MAX_FRIENDS, CellClassification,
                            CellId, Tessellation, cells_close, close_offsets)
 
@@ -104,7 +105,7 @@ _FORWARD_FRIENDS = [(dc, dr) for dr in range(FRIEND_CHEBYSHEV + 1)
 _TEST_CHUNK = 1 << 20
 
 
-def _first_dense_pair(dense: np.ndarray, base_r: np.ndarray,
+def _first_dense_pair(cls: CellClassification, base_r: np.ndarray,
                       base_s: np.ndarray, da: np.ndarray,
                       db: np.ndarray) -> np.ndarray:
     """For each square pair i, the first j with dense cells base_r[i] + da[j]
@@ -119,8 +120,8 @@ def _first_dense_pair(dense: np.ndarray, base_r: np.ndarray,
     todo = np.arange(len(base_r))
     lo, step = 0, 1
     while todo.size and lo < len(da):
-        hit = (dense[base_r[todo, None] + da[lo:lo + step]]
-               & dense[base_s[todo, None] + db[lo:lo + step]])
+        hit = (cls.dense(base_r[todo, None] + da[lo:lo + step])
+               & cls.dense(base_s[todo, None] + db[lo:lo + step]))
         got = hit.any(axis=1)
         first[todo[got]] = lo + hit[got].argmax(axis=1)
         todo = todo[~got]
@@ -139,7 +140,7 @@ def build_density_graph(t: Tessellation, cls: CellClassification) -> DensityGrap
     m = t.squares_per_side
     k = t.cells_per_side
     g = t.grid
-    dense_squares = np.nonzero(cls.square_dense_count > 0)[0]
+    dense_squares = cls.squares[cls.square_dense_count > 0]
     if not dense_squares.size:
         return DensityGraph(tessellation=t, square_ids=dense_squares,
                             adjacency={}, witness={})
@@ -150,13 +151,13 @@ def build_density_graph(t: Tessellation, cls: CellClassification) -> DensityGrap
     for dc, dr in _FORWARD_FRIENDS:
         s_col, s_row = r_col + dc, r_row + dr
         at = np.flatnonzero((s_col >= 0) & (s_col < m) & (s_row < m))
-        at = at[cls.square_dense_count[s_row[at] * m + s_col[at]] > 0]
+        at = at[find_slots(dense_squares, s_row[at] * m + s_col[at])[1]]
         if not at.size:
             continue
         base_r = r_row[at] * k * g + r_col[at] * k
         base_s = s_row[at] * k * g + s_col[at] * k
         da, db = _close_cell_pairs(t, close, dc, dr)
-        j = _first_dense_pair(cls.dense_mask, base_r, base_s, da, db)
+        j = _first_dense_pair(cls, base_r, base_s, da, db)
         hit = j >= 0
         j = j[hit]
         blocks.append(np.stack((dense_squares[at[hit]],
@@ -191,20 +192,18 @@ def find_hook_cell(t: Tessellation, cls: CellClassification, cell: CellId) -> in
     in the intended density regime every sparse cell has one.
     """
     g = t.grid
-    for dc, dr in close_offsets(t):
-        col = cell.col + dc
-        row = cell.row + dr
-        if 0 <= col < g and 0 <= row < g:
-            flat = row * g + col
-            if cls.dense_mask[flat]:
-                return flat
+    col, row = np.array(close_offsets(t)).T + np.array([[cell.col], [cell.row]])
+    flat = (row * g + col)[(col >= 0) & (col < g) & (row >= 0) & (row < g)]
+    dense = cls.dense(flat)
+    if dense.any():
+        return int(flat[dense.argmax()])
     sq = t.square_of(cell)
     raise ConstructionError(
         FailureReason.HOOK_MISSING,
         {"detail": "no dense cell close to an occupied cell",
          "cell": [cell.col, cell.row],
          "square": [sq.col, sq.row],
-         "occupancy": int(cls.counts[cell.row * g + cell.col])})
+         "occupancy": int(cls.occupancy(cell.row * g + cell.col)[1])})
 
 
 @dataclass(frozen=True)
@@ -239,31 +238,26 @@ def attach_sparse_groups(t: Tessellation, cls: CellClassification,
     groups: dict[GroupKey, list[int]] = {}
     hooks: dict[int, int] = {}
 
-    sparse_squares = np.nonzero((cls.square_vertex_count > 0)
-                                & (cls.square_dense_count == 0))[0]
-    for s_flat in sparse_squares:
-        s_flat = int(s_flat)
+    # local cells of a square, row-major, as flat id offsets
+    local = (np.arange(k)[:, None] * g + np.arange(k)).ravel()
+    for s_flat in map(int, cls.squares[cls.square_dense_count == 0]):
         s_row, s_col = divmod(s_flat, m)
+        cells = (s_row * k * g + s_col * k) + local
         labels_seen = set()
-        for lr in range(k):
-            base = (s_row * k + lr) * g + s_col * k
-            for lc in range(k):
-                flat_cell = base + lc
-                if cls.counts[flat_cell] == 0:
-                    continue
-                cell = CellId(s_col * k + lc, s_row * k + lr)
-                hook = find_hook_cell(t, cls, cell)
-                hook_sq = (hook // g) // k * m + (hook % g) // k
-                assert max(abs(hook_sq % m - s_col), abs(hook_sq // m - s_row)) <= 2, \
-                    "hook square must be a friend of the sparse square"
-                hooks[flat_cell] = hook
-                key = GroupKey(s_flat, hook_sq)
-                if key not in groups:
-                    groups[key] = []
-                    adjacency.setdefault(hook_sq, []).append(key)
-                    adjacency[key] = [hook_sq]
-                    labels_seen.add(hook_sq)
-                groups[key].append(flat_cell)
+        for flat_cell in cells[cls.occupancy(cells)[1] > 0].tolist():
+            cell = CellId(flat_cell % g, flat_cell // g)
+            hook = find_hook_cell(t, cls, cell)
+            hook_sq = (hook // g) // k * m + (hook % g) // k
+            assert max(abs(hook_sq % m - s_col), abs(hook_sq // m - s_row)) <= 2, \
+                "hook square must be a friend of the sparse square"
+            hooks[flat_cell] = hook
+            key = GroupKey(s_flat, hook_sq)
+            if key not in groups:
+                groups[key] = []
+                adjacency.setdefault(hook_sq, []).append(key)
+                adjacency[key] = [hook_sq]
+                labels_seen.add(hook_sq)
+            groups[key].append(flat_cell)
         assert len(labels_seen) <= MAX_FRIENDS
 
     for node, nbrs in adjacency.items():

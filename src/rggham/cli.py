@@ -96,8 +96,8 @@ def cmd_ham(args: argparse.Namespace) -> int:
 
     With --json, success prints {"outcome": "CycleVerified", "n", "r",
     "cells_per_side"} plus "cycle" when no -o file takes it; cells_per_side
-    is null whenever the cycle did not come from the tessellation (the
-    serpentine fallback, or r > 1). A failure always prints {"outcome":
+    is null whenever the cycle came from the serpentine fallback (which
+    alone answers r > 1). A failure always prints {"outcome":
     "Failure", "n", "r", "reason", "context"} and exits 10 + the reason's
     position in FailureReason.
     """

@@ -5,13 +5,13 @@ through the verified cycle; sampling and the connectivity check are not part
 of the timed span), and records either the verified cycle or the typed
 failure. A verified cycle certifies connectivity, so the connectivity check
 (union-find over the occupied cells of a sparse grid, see instance.py) runs
-only when construction fails; the serpentine fallback keeps its own coarser
-buckets, so a failed trial builds each grid once. At and below the
-threshold the check usually ends at an isolated vertex, found right after
-neighbouring cells are joined, before any farther cells are paired. A sweep
-aggregates trials per (n, radius multiplier) pair into one summary row;
-trial seeds are assigned from a single base seed by global trial index so
-any trial can be reproduced in isolation.
+only when construction fails. The tessellation, the fallback's buckets and
+the check each bucket the points once, by instance.occupied_cells. At and
+below the threshold the check usually ends at an isolated vertex, found
+right after neighbouring cells are joined, before any farther cells are
+paired. A sweep aggregates trials per (n, radius multiplier) pair into one
+summary row; trial seeds are assigned from a single base seed by global
+trial index so any trial can be reproduced in isolation.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ OUTCOME_FAILURE = "Failure"
 class TrialResult:
     """One trial. cells_per_side is the tessellation's subdivision when the
     cycle came from the tessellation path, and None otherwise: on a failure,
-    and on a cycle from the degenerate-radius or the serpentine fallback."""
+    and on a cycle from the serpentine fallback."""
 
     n: int
     p: float

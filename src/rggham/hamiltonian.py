@@ -58,10 +58,11 @@ from .auxgraphs import (AugmentedGraph, GroupKey, Node, attach_sparse_groups,
                         build_density_graph, euler_traversal, spanning_tree)
 from .failures import ConstructionError, FailureReason
 from .geometry import _lp_from_abs, lp_norms, unit_disk_area, validate_p
-from .instance import VertexSet, radix_argsort, validate_points
+from .instance import VertexSet, occupied_cells, validate_points
 from .tessellation import (DENSE_THRESHOLD, CellClassification,
                            Tessellation, build_tessellation,
-                           choose_cells_per_side, classify_cells)
+                           choose_cells_per_side, classify_cells,
+                           tessellation_fits)
 
 
 # --------------------------------------------------------------------------
@@ -73,19 +74,17 @@ def _withdrawal_positions(cls: CellClassification, cells) -> np.ndarray:
 
     Each withdrawal takes the next vertex of its cell in ascending index
     order, so its position is starts[c] plus the number of earlier
-    withdrawals from c, which a stable sort of the cells counts. Raises
-    LedgerExhausted at the first withdrawal, in sequence order, that finds
-    its cell empty or that goes past the density threshold for the cell.
+    withdrawals from c: its distance, after a stable sort of the cells, from
+    the first withdrawal from c. Raises LedgerExhausted at the first
+    withdrawal, in sequence order, that finds its cell empty or that goes
+    past the density threshold for the cell.
     """
     cells = np.asarray(cells, dtype=np.int64)
     by = np.argsort(cells, kind="stable")
     ranked = cells[by]
-    at = np.arange(len(cells))
-    run_start = np.ones(len(cells), dtype=bool)
-    run_start[1:] = ranked[1:] != ranked[:-1]
     rank = np.empty(len(cells), dtype=np.int64)
-    rank[by] = at - np.maximum.accumulate(np.where(run_start, at, 0))
-    occupancy = cls.counts[cells]
+    rank[by] = np.arange(len(cells)) - np.searchsorted(ranked, ranked)
+    slot, occupancy = cls.occupancy(cells)
     over = rank >= np.minimum(occupancy, DENSE_THRESHOLD)
     if over.any():
         i = int(np.argmax(over))
@@ -93,21 +92,20 @@ def _withdrawal_positions(cls: CellClassification, cells) -> np.ndarray:
             FailureReason.LEDGER_EXHAUSTED,
             {"cell": int(cells[i]), "occupancy": int(occupancy[i]),
              "withdrawn": int(rank[i])})
-    return cls.starts[cells] + rank
+    return cls.starts[slot] + rank
 
 
 def _remainder_runs(cls: CellClassification, cells,
                     withdrawn) -> tuple[np.ndarray, np.ndarray]:
     """(start, length) in cls.order of what each cell holds after the
-    withdrawals from the cell sequence withdrawn; any array shape."""
+    withdrawals from the cell sequence withdrawn; any array shape. An empty
+    cell gets length 0."""
     cells = np.asarray(cells, dtype=np.int64)
-    got, times = np.unique(np.asarray(withdrawn, dtype=np.int64),
-                           return_counts=True)
-    taken = np.zeros(cells.shape, dtype=np.int64)
-    if got.size:
-        j = np.minimum(np.searchsorted(got, cells), got.size - 1)
-        taken = np.where(got[j] == cells, times[j], 0)
-    return cls.starts[cells] + taken, cls.counts[cells] - taken
+    withdrawn = np.sort(np.asarray(withdrawn, dtype=np.int64))
+    taken = (np.searchsorted(withdrawn, cells, side="right")
+             - np.searchsorted(withdrawn, cells))
+    slot, occupancy = cls.occupancy(cells)
+    return cls.starts[slot] + taken, occupancy - taken
 
 
 def _gather(order: np.ndarray, lo: np.ndarray, size: np.ndarray) -> np.ndarray:
@@ -348,6 +346,8 @@ class VerificationReport:
 # times lp_norms' rounding error (a few ulps); the absolute one covers
 # subnormal lengths, which round by an absolute step.
 _SCREEN_REL, _SCREEN_ABS = 1e-12, 1e-300
+# hops checked at once, so that the check holds a few MB at any n
+_HOP_CHUNK = 1 << 16
 
 
 def verify_cycle(points: np.ndarray, r: float, p: float,
@@ -381,20 +381,28 @@ def verify_cycle(points: np.ndarray, r: float, p: float,
         dup = srt[1:][arr[srt[1:]] == arr[srt[:-1]]]
         first = int(dup.min())
         return VerificationReport(False, n, Violation(first, "NotPermutation", None))
-    # np.take gathers whole rows, much faster than fancy indexing here; hop
-    # i runs from q[i] to q[i + 1], and the last one back to the start
-    q = np.take(points, np.append(arr, arr[:1]), axis=0)
-    ax = np.abs(q[1:, 0] - q[:-1, 0])
-    ay = np.abs(q[1:, 1] - q[:-1, 1])
-    bound = r + tolerance
-    far = np.flatnonzero(~(ax + ay <= bound * (1.0 - _SCREEN_REL) - _SCREEN_ABS))
-    d = lp_norms(p, ax[far], ay[far])
-    over = d > bound
-    if over.any():
-        i = int(np.argmax(over))
+    at, d = _long_hops(points, p, r + tolerance, arr)
+    if at.size:
         return VerificationReport(False, n,
-                                  Violation(int(far[i]), "EdgeTooLong", float(d[i])))
+                                  Violation(int(at[0]), "EdgeTooLong", float(d[0])))
     return VerificationReport(True, n, None)
+
+
+def _long_hops(points: np.ndarray, p: float, bound: float,
+               cycle: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending positions i whose hop cycle[i] -> cycle[i + 1], cyclically,
+    is longer than bound, and their lp_norms, after verify_cycle's screen."""
+    ends = np.append(cycle, cycle[:1])
+    at, length = [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
+    for lo in range(0, len(cycle), _HOP_CHUNK):
+        # np.take gathers whole rows, much faster than fancy indexing here
+        q = np.take(points, ends[lo:lo + _HOP_CHUNK + 1], axis=0)
+        ax, ay = (np.abs(x, out=x) for x in (q[1:, 0] - q[:-1, 0], q[1:, 1] - q[:-1, 1]))
+        far = np.flatnonzero(~(ax + ay <= bound * (1.0 - _SCREEN_REL) - _SCREEN_ABS))
+        d = lp_norms(p, ax[far], ay[far])
+        at.append(lo + far[d > bound])
+        length.append(d[d > bound])
+    return np.concatenate(at), np.concatenate(length)
 
 
 # --------------------------------------------------------------------------
@@ -414,12 +422,17 @@ def _serpentine_tour(points: np.ndarray, p: float, r: float) -> np.ndarray:
     g = math.ceil(_lp_from_abs(p, 1.0, 1.0) / r)
     g += g % 2
     gx = points[:, 0] * g
-    gy = points[:, 1] * g
-    row = np.minimum(gy.astype(np.int64), g - 1)
-    # each row's keys lie in (row * g, row * g + g]; the lane's come last
-    key = row * g + np.where(row % 2 == 0, gx, g + 1 - gx)
+    key = points[:, 1] * g
     lane = gx < 1.0
-    key[lane] = g * g + g - gy[lane]
+    lane_key = g * g + g - key[lane]
+    # each row's keys lie in (row * g, row * g + g]; the lane's come last.
+    # In place, as floats: rows are whole numbers far below 2^53
+    np.minimum(np.floor(key, out=key), g - 1, out=key)
+    np.subtract(g + 1, gx, out=gx, where=key.astype(np.int64) % 2 == 1)
+    key *= g
+    key += gx
+    del gx
+    key[lane] = lane_key
     return _stable_argsort(key)
 
 
@@ -450,15 +463,8 @@ class _TourRepair:
         self.pos = np.empty(self.n, dtype=np.int64)
         self.pos[tour] = np.arange(self.n)
         # buckets of width >= r: a neighbour lies in the 3x3 patch around v
-        side = self.side = max(1, math.floor(1.0 / r))
-        # flat bucket row * side + col of each vertex
-        flat = self.bucket = np.minimum(
-            (points[:, 1] * side).astype(np.int64), side - 1)
-        flat *= side
-        flat += np.minimum((points[:, 0] * side).astype(np.int64), side - 1)
-        self.starts = np.zeros(side * side + 1, dtype=np.int64)
-        np.cumsum(np.bincount(flat, minlength=side * side), out=self.starts[1:])
-        self.order = radix_argsort(flat, side * side)
+        self.side = max(1, math.floor(min(1.0 / r, 2.0 ** 32)))
+        self.buckets, self.order, self.starts = occupied_cells(points, self.side)
         self._near: dict[int, np.ndarray] = {}
 
     def near(self, v: int) -> np.ndarray:
@@ -466,11 +472,13 @@ class _TourRepair:
         got = self._near.get(v)
         if got is None:
             side = self.side
-            row, col = divmod(int(self.bucket[v]), side)
-            lo, hi = max(col - 1, 0), min(col + 1, side - 1) + 1
-            cand = np.concatenate([
-                self.order[self.starts[rr * side + lo]:self.starts[rr * side + hi]]
-                for rr in range(max(row - 1, 0), min(row + 2, side))])
+            # v's bucket, as occupied_cells files it
+            col, row = (min(int(self.points[v, i] * side), side - 1) for i in (0, 1))
+            ends = np.searchsorted(self.buckets, np.array(
+                [rr * side + c for rr in range(max(row - 1, 0), min(row + 2, side))
+                 for c in (max(col - 1, 0), min(col + 2, side))], dtype=np.uint64))
+            cand = np.concatenate([self.order[self.starts[a]:self.starts[b]]
+                                   for a, b in ends.reshape(-1, 2).tolist()])
             got = cand[self._within(cand, v) & (cand != v)]
             self._near[v] = got
         return got
@@ -578,17 +586,15 @@ def _repaired_tour_cycle(points: np.ndarray, p: float, r: float) -> np.ndarray:
     nearest in the tour.
     """
     tour = _serpentine_tour(points, p, r)
-    q = np.take(points, np.append(tour, tour[:1]), axis=0)
-    hop = lp_norms(p, q[1:, 0] - q[:-1, 0], q[1:, 1] - q[:-1, 1])
-    del q
-    if (hop > r).all():
+    at, length = _long_hops(points, p, r, tour)
+    if len(at) == len(tour):
         raise _TourRepair(points, p, r, tour).failure(0)
-    # rotate so that a short hop closes the tour
-    shift = int(np.argmax(hop <= r)) + 1
+    # rotate so that the first short hop (first i with at[i] != i) closes it
+    shift = int(np.argmax(np.append(at, len(tour)) != np.arange(len(at) + 1))) + 1
     tour = np.roll(tour, -shift)
-    hop = np.roll(hop, -shift)
-    at = np.flatnonzero(hop > r)
-    at = at[_stable_argsort(-hop[at])]
+    at = (at - shift) % len(tour)
+    by = np.argsort(at, kind="stable")
+    at = at[by][_stable_argsort(-length[by])]
     mend = _TourRepair(points, p, r, tour)
     pos = mend.pos
     for u, v in zip(tour[at].tolist(), tour[at + 1].tolist()):
@@ -601,7 +607,7 @@ def _repaired_tour_cycle(points: np.ndarray, p: float, r: float) -> np.ndarray:
             raise mend.failure(i)
     # the repair's index arrays go before the check allocates its own
     tour = mend.tour
-    del mend, pos, hop
+    del mend, pos
     report = verify_cycle(points, r, p, tour)
     if not report.valid:
         raise ConstructionError(
@@ -613,29 +619,13 @@ def _repaired_tour_cycle(points: np.ndarray, p: float, r: float) -> np.ndarray:
 
 
 # --------------------------------------------------------------------------
-# degenerate radius fallback and the full pipeline
+# the full pipeline
 # --------------------------------------------------------------------------
-
-def _angular_cycle(points: np.ndarray, r: float, p: float) -> np.ndarray:
-    """Order vertices by angle around the centroid; only usable when r is
-    so large the tessellation degenerates (r > 1)."""
-    centroid = points.mean(axis=0)
-    ang = np.arctan2(points[:, 1] - centroid[1], points[:, 0] - centroid[0])
-    cycle = np.lexsort((np.arange(len(points)), ang)).astype(np.int64)
-    report = verify_cycle(points, r, p, cycle)
-    if not report.valid:
-        raise ConstructionError(
-            FailureReason.RADIUS_DEGENERATE,
-            {"detail": "angular order has an overlong hop at this radius",
-             "position": report.violation.position,
-             "distance": report.violation.distance})
-    return cycle
-
 
 class ConstructionOutcome(NamedTuple):
     """A verified cycle. cells_per_side is the tessellation's subdivision
-    when the cycle came from the tessellation, and None whenever it did not:
-    the degenerate-radius path (r > 1) and the serpentine fallback."""
+    when the cycle came from the tessellation, and None when it came from
+    the serpentine fallback."""
 
     cycle: np.ndarray
     cells_per_side: Optional[int]
@@ -653,9 +643,10 @@ def full_construction(points: np.ndarray, p: float, r: float,
     a square's diameter 2/m can exceed r), the serpentine fallback builds
     the cycle instead, or raises Disconnected or EdgeTooLong. Every other
     failure of the tessellation path, LedgerExhausted included, is raised
-    as it is. r > 1 takes an angular order.
-    Raises ValueError for fewer than 3 points, points outside [0, 1]^2, and
-    radii that are not positive or too small for the tessellation.
+    as it is. Where no tessellation fits (tessellation_fits: r > 1, or r
+    below about 3e-9), the fallback answers alone. Raises ValueError for
+    fewer than 3 points, points outside [0, 1]^2, and radii that are not
+    positive.
     """
     p = validate_p(p)
     n = len(points)
@@ -664,34 +655,34 @@ def full_construction(points: np.ndarray, p: float, r: float,
     validate_points(points)
     if not r > 0.0:
         raise ValueError(f"radius must be positive, got {r}")
-    if r > 1.0:
-        return ConstructionOutcome(_angular_cycle(points, r, p), None)
     if cells_per_square is None:
         eps = unit_disk_area(p) - math.log(n) / (r * r * n)
         if eps > 0.0:
             cells_per_square, _ = choose_cells_per_side(p, eps)
         else:
             cells_per_square = 4
-    try:
-        cycle = _tessellation_cycle(points, p, r, cells_per_square)
-    except ConstructionError as exc:
-        # none of these is a certificate: the only Disconnected the
-        # tessellation path raises is a split of the augmented graph, and
-        # its EdgeTooLong is an overlong hop of its own cycle
-        if exc.reason not in (FailureReason.HOOK_MISSING,
-                              FailureReason.DISCONNECTED,
-                              FailureReason.EDGE_TOO_LONG):
-            raise
-    else:
-        return ConstructionOutcome(cycle, cells_per_square)
-    # the tessellation's arrays are released before the second constructor
+    if tessellation_fits(r, cells_per_square):
+        t = build_tessellation(p, r, cells_per_square)
+        # held through the fallback, which then reuses the pages of the
+        # classification's temporaries instead of faulting in fresh ones
+        cls = classify_cells(t, VertexSet(points))
+        try:
+            cycle = _tessellation_cycle(points, t, cls)
+        except ConstructionError as exc:
+            # none of these is a certificate: the only Disconnected the
+            # tessellation path raises is a split of the augmented graph,
+            # and its EdgeTooLong is an overlong hop of its own cycle
+            if exc.reason not in (FailureReason.HOOK_MISSING,
+                                  FailureReason.DISCONNECTED,
+                                  FailureReason.EDGE_TOO_LONG):
+                raise
+        else:
+            return ConstructionOutcome(cycle, cells_per_square)
     return ConstructionOutcome(_repaired_tour_cycle(points, p, r), None)
 
 
-def _tessellation_cycle(points: np.ndarray, p: float, r: float,
-                        cells_per_square: int) -> np.ndarray:
-    t = build_tessellation(p, r, cells_per_square)
-    cls = classify_cells(t, VertexSet(points))
+def _tessellation_cycle(points: np.ndarray, t: Tessellation,
+                        cls: CellClassification) -> np.ndarray:
     dg = build_density_graph(t, cls)
     ag = attach_sparse_groups(t, cls, dg)
     tree = spanning_tree(ag)

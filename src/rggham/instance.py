@@ -183,21 +183,63 @@ _MAX_SIDE = 1 << 32  # flat cell keys row * side + col then fit in uint64
 _PAIR_CHUNK = 1 << 21
 
 
-def radix_argsort(key: np.ndarray, bound: int) -> np.ndarray:
-    """np.argsort(key, kind="stable") for integer keys in [0, bound).
-
-    Least significant digit first, 16 bits a pass: a stable argsort of
-    uint16 digits, which numpy does by radix sort in linear time. The bound
-    sets the number of passes: one per 16 bits of bound - 1, at least one.
-    """
-    word = key.dtype.type
-    order = np.argsort((key & word(0xFFFF)).astype(np.uint16), kind="stable")
+def radix_sort(key: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
+    """np.argsort(key, kind="stable") for integer keys in [0, bound), and the
+    keys in that order (uint16 below 2^16): a stable argsort per 16-bit digit
+    of bound - 1, least significant first, which numpy radix-sorts in O(n)."""
+    digit = key.astype(np.uint16)
+    if bound <= 1 << 16:
+        del key     # occupied_cells hands over its only reference
+        order = np.argsort(digit, kind="stable")
+        return order, digit[order]
+    order = np.argsort(digit, kind="stable")
+    ranked = key[order]
+    del key, digit
     shift = 16
     while bound > 1 << shift:
-        digit = (key[order] >> word(shift)) & word(0xFFFF)
-        order = order[np.argsort(digit.astype(np.uint16), kind="stable")]
+        perm = np.argsort((ranked >> ranked.dtype.type(shift)).astype(np.uint16),
+                          kind="stable")
+        order = order[perm]
+        ranked = ranked[perm]
         shift += 16
-    return order
+    return order, ranked
+
+
+def sorted_runs(ranked: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of a sorted array, and the CSR starts of their runs."""
+    new = np.ones(len(ranked), dtype=bool)
+    np.not_equal(ranked[1:], ranked[:-1], out=new[1:])
+    first = np.flatnonzero(new)
+    return ranked[first], np.append(first, len(ranked))
+
+
+def occupied_cells(points: np.ndarray,
+                   side: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The occupied cells of a side x side grid over [0, 1]^2, side <= 2^32:
+    their keys row * side + col, ascending uint64, and CSR order and starts
+    (order[starts[i]:starts[i + 1]] lists cell i's vertices, ascending)."""
+    order, ranked = radix_sort(_cell_keys(points, side), side * side)
+    cells, starts = sorted_runs(ranked)
+    return cells.astype(np.uint64, copy=False), order, starts
+
+
+def _cell_keys(points: np.ndarray, side: int) -> np.ndarray:
+    """Every point's cell key row * side + col, computed in place."""
+    col, key = (np.empty(len(points), dtype=np.uint64) for _ in (0, 1))
+    for i, out in ((0, col), (1, key)):
+        np.multiply(points[:, i], side, out=out, casting="unsafe")
+        np.minimum(out, np.uint64(side - 1), out=out)
+    key *= np.uint64(side)
+    key += col
+    return key
+
+
+def find_slots(keys: np.ndarray, query) -> tuple[np.ndarray, np.ndarray]:
+    """The slot of each query key in the ascending array keys, and whether
+    it is there; a missing key gets some slot in range, to read and mask."""
+    query = np.asarray(query).astype(keys.dtype, copy=False)
+    slot = np.minimum(np.searchsorted(keys, query), len(keys) - 1)
+    return slot, keys[slot] == query
 
 
 def validate_points(points: np.ndarray) -> None:
@@ -212,9 +254,7 @@ def validate_points(points: np.ndarray) -> None:
 
 @dataclass(frozen=True)
 class SpatialIndex:
-    """The occupied cells of a side x side grid over [0, 1]^2, CSR style, in
-    O(n) memory: `cells` holds their flat keys row * side + col, ascending,
-    and `order[starts[i]:starts[i + 1]]` lists the vertices of cells[i]."""
+    """The occupied_cells of a side x side grid over [0, 1]^2."""
 
     points: np.ndarray
     r: float
@@ -242,17 +282,9 @@ def build_spatial_index(vs: VertexSet, r: float, p: float) -> SpatialIndex:
     if not 0.0 <= side <= _MAX_SIDE:
         raise ValueError(f"radius {r} is below the grid's resolution")
     side = max(1, math.ceil(side))
-    col, row = (np.minimum((pts[:, i] * side).astype(np.uint64),
-                           np.uint64(side - 1)) for i in (0, 1))
-    key = row * np.uint64(side) + col
-    order = radix_argsort(key, side * side)
-    key = key[order]
-    # the keys are sorted, so each cell starts where the key changes
-    new = np.ones(len(key), dtype=bool)
-    np.not_equal(key[1:], key[:-1], out=new[1:])
-    first = np.flatnonzero(new)
-    return SpatialIndex(points=pts, r=r, p=p, side=side, cells=key[first],
-                        order=order, starts=np.append(first, len(pts)))
+    cells, order, starts = occupied_cells(pts, side)
+    return SpatialIndex(points=pts, r=r, p=p, side=side, cells=cells,
+                        order=order, starts=starts)
 
 
 def _far_offsets(idx: SpatialIndex) -> list[tuple[int, int]]:
@@ -323,8 +355,7 @@ def _shifted(idx: SpatialIndex, row: np.ndarray, col: np.ndarray, dc: int,
     row, col = row + dr, col + dc
     i = np.flatnonzero((col >= 0) & (col < idx.side) & (row >= 0) & (row < idx.side))
     key = row[i].astype(np.uint64) * np.uint64(idx.side) + col[i].astype(np.uint64)
-    b = np.minimum(np.searchsorted(idx.cells, key), len(idx.cells) - 1)
-    hit = idx.cells[b] == key
+    b, hit = find_slots(idx.cells, key)
     return i[hit], b[hit]
 
 

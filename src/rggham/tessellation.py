@@ -34,7 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .geometry import _lp_from_abs, validate_p, unit_disk_area
-from .instance import VertexSet, radix_argsort
+from .instance import VertexSet, find_slots, occupied_cells, sorted_runs
 
 DENSE_THRESHOLD = 48
 FRIEND_CHEBYSHEV = 2
@@ -77,12 +77,6 @@ class Tessellation:
         g = self.grid
         return CellId(min(int(x * g), g - 1), min(int(y * g), g - 1))
 
-    def locate_many(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        g = self.grid
-        col = np.minimum((points[:, 0] * g).astype(np.int64), g - 1)
-        row = np.minimum((points[:, 1] * g).astype(np.int64), g - 1)
-        return col, row
-
     def square_of(self, cell: CellId) -> SquareId:
         k = self.cells_per_side
         return SquareId(cell.col // k, cell.row // k)
@@ -93,12 +87,18 @@ class Tessellation:
         return Box(cell.col * s, (cell.col + 1) * s, cell.row * s, (cell.row + 1) * s)
 
 
+def tessellation_fits(r: float, cells_per_square: int) -> bool:
+    """Whether 0 < r <= 1 and all g^2 flat ids fit int64 (r above ~3e-9 at k = 4)."""
+    return (0.0 < r <= 1.0
+            and (math.floor(2.0 / r) * cells_per_square) ** 2 <= np.iinfo(np.int64).max)
+
+
 def build_tessellation(p: float, r: float, cells_per_square: int) -> Tessellation:
     p = validate_p(p)
-    if not 0.0 < r <= 1.0:
-        raise ValueError(f"tessellation needs 0 < r <= 1, got {r}")
     if cells_per_square < 2:
         raise ValueError(f"need k >= 2 cells per square side, got {cells_per_square}")
+    if not tessellation_fits(r, cells_per_square):
+        raise ValueError(f"tessellation needs 0 < r <= 1 and int64 cell ids, got r = {r}")
     m = math.floor(2.0 / r)
     t = Tessellation(p=p, radius=r, squares_per_side=m,
                      cells_per_side=cells_per_square)
@@ -141,69 +141,59 @@ def close_offsets(t: Tessellation) -> list[tuple[int, int]]:
 
 @dataclass(frozen=True)
 class CellClassification:
-    """Per-cell occupancy, CSR vertex lists, and per-square density summary.
-
-    counts[flat_cell] is the cell occupancy; order/starts slice vertex
-    indices grouped by flat cell id, ascending vertex index within a cell.
-    """
+    """The occupied cells and squares, in O(n) memory: cells and squares
+    hold their flat ids, ascending. counts, dense_mask and starts align with
+    cells, and order[starts[i]:starts[i + 1]] lists the vertices of cells[i]
+    in ascending index order; the square_ arrays align with squares."""
 
     tessellation: Tessellation
+    cells: np.ndarray
     counts: np.ndarray
     order: np.ndarray
     starts: np.ndarray
     dense_mask: np.ndarray
+    squares: np.ndarray
     square_vertex_count: np.ndarray
     square_dense_count: np.ndarray
 
-    def cell_members(self, flat_cell: int) -> np.ndarray:
-        return self.order[self.starts[flat_cell]:self.starts[flat_cell + 1]]
+    def occupancy(self, flat) -> tuple[np.ndarray, np.ndarray]:
+        """Each flat id's slot in cells and its occupancy (0 if empty or -1)."""
+        slot, hit = find_slots(self.cells, flat)
+        return slot, np.where(hit, self.counts[slot], 0)
+
+    def dense(self, flat) -> np.ndarray:
+        return self.occupancy(flat)[1] >= DENSE_THRESHOLD
 
 
 def classify_cells(t: Tessellation, vs: VertexSet) -> CellClassification:
-    """Bucket the vertices by cell and mark the dense cells.
-
-    order lists the vertices by flat cell id, ascending vertex index within
-    a cell: a stable radix sort of the flat ids, whose bound g^2 sets the
-    number of 16-bit passes (one up to g = 256). The square summaries come
-    from starts read at the square-column edges of every cell row and from
-    the dense cells alone, not from reductions over all g^2 cells.
-
-    Raises ValueError when g^2 * n exceeds int64, r = 1e-9 at any n, for
-    every p: flat cell ids must fit int64, and such radii would ask for
-    dense per-cell arrays far beyond memory.
-    """
-    g = t.grid
-    m = t.squares_per_side
-    k = t.cells_per_side
-    n = len(vs)
-    if g * g * max(n, 1) > np.iinfo(np.int64).max:
-        raise ValueError(f"radius {t.radius} is below the tessellation's "
-                         f"resolution ({g} cells per side, {n} points)")
-    col, row = t.locate_many(vs.points)
-    flat = row
-    flat *= g
-    flat += col
-    del col, row
-    order = radix_argsort(flat, g * g).astype(np.int64, copy=False)
-    # at desk-scale n there are about four cells a vertex, so the per-cell
-    # arrays dominate memory: 32-bit while n fits
-    small = np.int32 if n <= np.iinfo(np.int32).max else np.int64
-    counts = np.bincount(flat, minlength=g * g).astype(small)
-    del flat
-    starts = np.zeros(g * g + 1, dtype=small)
-    np.cumsum(counts, out=starts[1:], dtype=small)
+    """Bucket the vertices by cell (occupied_cells) and mark the dense
+    cells; the square summaries group the occupied cells by square. Steps
+    work in place where they can: at large n, the memory a step churns is
+    page faults in the next one."""
+    g, m, k = t.grid, t.squares_per_side, t.cells_per_side
+    cells, order, starts = occupied_cells(vs.points, g)
+    cells = cells.view(np.int64)    # below g^2, which fits int64
+    counts = np.diff(starts)
     dense = counts >= DENSE_THRESHOLD
-    # starts at the square-column edges of each cell row, summed over the k
-    # rows of a square row, differ by the squares' vertex counts
-    left = starts[:-1].reshape(m, k, m, k)[:, :, :, 0].sum(axis=1)
-    right = starts[g::g].reshape(m, k).sum(axis=1)
-    square_vertex = np.diff(np.column_stack([left, right]), axis=1).reshape(-1)
-    at = np.flatnonzero(dense)
-    square_dense = np.bincount(at // g // k * m + at % g // k, minlength=m * m)
-    return CellClassification(tessellation=t, counts=counts, order=order,
-                              starts=starts, dense_mask=dense,
-                              square_vertex_count=square_vertex,
-                              square_dense_count=square_dense)
+    square, col = np.divmod(cells, g)
+    square //= k
+    square *= m
+    square += np.floor_divide(col, k, out=col)
+    del col
+    # the squares of each cell row ascend: a stable sort merges g runs
+    by = np.argsort(square, kind="stable")
+    squares, first = sorted_runs(square[by])
+    square_dense = np.bincount(find_slots(squares, square[dense])[0],
+                               minlength=len(squares))
+    del square
+    vertex = counts[by]
+    del by
+    np.cumsum(vertex, out=vertex)
+    vertex = np.diff(vertex[first[1:] - 1], prepend=0)
+    return CellClassification(
+        tessellation=t, cells=cells, counts=counts, order=order, starts=starts,
+        dense_mask=dense, squares=squares, square_vertex_count=vertex,
+        square_dense_count=square_dense)
 
 
 # --------------------------------------------------------------------------
@@ -340,17 +330,13 @@ def density_diagnostics(t: Tessellation, cls: CellClassification) -> Diagnostics
     all dense, and every sparse cell should see a close dense cell (the hook
     existence property the construction relies on).
     """
-    g = t.grid
-    k = t.cells_per_side
-    counts2 = cls.counts.reshape(g, g)  # [row, col]
-    dense2 = cls.dense_mask.reshape(g, g)
-
+    g, m, k = t.grid, t.squares_per_side, t.cells_per_side
     n_dense = int(cls.dense_mask.sum())
-    n_empty = int((cls.counts == 0).sum())
-    n_sparse = g * g - n_dense - n_empty
+    n_sparse = len(cls.cells) - n_dense
+    n_empty = g * g - len(cls.cells)
     sq_dense = int((cls.square_dense_count > 0).sum())
-    sq_empty = int((cls.square_vertex_count == 0).sum())
-    sq_sparse = t.squares_per_side ** 2 - sq_dense - sq_empty
+    sq_sparse = len(cls.squares) - sq_dense
+    sq_empty = m * m - len(cls.squares)
 
     try:
         quadrant = quadrant_close_count(t)
@@ -360,30 +346,27 @@ def density_diagnostics(t: Tessellation, cls: CellClassification) -> Diagnostics
     # corner regions: cells with box distance < 4y to two sides, i.e. the
     # four (4k x 4k) index corners of the grid
     block = min(4 * k, g)
+    span = np.arange(block)
     corner_bad: list[CellId] = []
     corner_total = 0
-    for rows in (range(0, block), range(g - block, g)):
-        for cols in (range(0, block), range(g - block, g)):
-            sub = dense2[rows.start:rows.stop, cols.start:cols.stop]
-            bad_r, bad_c = np.nonzero(~sub)
-            corner_total += bad_r.size
-            for br, bc in zip(bad_r, bad_c):
-                if len(corner_bad) < _VIOLATION_CAP:
-                    corner_bad.append(CellId(cols.start + int(bc), rows.start + int(br)))
+    for row0 in (0, g - block):
+        for col0 in (0, g - block):
+            flat = (row0 + span)[:, None] * g + (col0 + span)
+            bad = flat[~cls.dense(flat)]    # row-major
+            corner_total += bad.size
+            corner_bad += [CellId(int(c) % g, int(c) // g)
+                           for c in bad[:_VIOLATION_CAP - len(corner_bad)]]
 
-    # hook existence: OR of the dense mask shifted by every close offset
-    reachable = np.zeros((g, g), dtype=bool)
-    for dc, dr in close_offsets(t):
-        src_r = slice(max(0, -dr), g - max(0, dr))
-        src_c = slice(max(0, -dc), g - max(0, dc))
-        dst_r = slice(max(0, dr), g - max(0, -dr))
-        dst_c = slice(max(0, dc), g - max(0, -dc))
-        reachable[src_r, src_c] |= dense2[dst_r, dst_c]
-    sparse2 = (counts2 > 0) & ~dense2
-    hook_bad_r, hook_bad_c = np.nonzero(sparse2 & ~reachable)
-    hook_total = int(hook_bad_r.size)
-    hook_bad = [CellId(int(c), int(r))
-                for r, c in zip(hook_bad_r[:_VIOLATION_CAP], hook_bad_c[:_VIOLATION_CAP])]
+    # hook existence: a sparse cell must see a dense cell at some close
+    # offset; cells that do drop out, offset by offset
+    todo = cls.cells[~cls.dense_mask]
+    for dc, dr in close_offsets(t) if n_dense else ():
+        row, col = np.divmod(todo, g) + np.array([[dr], [dc]])
+        flat = np.where((row >= 0) & (row < g) & (col >= 0) & (col < g),
+                        row * g + col, -1)
+        todo = todo[~cls.dense(flat)]
+    hook_total = int(todo.size)
+    hook_bad = [CellId(int(c) % g, int(c) // g) for c in todo[:_VIOLATION_CAP]]
 
     return DiagnosticsReport(
         cells_per_side=k,

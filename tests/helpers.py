@@ -28,3 +28,16 @@ def square_cells(t, scol, srow):
     k = t.cells_per_side
     return {(scol * k + lc, srow * k + lr)
             for lr in range(k) for lc in range(k)}
+
+
+def grid_cells(t, points):
+    """A dense reference for the classification, built from the points
+    alone: over every flat cell id row * g + col of the g x g grid, the
+    occupancy, and order / starts listing each cell's vertices in ascending
+    index order (order[starts[c]:starts[c + 1]] for cell c)."""
+    col, row = (np.minimum((np.asarray(points)[:, i] * t.grid).astype(np.int64),
+                           t.grid - 1) for i in (0, 1))
+    flat = row * t.grid + col
+    counts = np.bincount(flat, minlength=t.grid ** 2)
+    starts = np.concatenate([[0], np.cumsum(counts)])
+    return counts, np.argsort(flat, kind="stable"), starts

@@ -4,7 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from helpers import cell_points, filled_grid
+from helpers import cell_points, filled_grid, grid_cells
 from rggham import auxgraphs
 from rggham.auxgraphs import (AugmentedGraph, DensityGraph, GroupKey,
                               SpanningTree, _close_cell_pairs, _closeness,
@@ -73,12 +73,15 @@ def test_close_cell_pairs_match_a_scan_of_cells_close(p, r, k):
             assert list(zip(da.tolist(), db.tolist())) == want
 
 
-def _scanned_density_graph(t, cls):
+def _scanned_density_graph(t, pts):
     """Edges and witnesses by a scan: every dense square R, its dense
     friends S after it in row-major order, and the first close pair of
-    dense cells, R's cells then S's cells, both row-major."""
+    dense cells, R's cells then S's cells, both row-major. Density comes
+    from per-cell counts over the whole grid, built from the points."""
     m, k, g = t.squares_per_side, t.cells_per_side, t.grid
-    dense = [s for s in range(m * m) if cls.square_dense_count[s] > 0]
+    dense_mask = grid_cells(t, pts)[0] >= DENSE_THRESHOLD
+    square_dense_count = dense_mask.reshape(m, k, m, k).sum(axis=(1, 3)).ravel()
+    dense = [s for s in range(m * m) if square_dense_count[s] > 0]
     adjacency = {s: [] for s in dense}
     witness = {}
     for r_sq in dense:
@@ -87,7 +90,7 @@ def _scanned_density_graph(t, cls):
             for s_col in range(r_col - 2, r_col + 3):
                 s_sq = s_row * m + s_col
                 if (not (0 <= s_row < m and 0 <= s_col < m) or s_sq <= r_sq
-                        or cls.square_dense_count[s_sq] == 0):
+                        or square_dense_count[s_sq] == 0):
                     continue
                 pairs = ((ra * g + rc, sa * g + sc)
                          for ra in range(r_row * k, r_row * k + k)
@@ -96,7 +99,7 @@ def _scanned_density_graph(t, cls):
                          for sc in range(s_col * k, s_col * k + k)
                          if cells_close(t, CellId(rc, ra), CellId(sc, sa)))
                 for ca, cb in pairs:
-                    if cls.dense_mask[ca] and cls.dense_mask[cb]:
+                    if dense_mask[ca] and dense_mask[cb]:
                         witness[(r_sq, s_sq)] = (ca, cb)
                         adjacency[r_sq].append(s_sq)
                         adjacency[s_sq].append(r_sq)
@@ -116,9 +119,9 @@ def test_density_graph_matches_a_scan_of_friend_pairs(p, share, chunk,
     t = build_tessellation(p, 0.2, 4)
     rng = np.random.default_rng(int(share * 100))
     cells = np.flatnonzero(rng.random(t.grid ** 2) < share)
-    cls = classify(t, [dense(t, c % t.grid, c // t.grid) for c in cells])
-    dg = build_density_graph(t, cls)
-    adjacency, witness = _scanned_density_graph(t, cls)
+    pts = np.vstack([dense(t, c % t.grid, c // t.grid) for c in cells])
+    dg = build_density_graph(t, classify_cells(t, VertexSet(pts)))
+    adjacency, witness = _scanned_density_graph(t, pts)
     assert dg.adjacency == {s: sorted(v) for s, v in adjacency.items()}
     assert list(dg.witness.items()) == list(witness.items())
     assert len(witness) > 0

@@ -121,6 +121,22 @@ def test_ham_failure_prints_machine_readable_json(tmp_path, capsys):
     assert not is_connected(build_spatial_index(vs, payload["r"], 2.0))
 
 
+def test_ham_tiny_radius_fails_typed(tmp_path, capsys):
+    # r = 1e-6 once asked for per-cell arrays of about 466 TiB; now the
+    # failure is the usual JSON line with a certificate, and nothing else
+    pts = tmp_path / "pts.csv"
+    main(["gen", "-n", "1000", "-p", "2", "--radius", "0.3", "-o", str(pts)])
+    capsys.readouterr()
+    code = main(["ham", "--points", str(pts), "-p", "2", "--radius", "1e-6"])
+    cap = capsys.readouterr()
+    assert code == 10
+    assert cap.err == ""
+    payload = json.loads(cap.out)
+    assert payload["outcome"] == "Failure"
+    assert payload["reason"] == FailureReason.DISCONNECTED.value
+    assert payload["r"] == 1e-6 and payload["n"] == 1000
+
+
 def test_ham_too_few_points_is_usage_error(tmp_path, capsys):
     pts = tmp_path / "two.csv"
     pts.write_text("x,y\n0.1,0.1\n0.2,0.2\n")

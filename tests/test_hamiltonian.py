@@ -1,11 +1,17 @@
 import hashlib
 import math
+import os
+import pathlib
+import subprocess
+import sys
+import textwrap
 import time
 
 import numpy as np
 import pytest
 
-from helpers import cell_points
+from helpers import cell_points, grid_cells
+from rggham import hamiltonian
 from rggham.auxgraphs import (GroupKey, attach_sparse_groups,
                                build_density_graph, euler_traversal,
                                spanning_tree)
@@ -15,9 +21,11 @@ from rggham.hamiltonian import (_cell_gaps, _gather, _remainder_runs,
                                 _serpentine_orders, _tessellation_cycle,
                                 _withdrawal_positions, construct_cycle,
                                 full_construction, verify_cycle)
-from rggham.instance import VertexSet, threshold_radius
+from rggham.instance import (VertexSet, build_spatial_index, is_connected,
+                             threshold_radius)
 from rggham.tessellation import (DENSE_THRESHOLD, CellId, build_tessellation,
-                                 cells_close, classify_cells)
+                                 cells_close, classify_cells,
+                                 tessellation_fits)
 
 
 def rand_points(n, seed):
@@ -74,7 +82,7 @@ def test_ledger_drain_is_uncounted_remainder():
     lo, size = _remainder_runs(cls, [0], [0, 0, 0])
     assert size.tolist() == [57]
     rest = _gather(cls.order, lo, size).tolist()
-    assert sorted(first + rest) == list(cls.cell_members(0))
+    assert sorted(first + rest) == list(range(60))
     # every vertex withdrawn: nothing remains
     assert _remainder_runs(cls, [0], [0] * 60)[1].tolist() == [0]
 
@@ -280,6 +288,23 @@ def test_verify_matches_the_reference_on_odd_input(p):
             _assert_same_verdict(points, r, p, cycle)
 
 
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0, math.inf])
+def test_long_hops_in_small_chunks(p, monkeypatch):
+    # chunks of 3 hops: long hops fall on every chunk position, the closing
+    # hop included, and every verdict and length is the reference's
+    monkeypatch.setattr(hamiltonian, "_HOP_CHUNK", 3)
+    rng = np.random.default_rng(11)
+    pts = rng.random((20, 2))
+    for r in (0.0, 0.2, 0.5, 2.0):
+        for cycle in (np.arange(20), rng.permutation(20), rng.permutation(20)):
+            q = pts[cycle]
+            d = lp_norms(p, *(np.roll(q, -1, axis=0) - q).T)
+            at, length = hamiltonian._long_hops(pts, p, r, cycle)
+            assert at.tolist() == np.flatnonzero(d > r).tolist()
+            assert np.array_equal(length, d[d > r])
+            _assert_same_verdict(pts, r, p, cycle)
+
+
 # --------------------------------------------------------------------------
 # construction end to end
 # --------------------------------------------------------------------------
@@ -381,22 +406,23 @@ def test_construction_keeps_group_vertices_contiguous():
 
 class ReferenceLedger:
     """Withdrawals one call at a time: take() counted and capped, drain()
-    uncounted; ascending vertex index within a cell either way."""
+    uncounted; ascending vertex index within a cell either way. It keeps
+    its own arrays over every flat cell id, built from the points
+    (grid_cells), so it shares no lookup with construct_cycle."""
 
-    def __init__(self, cls):
-        self.cls = cls
-        self.cursor = np.zeros(len(cls.counts), dtype=np.int64)
-        self.taken = np.zeros(len(cls.counts), dtype=np.int64)
+    def __init__(self, t, points):
+        self.counts, self.order, self.starts = grid_cells(t, points)
+        self.cursor = np.zeros(len(self.counts), dtype=np.int64)
+        self.taken = np.zeros(len(self.counts), dtype=np.int64)
 
     def take(self, cell):
-        cls = self.cls
-        if (self.cursor[cell] >= cls.counts[cell]
+        if (self.cursor[cell] >= self.counts[cell]
                 or self.taken[cell] >= DENSE_THRESHOLD):
             raise ConstructionError(
                 FailureReason.LEDGER_EXHAUSTED,
-                {"cell": int(cell), "occupancy": int(cls.counts[cell]),
+                {"cell": int(cell), "occupancy": int(self.counts[cell]),
                  "withdrawn": int(self.taken[cell])})
-        v = cls.order[cls.starts[cell] + self.cursor[cell]]
+        v = self.order[self.starts[cell] + self.cursor[cell]]
         self.cursor[cell] += 1
         self.taken[cell] += 1
         return int(v)
@@ -404,7 +430,7 @@ class ReferenceLedger:
     def drain(self, cells):
         out = []
         for c in np.atleast_1d(cells).tolist():
-            members = self.cls.cell_members(c)
+            members = self.order[self.starts[c]:self.starts[c + 1]]
             out.extend(members[self.cursor[c]:].tolist())
             self.cursor[c] = len(members)
         return out
@@ -418,7 +444,7 @@ def reference_sweep(t, ledger, square, start_near, end_near):
     for v, steps in enumerate(_serpentine_orders(k).tolist()):
         cells = [(srow * k + row) * g + scol * k + col for col, row in steps]
         left = [c for c in cells
-                if ledger.cls.counts[c] - ledger.cursor[c] > 0]
+                if ledger.counts[c] - ledger.cursor[c] > 0]
         ends = (left[0], left[-1]) if left else (cells[0], cells[-1])
 
         def gap(cell, near):
@@ -435,7 +461,7 @@ def reference_sweep(t, ledger, square, start_near, end_near):
 
 def reference_cycle(points, t, cls, ag, order):
     """The cycle built one step of the euler walk at a time."""
-    ledger = ReferenceLedger(cls)
+    ledger = ReferenceLedger(t, points)
     last_pos = {node: i for i, node in enumerate(order)}
     cycle = []
     prev = None     # cell of the vertex placed last
@@ -566,7 +592,8 @@ def test_full_construction_k_override():
     assert verify_cycle(pts, WORKING["r"], 2.0, out.cycle).valid
 
 
-def test_degenerate_radius_uses_angular_order():
+def test_degenerate_radius_uses_the_fallback():
+    # no tessellation exists for r > 1: the serpentine fallback answers
     pts = rand_points(50, 3)
     out = full_construction(pts, 2.0, 1.5)
     assert out.cells_per_side is None
@@ -575,14 +602,21 @@ def test_degenerate_radius_uses_angular_order():
 
 
 def test_degenerate_radius_failure_is_typed():
+    # two clusters in opposite corners, about 1.4 apart: the graph is
+    # disconnected, and the fallback stops at the hop between them, whose
+    # ends each have their four cluster mates as neighbours
     rng = np.random.default_rng(4)
     a = 0.01 * rng.random((5, 2))
     b = 1.0 - 0.01 * rng.random((5, 2))
     pts = np.vstack([a, b])
+    assert not is_connected(build_spatial_index(VertexSet(pts), 1.01, 2.0))
     with pytest.raises(ConstructionError) as err:
         full_construction(pts, 2.0, 1.01)
-    assert err.value.reason is FailureReason.RADIUS_DEGENERATE
-    assert err.value.context["distance"] > 1.01
+    assert err.value.reason is FailureReason.EDGE_TOO_LONG
+    ctx = err.value.context
+    assert ctx["degrees"] == [4, 4]
+    assert ctx["distance"] == pytest.approx(1.401, abs=1e-3)
+    assert ctx["distance"] > ctx["radius"] == 1.01
 
 
 def test_midrange_fuzz_returns_cycle_or_typed_failure():
@@ -692,7 +726,8 @@ def test_split_augmented_graph_falls_back(n, p, r, seed):
     # no certificate and the fallback builds the cycle
     pts = rand_points(n, seed)
     with pytest.raises(ConstructionError) as err:
-        _tessellation_cycle(pts, p, r, 4)
+        t = build_tessellation(p, r, 4)
+        _tessellation_cycle(pts, t, classify_cells(t, VertexSet(pts)))
     reason, detail = TESSELLATION_GIVES_UP[n, p, r, seed]
     assert err.value.reason is reason
     assert err.value.context.get("detail") == detail
@@ -754,6 +789,53 @@ def test_full_construction_rejects_points_outside_the_square(bad, r):
 @pytest.mark.parametrize("r", [1e-9, 2e-9])
 def test_tiny_radius_is_a_value_error(p, r):
     # 2e-9 leaves fewer than 2^32 cells per side, but their flat ids squared
-    # already overflow int64
-    with pytest.raises(ValueError, match="resolution"):
-        full_construction(rand_points(10, 0), p, r)
+    # already overflow int64: build_tessellation refuses such radii, so
+    # full_construction leaves the instance to the fallback
+    assert not tessellation_fits(r, 4)
+    with pytest.raises(ValueError, match="int64"):
+        build_tessellation(p, r, 4)
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
+@pytest.mark.parametrize("r", [1e-6, 1e-9, 2e-9])
+def test_tiny_radius_fails_typed(p, r):
+    # 1e-6 tessellates sparsely and falls back at HookMissing; at 1e-9 and
+    # 2e-9 the flat ids of the tessellation's cells would overflow int64,
+    # so the fallback answers alone. Spread points are isolated; coincident
+    # ones are a clique, and get a cycle
+    pts = rand_points(1000, 0)
+    with pytest.raises(ConstructionError) as err:
+        full_construction(pts, p, r)
+    assert err.value.reason is FailureReason.DISCONNECTED
+    assert err.value.context["radius"] == r
+    for xy in ([0.3, 0.7], [1.0, 1.0]):
+        same = np.array([xy] * 4)
+        out = full_construction(same, p, r)
+        assert out.cells_per_side is None
+        assert verify_cycle(same, r, p, out.cycle).valid
+
+
+def test_tiny_radius_runs_in_little_memory():
+    # about 466 TiB of per-cell arrays at r = 1e-6 before the grid was
+    # sparse; every tiny radius now fits under a 2 GB address-space cap
+    code = textwrap.dedent("""
+        import math, resource
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+        import numpy as np
+        from rggham.failures import ConstructionError
+        from rggham.hamiltonian import full_construction
+        pts = np.random.Generator(np.random.PCG64(0)).random((1000, 2))
+        for r in (1e-6, 1e-9, 2e-9):
+            for p in (1.0, 2.0, math.inf):
+                try:
+                    full_construction(pts, p, r)
+                except ConstructionError as exc:
+                    print(exc.reason.value)
+    """)
+    src = str(pathlib.Path(hamiltonian.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, OMP_NUM_THREADS="1",
+               OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["Disconnected"] * 9

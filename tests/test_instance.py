@@ -9,9 +9,9 @@ from rggham import instance
 from rggham.geometry import lp_distance, lp_norms
 from rggham.instance import (EpsilonAbove, EpsilonBelow, ExplicitRadius,
                              InstanceConfig, ThresholdMultiple, VertexSet,
-                             build_spatial_index, is_connected, max_radius,
-                             radix_argsort, resolve_radius, sample_points,
-                             threshold_radius)
+                             build_spatial_index, find_slots, is_connected,
+                             max_radius, occupied_cells, radix_sort,
+                             resolve_radius, sample_points, threshold_radius)
 
 # frozen reference radii, checked against direct sqrt(log n / (area n))
 THRESHOLD_CASES = [
@@ -332,8 +332,48 @@ def test_radix_argsort_is_the_stable_argsort(bound, dtype):
              rng.choice(values, 3000), np.zeros(0, dtype), values[-1:],
              np.full(50, values[-1])]
     for key in keyed:
-        got = radix_argsort(key, bound)
-        assert np.array_equal(got, np.argsort(key, kind="stable"))
+        want = np.argsort(key, kind="stable")
+        order, ranked = radix_sort(key, bound)
+        assert np.array_equal(order, want)
+        assert ranked.dtype == (np.uint16 if bound <= 2**16 else key.dtype)
+        assert np.array_equal(ranked, key[want])
+
+
+def _cell_key(x, y, side):
+    """Flat cell key row * side + col of one point, in Python integers."""
+    return min(int(y * side), side - 1) * side + min(int(x * side), side - 1)
+
+
+@pytest.mark.parametrize("side", [1, 2, 2**16 + 1, 2**32])
+def test_occupied_cells_is_a_stable_sort_by_cell(side):
+    rng = np.random.default_rng(side % 1000)
+    edges = np.array([[1.0, 1.0], [1.0, 0.0], [0.0, 1.0], [0.0, 0.0],
+                      [1.0, 0.5], [0.5, 1.0], [1.0 - 1e-16, 1.0]])
+    cases = {
+        "random": rng.random((2000, 2)),
+        # a few places, many points each, in shuffled order
+        "coincident": np.repeat(rng.random((5, 2)), 40, axis=0)[
+            rng.permutation(200)],
+        "at 1.0": np.vstack([edges, rng.random((20, 2)), edges]),
+        "empty": np.zeros((0, 2)),
+    }
+    for name, pts in cases.items():
+        key = np.array([_cell_key(x, y, side) for x, y in pts.tolist()],
+                       dtype=np.uint64)
+        want_order = np.argsort(key, kind="stable")
+        want_cells, first = np.unique(key[want_order], return_index=True)
+        cells, order, starts = occupied_cells(pts, side)
+        assert cells.dtype == np.uint64, name
+        assert np.array_equal(cells, want_cells), name
+        assert np.array_equal(order, want_order), name
+        assert np.array_equal(starts, np.append(first, len(pts))), name
+        # every occupied key is found in its slot; others are missed
+        slot, hit = find_slots(cells, key)
+        assert hit.all() and np.array_equal(cells[slot], key), name
+        if len(cells):
+            probe = np.setdiff1d(np.array([0, 1, 2**63, 2**64 - 1],
+                                          dtype=np.uint64), cells)
+            assert not find_slots(cells, probe)[1].any(), name
 
 
 def test_build_spatial_index_rejects_unusable_input():

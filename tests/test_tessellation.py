@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import cell_points, filled_grid
+from helpers import cell_points, filled_grid, grid_cells
 from rggham.auxgraphs import build_density_graph
 from rggham.geometry import max_box_distance, unit_disk_area
-from rggham.instance import VertexSet
+from rggham.instance import VertexSet, find_slots
 from rggham.tessellation import (DENSE_THRESHOLD, FRIEND_CHEBYSHEV,
                                  MAX_CELLS_PER_SIDE, MAX_FRIENDS, CellId,
                                  SquareId,
@@ -52,12 +52,14 @@ def test_locate_boundaries():
 
 @given(st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
                 min_size=1, max_size=40))
-def test_locate_many_matches_scalar(pairs):
+def test_classification_cells_match_scalar_locate(pairs):
+    # the classification files every point where locate puts it
     t = build_tessellation(2.0, 0.37, 4)
-    pts = np.array(pairs)
-    col, row = t.locate_many(pts)
-    for i, (x, y) in enumerate(pairs):
-        assert (col[i], row[i]) == t.locate(x, y)
+    cls = classify_cells(t, VertexSet(np.array(pairs)))
+    for i, flat in enumerate(cls.cells.tolist()):
+        for v in cls.order[cls.starts[i]:cls.starts[i + 1]].tolist():
+            x, y = pairs[v]
+            assert CellId(flat % t.grid, flat // t.grid) == t.locate(x, y)
 
 
 def test_square_of_and_cell_box():
@@ -146,20 +148,24 @@ def test_classify_counts_and_density():
     ])
     cls = classify_cells(t, VertexSet(pts))
     g = t.grid
+    # only the occupied cells are listed, by ascending flat id
+    assert cls.cells.tolist() == [0, 1, 9 * g + 5]
     assert cls.counts.sum() == len(pts)
-    assert cls.counts[0] == DENSE_THRESHOLD
-    assert cls.counts[1] == DENSE_THRESHOLD - 1
-    assert cls.counts[9 * g + 5] == 3
-    assert bool(cls.dense_mask[0]) is True
-    assert bool(cls.dense_mask[1]) is False
+    assert cls.counts.tolist() == [DENSE_THRESHOLD, DENSE_THRESHOLD - 1, 3]
+    assert cls.dense_mask.tolist() == [True, False, False]
     assert np.array_equal(cls.dense_mask, cls.counts >= DENSE_THRESHOLD)
+    # the same values through the flat-id lookup
+    slot, hit = find_slots(cls.cells, [0, 1, 9 * g + 5, 2])
+    assert hit.tolist() == [True, True, True, False]
+    assert cls.counts[slot[:3]].tolist() == [DENSE_THRESHOLD,
+                                             DENSE_THRESHOLD - 1, 3]
     # square summaries
     m = t.squares_per_side
-    assert cls.square_vertex_count[0] == 2 * DENSE_THRESHOLD - 1
-    assert cls.square_dense_count[0] == 1
-    assert cls.square_vertex_count.sum() == len(pts)
     srow, scol = 9 // 4, 5 // 4
-    assert cls.square_vertex_count[srow * m + scol] == 3
+    assert cls.squares.tolist() == [0, srow * m + scol]
+    assert cls.square_vertex_count.tolist() == [2 * DENSE_THRESHOLD - 1, 3]
+    assert cls.square_dense_count.tolist() == [1, 0]
+    assert cls.square_vertex_count.sum() == len(pts)
 
 
 @pytest.mark.parametrize("k", [4, 6, 8])
@@ -174,12 +180,18 @@ def test_classify_square_summaries_match_reshape_sums(k, with_dense):
         blocks += [cell_points(t, c, r, DENSE_THRESHOLD + 2)
                    for c, r in ((0, 0), (g - 1, 0), (0, g - 1), (g - 1, g - 1),
                                 (k + 1, g - 1), (g - 1, k), (k, k))]
-    cls = classify_cells(t, VertexSet(np.vstack(blocks)))
-    vertex = cls.counts.reshape(m, k, m, k).sum(axis=(1, 3)).reshape(-1)
-    dense = cls.dense_mask.reshape(m, k, m, k).sum(axis=(1, 3)).reshape(-1)
+    pts = np.vstack(blocks)
+    cls = classify_cells(t, VertexSet(pts))
+    # the reference sums a dense per-cell array over the k x k cells of
+    # every square, and lists the squares that hold a vertex
+    counts, _, _ = grid_cells(t, pts)
+    vertex = counts.reshape(m, k, m, k).sum(axis=(1, 3)).reshape(-1)
+    dense = (counts >= DENSE_THRESHOLD).reshape(m, k, m, k).sum(axis=(1, 3)).reshape(-1)
     assert dense.any() == with_dense
-    for got, want in ((cls.square_vertex_count, vertex),
-                      (cls.square_dense_count, dense)):
+    occupied = np.flatnonzero(vertex)
+    assert np.array_equal(cls.squares, occupied)
+    for got, want in ((cls.square_vertex_count, vertex[occupied]),
+                      (cls.square_dense_count, dense[occupied])):
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
 
@@ -190,10 +202,13 @@ def test_classify_members_grouped_and_ascending():
     pts = rng.random((500, 2))
     cls = classify_cells(t, VertexSet(pts))
     g = t.grid
+    counts, order, starts = grid_cells(t, pts)
+    assert np.array_equal(cls.cells, np.flatnonzero(counts))
+    assert np.array_equal(cls.order, order)
     seen = []
-    for flat in range(g * g):
-        mem = cls.cell_members(flat)
-        assert len(mem) == cls.counts[flat]
+    for i, flat in enumerate(cls.cells.tolist()):
+        mem = cls.order[cls.starts[i]:cls.starts[i + 1]]
+        assert len(mem) == cls.counts[i] == counts[flat]
         assert np.all(np.diff(mem) > 0) or len(mem) <= 1
         for v in mem:
             c = t.locate(pts[v, 0], pts[v, 1])
