@@ -3,15 +3,18 @@
 A trial samples an instance, times the construction pipeline (tessellation
 through the verified cycle; sampling and the connectivity check are not part
 of the timed span), and records either the verified cycle or the typed
-failure. A verified cycle certifies connectivity, so the connectivity check
-(union-find over the occupied cells of a sparse grid, see instance.py) runs
-only when construction fails. The tessellation, the fallback's buckets and
-the check each bucket the points once, by instance.occupied_cells. At and
-below the threshold the check usually ends at an isolated vertex, found
-right after neighbouring cells are joined, before any farther cells are
-paired. A sweep aggregates trials per (n, radius multiplier) pair into one
-summary row; trial seeds are assigned from a single base seed by global
-trial index so any trial can be reproduced in isolation.
+failure. A verified cycle certifies connectivity, and a Disconnected failure
+certifies the opposite (a vertex with no neighbour within r), so the
+connectivity check (union-find over the occupied cells of a sparse grid, see
+instance.py) runs only after other failures. The tessellation, the
+fallback's buckets and the check each bucket the points once, by
+instance.occupied_cells. At and below the threshold the check usually ends
+at an isolated vertex, found right after touching cells are joined, before
+any farther cells are paired; above it, only the cells outside the largest
+component are searched from. A sweep aggregates trials per (n, radius
+multiplier) pair into one summary row; trial seeds are assigned from a
+single base seed by global trial index so any trial can be reproduced in
+isolation.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .failures import ConstructionError
+from .failures import ConstructionError, FailureReason
 from .hamiltonian import full_construction
 from .instance import (ExplicitRadius, InstanceConfig, ThresholdMultiple,
                        build_spatial_index, is_connected, resolve_radius,
@@ -60,8 +63,12 @@ def run_trial(n: int, p: float, r: float, seed: int,
     """One sampled instance through the pipeline; never raises on failure.
 
     With check_connectivity, connected is True for a verified cycle (a
-    Hamiltonian cycle spans a connected graph) and is_connected's answer
-    otherwise; without it, connected stays False.
+    Hamiltonian cycle spans a connected graph), False for a Disconnected
+    failure, and is_connected's answer otherwise; without it, connected
+    stays False. full_construction raises Disconnected only from its
+    fallback, at a vertex with no neighbour within r: among n >= 3 vertices
+    that is a certificate, and it needs no grid at r, which at radii below
+    about 6.6e-10 (p = 2) build_spatial_index cannot build.
     """
     import time
 
@@ -79,7 +86,7 @@ def run_trial(n: int, p: float, r: float, seed: int,
         reason = exc.reason.value
     wall_ms = (time.perf_counter() - t0) * 1e3
     connected = False
-    if check_connectivity:
+    if check_connectivity and reason != FailureReason.DISCONNECTED.value:
         connected = cycle_ok or is_connected(build_spatial_index(vs, r, p))
     return TrialResult(n=n, p=p, r=r, seed=seed,
                        outcome=OUTCOME_CYCLE if cycle_ok else OUTCOME_FAILURE,

@@ -417,9 +417,12 @@ def _serpentine_tour(points: np.ndarray, p: float, r: float) -> np.ndarray:
     right and left, each sorted by x, then column 0 is swept down back to
     the start. g is even, so the last row ends beside column 0 and the tour
     closes. Two vertices of a row that are at most 1/g apart in x are
-    within r, so hops longer than r mostly sit at gaps in a row.
+    within r, so hops longer than r mostly sit at gaps in a row. g is
+    capped at 2^32, where ||(1, 1)||_p / r is beyond it (r below about
+    3e-10) or infinite: any tour still serves the repair, which at such
+    radii finds almost no pair within r.
     """
-    g = math.ceil(_lp_from_abs(p, 1.0, 1.0) / r)
+    g = math.ceil(min(_lp_from_abs(p, 1.0, 1.0) / r, 2.0 ** 32))
     g += g % 2
     gx = points[:, 0] * g
     key = points[:, 1] * g
@@ -656,7 +659,8 @@ def full_construction(points: np.ndarray, p: float, r: float,
     if not r > 0.0:
         raise ValueError(f"radius must be positive, got {r}")
     if cells_per_square is None:
-        eps = unit_disk_area(p) - math.log(n) / (r * r * n)
+        # divided twice, not by r * r, which is 0 below about 1e-162
+        eps = unit_disk_area(p) - math.log(n) / (r * n) / r
         if eps > 0.0:
             cells_per_square, _ = choose_cells_per_side(p, eps)
         else:

@@ -299,12 +299,51 @@ def _far_offsets(idx: SpatialIndex) -> list[tuple[int, int]]:
             if gap <= idx.r * (1.0 + _REL_SLACK) + _ABS_SLACK]
 
 
+def _near_pairs(cells: np.ndarray, col: np.ndarray,
+                side: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The slots (a, b) of every two occupied cells that touch, b after a in
+    row-major order, in four arrays: b at (row, col + 1), then b at any of
+    (row + 1, col - 1 .. col + 1), one array per search slot.
+
+    cells holds ascending uint64 keys row * side + col, and col their
+    columns. The three cells of the next row have keys key + side - 1 ..
+    key + side + 1, so those that are occupied sit at the first three slots
+    at or after key + side - 1.
+    """
+    # uint64 scalars from Python ints: numpy 1.x turns np.uint64 - 1 into
+    # a float64, which rounds keys above 2^53
+    last = np.uint64(side - 1)
+    a = np.flatnonzero((cells[1:] - cells[:-1] == 1) & (col[:-1] != last))
+    pairs = [(a, a + 1)]
+    # only cells above the last row have a next row; their searched keys
+    # stay below side^2 <= 2^64
+    lead = np.searchsorted(cells, np.uint64(side * (side - 1)))
+    want = cells[:lead] + last
+    first = np.searchsorted(cells, want)
+    left, right = col[:lead] != 0, col[:lead] != last
+    for d in range(3):
+        # first ascends, so slot first + d exists on a prefix
+        m = np.searchsorted(first, len(cells) - d)
+        # 0, 1, 2 for columns col - 1, col, col + 1 of the next row
+        delta = cells[first[:m] + d] - want[:m]
+        a = np.flatnonzero((delta == 1) | ((delta == 0) & left[:m])
+                           | ((delta == 2) & right[:m]))
+        pairs.append((a, first[a] + d))
+    return pairs
+
+
+def _runs(idx: SpatialIndex, first: np.ndarray,
+          cnt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """idx.order[first[i]:first[i] + cnt[i]] for every i, joined, with the
+    i of each entry."""
+    at = np.repeat(np.arange(len(cnt)), cnt)
+    return at, idx.order[np.arange(len(at)) + (first + cnt - np.cumsum(cnt))[at]]
+
+
 def _members(idx: SpatialIndex, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vertices of the listed cells, with the position in cells of each."""
     first = idx.starts[cells]
-    cnt = idx.starts[cells + 1] - first
-    at = np.repeat(np.arange(len(cells)), cnt)
-    return at, idx.order[np.arange(len(at)) + (first + cnt - np.cumsum(cnt))[at]]
+    return _runs(idx, first, idx.starts[cells + 1] - first)
 
 
 def _hook(parent: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
@@ -348,75 +387,110 @@ def _hook_close(idx: SpatialIndex, parent: np.ndarray, a: np.ndarray,
         _hook(parent, a[hit], b[hit])
 
 
-def _shifted(idx: SpatialIndex, row: np.ndarray, col: np.ndarray, dc: int,
-             dr: int) -> tuple[np.ndarray, np.ndarray]:
-    """Positions i at which cell (row[i] + dr, col[i] + dc) is occupied, and
-    that cell's index in idx.cells."""
-    row, col = row + dr, col + dc
-    i = np.flatnonzero((col >= 0) & (col < idx.side) & (row >= 0) & (row < idx.side))
-    key = row[i].astype(np.uint64) * np.uint64(idx.side) + col[i].astype(np.uint64)
-    b, hit = find_slots(idx.cells, key)
-    return i[hit], b[hit]
+def _inside(x: np.ndarray, d: int, side: int) -> np.ndarray:
+    """Whether 0 <= x + d < side, for uint64 x in [0, side) and |d| < side."""
+    return x >= np.uint64(-d) if d < 0 else x < np.uint64(side - d)
 
 
-def _isolated_vertex(idx: SpatialIndex, parent: np.ndarray, row: np.ndarray,
+def _wrapped(d: int) -> np.uint64:
+    """d as a uint64 that adds modulo 2^64, so that key + d is exact
+    wherever the true sum lies in [0, 2^64)."""
+    return np.uint64(d % (1 << 64))
+
+
+def _shifted(idx: SpatialIndex, src: np.ndarray, row: np.ndarray,
+             col: np.ndarray, dc: int, dr: int) -> tuple[np.ndarray, np.ndarray]:
+    """The cells src[i] (at row[i], col[i]) whose cell (row + dr, col + dc)
+    is occupied, and that cell's slot in idx.cells."""
+    i = np.flatnonzero(_inside(row, dr, idx.side) & _inside(col, dc, idx.side))
+    b, hit = find_slots(idx.cells, idx.cells[src[i]] + _wrapped(dr * idx.side + dc))
+    return src[i[hit]], b[hit]
+
+
+def _isolated_vertex(idx: SpatialIndex, lone: np.ndarray, row: np.ndarray,
                      col: np.ndarray, far: list[tuple[int, int]]) -> bool:
-    """Whether some vertex has no other point within r, once the near
-    offsets are joined.
+    """Whether the point of one of the one-point cells lone, each still a
+    component of its own once the near offsets are joined, has no other
+    point within r.
 
-    Only a cell that holds one point and is still a component of its own
-    can hold such a vertex: any other occupied cell of its 3x3 block would
-    have joined it. Its point is tested against every far offset with both
-    signs, nearest first, by the far phase's exact test; a point with a
-    neighbour drops out at once. Pairs go in slabs of at most
-    max(_PAIR_CHUNK, n), as in _hook_close.
+    No other cell of such a cell's 3x3 block is occupied, or it would have
+    joined, so its neighbours lie at far offsets. They are searched one row
+    offset dr at a time, nearest rows first: two searches give the occupied
+    cells of row + dr within the widest far reach of that row, and every
+    point of them is tested exactly. A point with a neighbour drops out at
+    once. Pairs go in slabs of at most max(_PAIR_CHUNK, n), as in
+    _hook_close.
     """
-    # parent holds roots, so a root counted once is a component of one cell
-    alone = np.flatnonzero(np.bincount(parent, minlength=len(parent)) == 1)
-    alone = alone[idx.starts[alone + 1] - idx.starts[alone] == 1]
-    u, row, col = idx.order[idx.starts[alone]], row[alone], col[alone]
-    pts = idx.points
-    for dc, dr in [o for dc, dr in far for o in ((dc, dr), (-dc, -dr))]:
-        if not len(u):
-            return False
-        i, b = _shifted(idx, row, col, dc, dr)
-        most = int((idx.starts[b + 1] - idx.starts[b]).max(initial=1))
-        step = max(1, _PAIR_CHUNK // most)
-        found = np.zeros(len(u), dtype=bool)
-        for lo in range(0, len(i), step):
-            at, v = _members(idx, b[lo:lo + step])
-            at = i[lo:lo + step][at]
-            close = lp_norms(idx.p, pts[u[at], 0] - pts[v, 0],
-                             pts[u[at], 1] - pts[v, 1]) <= idx.r
-            found[at[close]] = True
-        u, row, col = u[~found], row[~found], col[~found]
+    reach: dict[int, int] = {}
+    for dc, dr in far:
+        reach[dr] = max(reach.get(dr, 0), abs(dc))
+    u, pts, last = idx.order[idx.starts[lone]], idx.points, np.uint64(idx.side - 1)
+    base = idx.cells[lone] - col     # the key of column 0 of each cell's row
+    for dr in sorted(reach):
+        w = np.uint64(reach[dr])
+        for sign in ((1,) if dr == 0 else (1, -1)):
+            if not len(u):
+                return False
+            i = np.flatnonzero(_inside(row, sign * dr, idx.side))
+            key = base[i] + _wrapped(sign * dr * idx.side)
+            first = idx.starts[np.searchsorted(
+                idx.cells, key + (np.maximum(col[i], w) - w))]
+            cnt = idx.starts[np.searchsorted(
+                idx.cells, key + np.minimum(col[i] + w, last), "right")] - first
+            step = max(1, _PAIR_CHUNK // int(cnt.max(initial=1)))
+            found = np.zeros(len(u), dtype=bool)
+            for lo in range(0, len(i), step):
+                at, v = _runs(idx, first[lo:lo + step], cnt[lo:lo + step])
+                at = i[lo:lo + step][at]
+                close = lp_norms(idx.p, pts[u[at], 0] - pts[v, 0],
+                                 pts[u[at], 1] - pts[v, 1]) <= idx.r
+                found[at[close & (v != u[at])]] = True
+            u, row, col, base = u[~found], row[~found], col[~found], base[~found]
     return len(u) > 0
 
 
 def is_connected(idx: SpatialIndex) -> bool:
-    """Union-find over the occupied cells of the grid.
+    """Union-find over the occupied cells of the grid, in three phases.
 
     Every 3x3 block of cells is a clique (see build_spatial_index), so
-    neighbouring occupied cells are joined outright. If more than one
+    touching occupied cells are joined outright; they are read off the
+    sorted keys with one search per cell (_near_pairs). If more than one
     component is left, a vertex with no other point within r answers False
     at once: the graph then has at least two vertices and one of them is
     isolated. Near the connectivity threshold this is how disconnection
     almost always shows (the threshold is where the last isolated vertex
     disappears), and only one-point cells with no occupied cell around them
-    need testing. Otherwise each farther offset that can hold a pair within
-    r, nearest first, tests point pairs only between the cells it pairs
-    whose roots still differ. Stops as soon as one component is left.
+    need testing, one row offset at a time. Otherwise each farther offset
+    that can hold a pair within r, nearest first, tests point pairs only
+    between the cells it pairs whose roots still differ, and stops as soon
+    as one component is left. Every edge between two components has an end
+    outside the largest one, so when fewer than half the cells lie outside
+    it, only those cells are searched from, at both signs of each offset;
+    otherwise every cell is, at one sign.
     """
-    side = np.uint64(idx.side)
-    row, col = (x.astype(np.int64) for x in np.divmod(idx.cells, side))
-    parent = np.arange(len(idx.cells))
-    for dc, dr in ((1, 0), (-1, 1), (0, 1), (1, 1)):
-        _hook(parent, *_shifted(idx, row, col, dc, dr))
+    cells = idx.cells
+    col = cells % np.uint64(idx.side)
+    parent = np.arange(len(cells))
+    for a, b in _near_pairs(cells, col, idx.side):
+        _hook(parent, a, b)
+    if not parent.any():
+        return True
+    row = cells // np.uint64(idx.side)
     far = _far_offsets(idx)
-    if parent.any() and _isolated_vertex(idx, parent, row, col, far):
+    size = np.bincount(parent, minlength=len(parent))
+    # parent holds roots, so a root counted once is a component of one cell
+    lone = np.flatnonzero(size == 1)
+    lone = lone[idx.starts[lone + 1] - idx.starts[lone] == 1]
+    if _isolated_vertex(idx, lone, row[lone], col[lone], far):
         return False
+    outside = np.flatnonzero(parent != size.argmax())
+    if 2 * len(outside) < len(cells):
+        src, far = outside, [o for dc, dr in far for o in ((dc, dr), (-dc, -dr))]
+    else:
+        src = np.arange(len(cells))
+    row, col = row[src], col[src]
     for dc, dr in far:
+        _hook_close(idx, parent, *_shifted(idx, src, row, col, dc, dr))
         if not parent.any():
-            break
-        _hook_close(idx, parent, *_shifted(idx, row, col, dc, dr))
-    return not parent.any()
+            return True
+    return False

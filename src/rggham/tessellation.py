@@ -89,7 +89,7 @@ class Tessellation:
 
 def tessellation_fits(r: float, cells_per_square: int) -> bool:
     """Whether 0 < r <= 1 and all g^2 flat ids fit int64 (r above ~3e-9 at k = 4)."""
-    return (0.0 < r <= 1.0
+    return (0.0 < r <= 1.0 and math.isfinite(2.0 / r)
             and (math.floor(2.0 / r) * cells_per_square) ** 2 <= np.iinfo(np.int64).max)
 
 

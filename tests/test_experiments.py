@@ -51,6 +51,21 @@ def test_run_trial_split_augmented_graph_is_no_disconnected_row():
     assert t.cells_per_side is None
 
 
+@pytest.mark.parametrize("r", [1e-12, 1e-200, 5e-324])
+def test_run_trial_takes_disconnected_as_its_certificate(monkeypatch, r):
+    # the fallback's Disconnected names a vertex with no neighbour within r,
+    # so no connectivity check runs; at these radii build_spatial_index
+    # would refuse the grid, so a check would raise
+    def no_check(idx):
+        raise AssertionError("is_connected ran")
+
+    monkeypatch.setattr(experiments, "is_connected", no_check)
+    t = run_trial(10, 2.0, r, 0)
+    assert t.outcome == OUTCOME_FAILURE
+    assert t.failure_reason == "Disconnected"
+    assert t.connected is False
+
+
 def test_run_trial_skips_connectivity_when_asked():
     t = run_trial(DESK["n"], DESK["p"], desk_r(2.0), seed=0,
                   check_connectivity=False)

@@ -786,30 +786,32 @@ def test_full_construction_rejects_points_outside_the_square(bad, r):
 
 
 @pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
-@pytest.mark.parametrize("r", [1e-9, 2e-9])
+@pytest.mark.parametrize("r", [1e-9, 2e-9, 1e-200, 5e-324])
 def test_tiny_radius_is_a_value_error(p, r):
     # 2e-9 leaves fewer than 2^32 cells per side, but their flat ids squared
     # already overflow int64: build_tessellation refuses such radii, so
-    # full_construction leaves the instance to the fallback
+    # full_construction leaves the instance to the fallback (2 / 5e-324 is
+    # infinite, and refused the same way)
     assert not tessellation_fits(r, 4)
     with pytest.raises(ValueError, match="int64"):
         build_tessellation(p, r, 4)
 
 
 @pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
-@pytest.mark.parametrize("r", [1e-6, 1e-9, 2e-9])
+@pytest.mark.parametrize("r", [1e-6, 1e-9, 2e-9, 1e-200, 5e-324])
 def test_tiny_radius_fails_typed(p, r):
-    # 1e-6 tessellates sparsely and falls back at HookMissing; at 1e-9 and
-    # 2e-9 the flat ids of the tessellation's cells would overflow int64,
-    # so the fallback answers alone. Spread points are isolated; coincident
+    # 1e-6 tessellates sparsely and falls back at HookMissing; below that
+    # the flat ids of the tessellation's cells would overflow int64, so the
+    # fallback answers alone. Below about 1e-162 r * r underflows to 0, and
+    # at 5e-324 2 / r is infinite. Spread points are isolated; coincident
     # ones are a clique, and get a cycle
-    pts = rand_points(1000, 0)
-    with pytest.raises(ConstructionError) as err:
-        full_construction(pts, p, r)
-    assert err.value.reason is FailureReason.DISCONNECTED
-    assert err.value.context["radius"] == r
+    for pts in (rand_points(1000, 0), rand_points(10, 1)):
+        with pytest.raises(ConstructionError) as err:
+            full_construction(pts, p, r)
+        assert err.value.reason is FailureReason.DISCONNECTED
+        assert err.value.context["radius"] == r
     for xy in ([0.3, 0.7], [1.0, 1.0]):
-        same = np.array([xy] * 4)
+        same = np.array([xy] * 10)
         out = full_construction(same, p, r)
         assert out.cells_per_side is None
         assert verify_cycle(same, r, p, out.cycle).valid

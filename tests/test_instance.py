@@ -278,12 +278,16 @@ def _tiny_radius_instances():
 
 def _threshold_instances():
     """n = 10^4 from 0.5x to 1.2x the threshold, where most instances have
-    isolated vertices and is_connected leaves at the first one."""
-    for mult, p, seed in ((0.5, 1.0, 0), (0.7, 2.0, 1), (1.0, math.inf, 2),
-                          (1.0, 2.0, 3), (1.2, 2.0, 4), (1.2, 1.0, 5)):
+    isolated vertices and is_connected leaves at the first one, and two
+    connected ones at 1.5x, where the far phase searches only from the
+    cells outside the largest component."""
+    for mult, p, seed, want in ((0.5, 1.0, 0, None), (0.7, 2.0, 1, None),
+                                (1.0, math.inf, 2, None), (1.0, 2.0, 3, None),
+                                (1.2, 2.0, 4, None), (1.2, 1.0, 5, None),
+                                (1.5, 1.0, 6, True), (1.5, 2.0, 7, True)):
         cfg = InstanceConfig(n=10_000, p=p, radius=ThresholdMultiple(mult),
                              seed=seed)
-        yield sample_points(cfg).points, cfg.resolved_radius(), p, None
+        yield sample_points(cfg).points, cfg.resolved_radius(), p, want
 
 
 def test_is_connected_matches_brute_force():
@@ -317,6 +321,142 @@ def test_is_connected_in_small_slabs(monkeypatch):
         assert got == _brute_connected(pts, r, p), (pts, r, p)
         answers.add(got)
     assert answers == {True, False}
+
+
+def _near_reference(cells, side):
+    """Every pair of slots (a, b) whose cells touch, b after a, found one
+    near offset at a time in Python integers."""
+    slot = {key: i for i, key in enumerate(cells.tolist())}
+    want = set()
+    for a, key in enumerate(cells.tolist()):
+        row, col = divmod(key, side)
+        for dc, dr in ((1, 0), (-1, 1), (0, 1), (1, 1)):
+            if 0 <= col + dc < side and row + dr < side:
+                b = slot.get((row + dr) * side + col + dc)
+                if b is not None:
+                    want.add((a, b))
+    return want
+
+
+def _near_cases():
+    rng = np.random.default_rng(11)
+    # every occupancy of the grids of side 1 to 3
+    for side in (1, 2, 3):
+        for mask in range(1, 1 << (side * side)):
+            yield np.flatnonzero([mask >> i & 1 for i in range(side * side)]
+                                 ).astype(np.uint64), side
+    # lattice points and coincident points, filed as is_connected files them
+    lattice = np.stack(np.meshgrid(np.arange(8) / 7, np.arange(8) / 7), -1)
+    yield occupied_cells(lattice.reshape(-1, 2)[rng.random(64) < 0.6], 7)[0], 7
+    yield occupied_cells(np.repeat(rng.random((6, 2)), 5, axis=0), 4)[0], 4
+    yield occupied_cells(rng.random((300, 2)), 25)[0], 25
+    # columns 0 and side - 1 and the last rows, at sides near 2^32, where
+    # keys pass 2^53 and a float key would be rounded
+    for side in (2**32 - 1, 2**32):
+        edge = [0, 1, 2, side - 3, side - 2, side - 1]
+        for _ in range(20):
+            keys = {r * side + c for r in edge for c in edge if rng.random() < 0.5}
+            yield np.array(sorted(keys), dtype=np.uint64), side
+
+
+def test_near_pairs_match_a_per_offset_reference():
+    for cells, side in _near_cases():
+        pairs = instance._near_pairs(cells, cells % np.uint64(side), side)
+        assert len(pairs) == 4
+        got = []
+        for a, b in pairs:
+            # slots stay integers: keys mixed with int64 would turn float64
+            assert a.dtype == b.dtype == np.intp, side
+            got += zip(a.tolist(), b.tolist())
+        assert len(got) == len(set(got)), side
+        assert set(got) == _near_reference(cells, side), (side, cells)
+
+
+def _block(x0, x1, y0, y1, step=0.02):
+    """Lattice points filling a rectangle, every cell of side >= step
+    within it occupied."""
+    xs, ys = np.meshgrid(np.arange(x0, x1, step), np.arange(y0, y1, step))
+    return np.column_stack([xs.ravel(), ys.ravel()])
+
+
+def test_is_connected_two_components_joined_only_to_each_other():
+    # a giant block, and two pairs of points 0.09 apart, 2 to 3 cells of
+    # side r / (2 sqrt 2): the pairs join each other at a far offset, but
+    # nothing joins them to the block
+    r = 0.1
+    pts = np.vstack([_block(0.05, 0.5, 0.05, 0.95),
+                     [[0.8, 0.8], [0.801, 0.8], [0.89, 0.8], [0.891, 0.801]]])
+    idx = build_spatial_index(VertexSet(pts), r, 2.0)
+    assert len(np.unique(_near_components(idx))) == 3
+    assert not is_connected(idx)
+    assert not _brute_connected(pts, r, 2.0)
+
+
+@pytest.mark.parametrize("dx,dy", [(0.09, 0.0), (0.0, 0.09), (-0.06, 0.09),
+                                   (0.07, 0.06)])
+def test_is_connected_joins_the_giant_at_a_negative_far_offset(dx, dy):
+    # a pair of points beside or above the corner (0.5, 0.5) of a giant
+    # block, whose neighbours in the block all lie at far offsets of
+    # negative sign from the pair's cell: only the pair lies outside the
+    # largest component, so the far phase searches from the pair alone,
+    # and must take both signs
+    r = 0.1
+    pair = np.array([0.5 + dx, 0.5 + dy]) + [[0.0, 0.0], [0.001, 0.0]]
+    block = _block(0.1, 0.5 + 1e-9, 0.1, 0.5 + 1e-9)
+    pts = np.vstack([block, pair])
+    idx = build_spatial_index(VertexSet(pts), r, 2.0)
+    d = block - pair[0]
+    close = lp_norms(2.0, d[:, 0], d[:, 1]) <= r
+    assert close.any()
+    row, col = (np.floor(xy * idx.side).astype(int) for xy in (pts[:, 1], pts[:, 0]))
+    dr, dc = row[:-2][close] - row[-1], col[:-2][close] - col[-1]
+    assert ((dr < 0) | ((dr == 0) & (dc < 0))).all()
+    assert (np.maximum(abs(dr), abs(dc)) > 1).all()
+    assert is_connected(idx)
+    assert _brute_connected(pts, r, 2.0)
+
+
+def _near_components(idx):
+    parent = np.arange(len(idx.cells))
+    for a, b in instance._near_pairs(idx.cells, idx.cells % np.uint64(idx.side),
+                                     idx.side):
+        instance._hook(parent, a, b)
+    return parent
+
+
+@pytest.mark.parametrize("p,mult,restricted", [(2.0, 1.5, True),
+                                               (1.0, 1.2, False)])
+def test_far_phase_searches_outside_the_largest_component(monkeypatch, p,
+                                                          mult, restricted):
+    # n = 2000, connected: at 1.5x, p = 2 a giant component holds all but
+    # 124 of 1458 cells after the near joins; at 1.2x, p = 1 the near joins
+    # leave no giant, and every cell is searched from, at one sign
+    cfg = InstanceConfig(n=2000, p=p, radius=ThresholdMultiple(mult), seed=0)
+    idx = build_spatial_index(sample_points(cfg), cfg.resolved_radius(), p)
+    parent = _near_components(idx)
+    outside = parent != np.bincount(parent).argmax()
+    assert (2 * outside.sum() < len(parent)) == restricted
+    seen = []
+    hook_close = instance._hook_close
+
+    def record(idx, parent, a, b):
+        seen.append(a.copy())
+        hook_close(idx, parent, a, b)
+
+    monkeypatch.setattr(instance, "_hook_close", record)
+    assert is_connected(idx)
+    assert seen
+    if restricted:
+        assert all(outside[a].all() for a in seen)
+    else:
+        # the first far offset, from every cell that has an occupied cell there
+        dc, dr = instance._far_offsets(idx)[0]
+        keys = set(idx.cells.tolist())
+        want = [i for i, key in enumerate(idx.cells.tolist())
+                if 0 <= key % idx.side + dc < idx.side
+                and key // idx.side + dr < idx.side
+                and key + dr * idx.side + dc in keys]
+        assert seen[0].tolist() == want
 
 
 @pytest.mark.parametrize("bound", [1, 2**16 - 1, 2**16, 2**16 + 1, 2**32,
