@@ -6,15 +6,17 @@ of the timed span), and records either the verified cycle or the typed
 failure. A verified cycle certifies connectivity, and a Disconnected failure
 certifies the opposite (a vertex with no neighbour within r), so the
 connectivity check (union-find over the occupied cells of a sparse grid, see
-instance.py) runs only after other failures. The tessellation, the
-fallback's buckets and the check each bucket the points once, by
-instance.occupied_cells. At and below the threshold the check usually ends
-at an isolated vertex, found right after touching cells are joined, before
-any farther cells are paired; above it, only the cells outside the largest
-component are searched from. A sweep aggregates trials per (n, radius
-multiplier) pair into one summary row; trial seeds are assigned from a
-single base seed by global trial index so any trial can be reproduced in
-isolation.
+instance.py) runs only after other failures. The fallback tests for such a
+vertex before it repairs anything, so at and below the threshold, where
+almost every instance has one, a failed trial ends without the check. The
+tessellation, the fallback's buckets and the check each bucket the points
+once, by instance.occupied_cells. A trial that does reach the check has no
+isolated vertex (the check would stop at the first right after touching
+cells are joined), so the check pairs farther cells, and above the
+threshold searches only from the cells outside the largest component. A
+sweep aggregates trials per (n, radius multiplier) pair into one summary
+row; trial seeds are assigned from a single base seed by global trial index
+so any trial can be reproduced in isolation.
 """
 
 from __future__ import annotations
@@ -68,7 +70,9 @@ def run_trial(n: int, p: float, r: float, seed: int,
     stays False. full_construction raises Disconnected only from its
     fallback, at a vertex with no neighbour within r: among n >= 3 vertices
     that is a certificate, and it needs no grid at r, which at radii below
-    about 6.6e-10 (p = 2) build_spatial_index cannot build.
+    about 6.6e-10 (p = 2) build_spatial_index cannot build. The fallback
+    looks for such a vertex before any repair, so an instance that has one
+    ends in Disconnected, not EdgeTooLong, and skips the check.
     """
     import time
 

@@ -37,9 +37,12 @@ full_construction then falls back to a serpentine tour: every vertex in rows
 of clique cells, sorted along each row, with a return lane that closes the
 tour. The few hops longer than r, at gaps in a row, are repaired locally
 with 2-opt moves and single-vertex moves that use only edges within r
-(after Posa's rotations). The fallback reports its failures with existing reasons:
-Disconnected when a vertex at the unrepaired hop has no neighbour within r,
-EdgeTooLong otherwise.
+(after Posa's rotations). The fallback reports its failures with existing
+reasons. Before any repair, every vertex whose two tour hops are both longer
+than r is tested exactly, and the first one with no neighbour within r is
+reported as Disconnected, a certificate: below the threshold almost every
+instance has such a vertex. Otherwise the first hop that no repair mends is
+reported as EdgeTooLong, with the degrees of its ends.
 
 Every constructed cycle is self-verified (zero tolerance) before being
 returned, so callers get either a valid cycle or a typed failure.
@@ -58,7 +61,8 @@ from .auxgraphs import (AugmentedGraph, GroupKey, Node, attach_sparse_groups,
                         build_density_graph, euler_traversal, spanning_tree)
 from .failures import ConstructionError, FailureReason
 from .geometry import _lp_from_abs, lp_norms, unit_disk_area, validate_p
-from .instance import VertexSet, occupied_cells, validate_points
+from .instance import (SpatialIndex, VertexSet, _isolated_vertex,
+                       occupied_cells, validate_points)
 from .tessellation import (DENSE_THRESHOLD, CellClassification,
                            Tessellation, build_tessellation,
                            choose_cells_per_side, classify_cells,
@@ -449,6 +453,21 @@ def _stable_argsort(key: np.ndarray) -> np.ndarray:
     return order
 
 
+# the bucket rows the test for isolated vertices searches, and the widest
+# column offset in each, as instance._isolated_vertex takes them. Buckets
+# at least r wide leave a neighbour one bucket away on each axis, but for
+# rounding at a bucket edge: at r = 0.1, x = 0.3 and the float just below
+# 0.2 are r apart and two buckets apart
+_SCREEN_REACH = {0: 2, 1: 2, 2: 2}
+
+
+def _repair_grid(points: np.ndarray, p: float, r: float) -> SpatialIndex:
+    """The repair's buckets: side floor(1 / r), capped at 2^32, so each is
+    at least r wide."""
+    side = max(1, math.floor(min(1.0 / r, 2.0 ** 32)))
+    return SpatialIndex(points, r, p, side, *occupied_cells(points, side))
+
+
 class _TourRepair:
     """A closed tour as a position array, mended one long hop at a time.
 
@@ -465,22 +484,21 @@ class _TourRepair:
         self.n = len(tour)
         self.pos = np.empty(self.n, dtype=np.int64)
         self.pos[tour] = np.arange(self.n)
-        # buckets of width >= r: a neighbour lies in the 3x3 patch around v
-        self.side = max(1, math.floor(min(1.0 / r, 2.0 ** 32)))
-        self.buckets, self.order, self.starts = occupied_cells(points, self.side)
+        self.grid = _repair_grid(points, p, r)
         self._near: dict[int, np.ndarray] = {}
 
     def near(self, v: int) -> np.ndarray:
         """Vertices within r of v, from the 3x3 bucket patch around it."""
         got = self._near.get(v)
         if got is None:
-            side = self.side
+            grid = self.grid
+            side = grid.side
             # v's bucket, as occupied_cells files it
             col, row = (min(int(self.points[v, i] * side), side - 1) for i in (0, 1))
-            ends = np.searchsorted(self.buckets, np.array(
+            ends = np.searchsorted(grid.cells, np.array(
                 [rr * side + c for rr in range(max(row - 1, 0), min(row + 2, side))
                  for c in (max(col - 1, 0), min(col + 2, side))], dtype=np.uint64))
-            cand = np.concatenate([self.order[self.starts[a]:self.starts[b]]
+            cand = np.concatenate([grid.order[grid.starts[a]:grid.starts[b]]
                                    for a, b in ends.reshape(-1, 2).tolist()])
             got = cand[self._within(cand, v) & (cand != v)]
             self._near[v] = got
@@ -562,12 +580,6 @@ class _TourRepair:
     def failure(self, i: int) -> ConstructionError:
         """The typed failure for a hop i that no repair mends."""
         a, b = int(self.tour[i]), int(self.tour[(i + 1) % self.n])
-        degrees = [len(self.near(a)), len(self.near(b))]
-        if 0 in degrees:
-            return ConstructionError(
-                FailureReason.DISCONNECTED,
-                {"detail": "a vertex has no neighbour within r",
-                 "vertex": a if degrees[0] == 0 else b, "radius": self.r})
         pts = self.points
         return ConstructionError(
             FailureReason.EDGE_TOO_LONG,
@@ -575,30 +587,44 @@ class _TourRepair:
              "position": i, "vertices": [a, b],
              "distance": float(_lp_from_abs(
                  self.p, abs(pts[a, 0] - pts[b, 0]), abs(pts[a, 1] - pts[b, 1]))),
-             "radius": self.r, "degrees": degrees})
+             "radius": self.r, "degrees": [len(self.near(a)), len(self.near(b))]})
 
 
 def _repaired_tour_cycle(points: np.ndarray, p: float, r: float) -> np.ndarray:
     """Serpentine tour, then a local repair of every hop longer than r.
 
-    Long hops are mended longest first, so that a hop no repair can mend is
-    met early. Stops at the first such hop: DISCONNECTED when one of its
-    ends has no neighbour within r, EDGE_TOO_LONG otherwise. A vertex of
-    degree below 2 lies on no Hamiltonian cycle, so a hop at one fails at
-    once. Deterministic: stable sorts, and each move goes to the candidate
-    nearest in the tour.
+    Before any repair, the vertices whose two tour hops are both longer
+    than r, the only ones that can have no neighbour within r, are tested
+    exactly on the repair's buckets, two buckets out on each axis: the
+    first without a neighbour ends the attempt with DISCONNECTED. Long hops
+    are then mended longest first, so that a hop no repair can mend is met
+    early, and the first such hop ends the attempt with EDGE_TOO_LONG. A
+    vertex of degree below 2 lies on no Hamiltonian cycle, so a hop at one
+    fails at once. Deterministic: stable sorts, and each move goes to the
+    candidate nearest in the tour.
     """
     tour = _serpentine_tour(points, p, r)
     at, length = _long_hops(points, p, r, tour)
-    if len(at) == len(tour):
-        raise _TourRepair(points, p, r, tour).failure(0)
+    n = len(tour)
+    # tour[at[k]] has both hops long when hop at[k] - 1 is long too; the
+    # closing hop, n - 1, comes before hop 0
+    alone = tour[at[np.diff(at, prepend=at[-1:] - n) == 1]]
     # rotate so that the first short hop (first i with at[i] != i) closes it
-    shift = int(np.argmax(np.append(at, len(tour)) != np.arange(len(at) + 1))) + 1
-    tour = np.roll(tour, -shift)
-    at = (at - shift) % len(tour)
+    shift = int(np.argmax(np.append(at, n) != np.arange(len(at) + 1))) + 1
+    if len(at) < n:
+        tour = np.roll(tour, -shift)
+    mend = _TourRepair(points, p, r, tour)
+    isolated = _isolated_vertex(mend.grid, alone, _SCREEN_REACH)
+    if isolated is not None:
+        raise ConstructionError(
+            FailureReason.DISCONNECTED,
+            {"detail": "a vertex has no neighbour within r",
+             "vertex": isolated, "radius": r})
+    if len(at) == n:
+        raise mend.failure(0)
+    at = (at - shift) % n
     by = np.argsort(at, kind="stable")
     at = at[by][_stable_argsort(-length[by])]
-    mend = _TourRepair(points, p, r, tour)
     pos = mend.pos
     for u, v in zip(tour[at].tolist(), tour[at + 1].tolist()):
         i, j = int(pos[u]), int(pos[v])

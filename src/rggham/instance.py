@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -181,6 +181,8 @@ _MAX_SIDE = 1 << 32  # flat cell keys row * side + col then fit in uint64
 # ceiling on the point pairs tested at once; point files come from outside,
 # so one cell may hold any share of the points
 _PAIR_CHUNK = 1 << 21
+# vertices in the first batch of _isolated_vertex
+_FIRST_BATCH = 256
 
 
 def radix_sort(key: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
@@ -266,9 +268,11 @@ class SpatialIndex:
 
 
 def build_spatial_index(vs: VertexSet, r: float, p: float) -> SpatialIndex:
-    """Grid of cell side at most r / (2 ||(1, 1)||_p), less a rounding
-    margin. Two points in one 3x3 block of cells then differ by at most two
-    cell sides on each axis, so they are within r: the block is a clique.
+    """Grid of cell side s at most r / (2 ||(1, 1)||_p), less a rounding
+    margin. A point and any point of its own cell or of the 8 cells that
+    touch it differ by at most 2 s on each axis, so they are within r. A
+    3x3 block is no clique: points in its opposite outer cells can be 3 s,
+    1.5 r, apart.
 
     Raises ValueError for points outside [0, 1]^2, and for radii so small
     that the grid would need more than 2^32 cells per side.
@@ -407,36 +411,56 @@ def _shifted(idx: SpatialIndex, src: np.ndarray, row: np.ndarray,
     return src[i[hit]], b[hit]
 
 
-def _isolated_vertex(idx: SpatialIndex, lone: np.ndarray, row: np.ndarray,
-                     col: np.ndarray, far: list[tuple[int, int]]) -> bool:
-    """Whether the point of one of the one-point cells lone, each still a
-    component of its own once the near offsets are joined, has no other
-    point within r.
+def _isolated_vertex(idx: SpatialIndex, u: np.ndarray,
+                     reach: dict[int, int]) -> Optional[int]:
+    """The first of the vertices u that has no other point within r, None
+    when each of them has one.
 
-    No other cell of such a cell's 3x3 block is occupied, or it would have
-    joined, so its neighbours lie at far offsets. They are searched one row
-    offset dr at a time, nearest rows first: two searches give the occupied
-    cells of row + dr within the widest far reach of that row, and every
-    point of them is tested exactly. A point with a neighbour drops out at
-    once. Pairs go in slabs of at most max(_PAIR_CHUNK, n), as in
+    reach maps each row offset dr >= 0 to the widest column offset whose
+    cell, at row offset dr or -dr, can hold a point within r of a point of
+    the cell; the caller's grid must leave no neighbour outside those
+    cells. The vertices go in batches that double from _FIRST_BATCH, so
+    that a set with many isolated vertices stops after a few hundred.
+    """
+    lo, size = 0, _FIRST_BATCH
+    while lo < len(u):
+        batch = u[lo:lo + size]
+        left = _without_neighbour(
+            idx, batch, _cell_keys(idx.points[batch], idx.side), reach)
+        if len(left):
+            return int(left[0])
+        lo += size
+        size *= 2
+    return None
+
+
+def _without_neighbour(idx: SpatialIndex, u: np.ndarray, key: np.ndarray,
+                       reach: dict[int, int]) -> np.ndarray:
+    """Those of the vertices u (in cells key) with no other point within r,
+    in the order given.
+
+    The cells are searched one row offset dr at a time, nearest rows first:
+    two searches give the occupied cells of row + dr within reach[dr], and
+    every point of them is tested exactly. A vertex with a neighbour drops
+    out at once. Pairs go in slabs of at most max(_PAIR_CHUNK, n), as in
     _hook_close.
     """
-    reach: dict[int, int] = {}
-    for dc, dr in far:
-        reach[dr] = max(reach.get(dr, 0), abs(dc))
-    u, pts, last = idx.order[idx.starts[lone]], idx.points, np.uint64(idx.side - 1)
-    base = idx.cells[lone] - col     # the key of column 0 of each cell's row
+    pts, side = idx.points, np.uint64(idx.side)
+    row = key // side
+    col = key - row * side
+    base = key - col     # the key of column 0 of each cell's row
+    last = np.uint64(idx.side - 1)
     for dr in sorted(reach):
         w = np.uint64(reach[dr])
         for sign in ((1,) if dr == 0 else (1, -1)):
             if not len(u):
-                return False
+                return u
             i = np.flatnonzero(_inside(row, sign * dr, idx.side))
-            key = base[i] + _wrapped(sign * dr * idx.side)
+            at_col0 = base[i] + _wrapped(sign * dr * idx.side)
             first = idx.starts[np.searchsorted(
-                idx.cells, key + (np.maximum(col[i], w) - w))]
+                idx.cells, at_col0 + (np.maximum(col[i], w) - w))]
             cnt = idx.starts[np.searchsorted(
-                idx.cells, key + np.minimum(col[i] + w, last), "right")] - first
+                idx.cells, at_col0 + np.minimum(col[i] + w, last), "right")] - first
             step = max(1, _PAIR_CHUNK // int(cnt.max(initial=1)))
             found = np.zeros(len(u), dtype=bool)
             for lo in range(0, len(i), step):
@@ -446,27 +470,29 @@ def _isolated_vertex(idx: SpatialIndex, lone: np.ndarray, row: np.ndarray,
                                  pts[u[at], 1] - pts[v, 1]) <= idx.r
                 found[at[close & (v != u[at])]] = True
             u, row, col, base = u[~found], row[~found], col[~found], base[~found]
-    return len(u) > 0
+    return u
 
 
 def is_connected(idx: SpatialIndex) -> bool:
     """Union-find over the occupied cells of the grid, in three phases.
 
-    Every 3x3 block of cells is a clique (see build_spatial_index), so
-    touching occupied cells are joined outright; they are read off the
-    sorted keys with one search per cell (_near_pairs). If more than one
-    component is left, a vertex with no other point within r answers False
-    at once: the graph then has at least two vertices and one of them is
-    isolated. Near the connectivity threshold this is how disconnection
-    almost always shows (the threshold is where the last isolated vertex
-    disappears), and only one-point cells with no occupied cell around them
-    need testing, one row offset at a time. Otherwise each farther offset
-    that can hold a pair within r, nearest first, tests point pairs only
-    between the cells it pairs whose roots still differ, and stops as soon
-    as one component is left. Every edge between two components has an end
-    outside the largest one, so when fewer than half the cells lie outside
-    it, only those cells are searched from, at both signs of each offset;
-    otherwise every cell is, at one sign.
+    Each point is within r of every point of its own cell and of the 8
+    cells that touch it (see build_spatial_index), so touching occupied
+    cells are joined outright; they are read off the sorted keys with one
+    search per cell (_near_pairs). If more than one component is left, a
+    vertex with no other point within r answers False at once: the graph
+    then has at least two vertices and one of them is isolated. Near the
+    connectivity threshold this is how disconnection almost always shows
+    (the threshold is where the last isolated vertex disappears), and only
+    one-point cells with no occupied cell around them need testing, by
+    _isolated_vertex, which stops at the first batch that holds one such
+    vertex. Otherwise each farther offset that can hold a pair within r,
+    nearest first, tests point pairs only between the cells it pairs whose
+    roots still differ, and stops as soon as one component is left. Every
+    edge between two components has an end outside the largest one, so
+    when fewer than half the cells lie outside it, only those cells are
+    searched from, at both signs of each offset; otherwise every cell is,
+    at one sign.
     """
     cells = idx.cells
     col = cells % np.uint64(idx.side)
@@ -475,14 +501,17 @@ def is_connected(idx: SpatialIndex) -> bool:
         _hook(parent, a, b)
     if not parent.any():
         return True
-    row = cells // np.uint64(idx.side)
     far = _far_offsets(idx)
     size = np.bincount(parent, minlength=len(parent))
     # parent holds roots, so a root counted once is a component of one cell
     lone = np.flatnonzero(size == 1)
     lone = lone[idx.starts[lone + 1] - idx.starts[lone] == 1]
-    if _isolated_vertex(idx, lone, row[lone], col[lone], far):
+    reach: dict[int, int] = {}
+    for dc, dr in far:
+        reach[dr] = max(reach.get(dr, 0), abs(dc))
+    if _isolated_vertex(idx, idx.order[idx.starts[lone]], reach) is not None:
         return False
+    row = cells // np.uint64(idx.side)
     outside = np.flatnonzero(parent != size.argmax())
     if 2 * len(outside) < len(cells):
         src, far = outside, [o for dc, dr in far for o in ((dc, dr), (-dc, -dr))]

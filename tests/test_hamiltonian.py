@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from helpers import cell_points, grid_cells
-from rggham import hamiltonian
+from rggham import hamiltonian, instance
 from rggham.auxgraphs import (GroupKey, attach_sparse_groups,
                                build_density_graph, euler_traversal,
                                spanning_tree)
@@ -21,8 +21,8 @@ from rggham.hamiltonian import (_cell_gaps, _gather, _remainder_runs,
                                 _serpentine_orders, _tessellation_cycle,
                                 _withdrawal_positions, construct_cycle,
                                 full_construction, verify_cycle)
-from rggham.instance import (VertexSet, build_spatial_index, is_connected,
-                             threshold_radius)
+from rggham.instance import (VertexSet, _isolated_vertex, build_spatial_index,
+                             is_connected, threshold_radius)
 from rggham.tessellation import (DENSE_THRESHOLD, CellId, build_tessellation,
                                  cells_close, classify_cells,
                                  tessellation_fits)
@@ -705,6 +705,115 @@ def test_fallback_gives_up_at_a_pendant_vertex():
     assert 1 in ctx["degrees"]
     assert ctx["distance"] > ctx["radius"] == 0.1
     assert isinstance(ctx["position"], int)
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
+@pytest.mark.parametrize("mult", [0.5, 0.7, 1.0])
+def test_fallback_certifies_isolated_vertices_before_any_repair(
+        monkeypatch, p, mult):
+    # at and below the threshold almost every instance has a vertex with no
+    # neighbour within r; the fallback must name one as Disconnected exactly
+    # when a k-d tree finds one, and never start a repair on such an instance
+    spatial = pytest.importorskip("scipy.spatial")
+    n = 10 ** 4
+    r = mult * threshold_radius(n, p)
+    repair = hamiltonian._TourRepair.repair
+    isolated = np.zeros(n, dtype=bool)
+
+    def guarded(self, i):
+        assert not isolated.any(), "a repair ran beside an isolated vertex"
+        return repair(self, i)
+
+    monkeypatch.setattr(hamiltonian._TourRepair, "repair", guarded)
+    for seed in range(6):
+        pts = rand_points(n, seed)
+        second, _ = spatial.cKDTree(pts).query(pts, k=2, p=p)
+        isolated[:] = second[:, 1] > r
+        try:
+            full_construction(pts, p, r)
+        except ConstructionError as err:
+            reason, ctx = err.reason, err.context
+        else:
+            reason = None
+        assert (reason is FailureReason.DISCONNECTED) == isolated.any()
+        if isolated.any():
+            assert isolated[ctx["vertex"]]
+            assert ctx["radius"] == r
+
+
+def test_isolated_vertex_keys_beyond_float_precision():
+    # at r = 1e-9 the repair's buckets number about 10^9 per side, and keys
+    # near y = 0.9 about 0.9e18, where a float64 rounds by 128: a uint64
+    # key promoted to float64 would miss the neighbour in the next row
+    r = 1e-9
+    grid = hamiltonian._repair_grid(np.zeros((1, 2)), 2.0, r)
+    side = grid.side
+    g = math.ceil(_lp_from_abs(2.0, 1.0, 1.0) / r)
+    g += g % 2  # rows of the serpentine tour, as _serpentine_tour cuts them
+    k = round(0.9 * side)
+    bucket_edge = k / side
+    tour_edge = round(bucket_edge * g) / g
+    y = [min(bucket_edge, tour_edge) - 0.1 * r,
+         max(bucket_edge, tour_edge) + 0.1 * r]
+    c = round(0.5 * side)
+    x = [(c - 0.1) / side, (c + 0.1) / side]
+    pts = np.array([[x[0], y[0]], [x[1], y[1]], [0.1, 0.1]])
+    assert _lp_from_abs(2.0, x[1] - x[0], y[1] - y[0]) <= r
+    assert [math.floor(v * side) for v in y] == [k - 1, k]
+    assert [math.floor(v * side) for v in x] == [c - 1, c]
+    assert math.floor(y[1] * g) - math.floor(y[0] * g) == 1
+    grid = hamiltonian._repair_grid(pts, 2.0, r)
+    assert grid.cells.dtype == np.uint64 and int(grid.cells[1]) > 2 ** 53
+    reach = hamiltonian._SCREEN_REACH
+    assert _isolated_vertex(grid, np.array([0, 1]), reach) is None
+    assert _isolated_vertex(grid, np.array([1, 0]), reach) is None
+    assert _isolated_vertex(grid, np.array([0, 2, 1]), reach) == 2
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
+@pytest.mark.parametrize("axis", [0, 1])
+def test_isolated_vertex_sees_a_neighbour_two_buckets_away(p, axis):
+    # the repair's buckets are 0.1 wide at r = 0.1, and the float just
+    # below 0.2 and 0.3 are r apart, yet rounding files them two apart
+    r = 0.1
+    pts = np.array([[np.nextafter(0.2, 0.0), 0.5], [0.3, 0.5], [0.9, 0.9]])
+    pts = pts[:, ::-1].copy() if axis else pts
+    assert _lp_from_abs(p, *np.abs(pts[1] - pts[0])) <= r
+    grid = hamiltonian._repair_grid(pts, p, r)
+    buckets = np.minimum((pts[:2, axis] * grid.side).astype(int), grid.side - 1)
+    assert buckets.tolist() == [1, 3]
+    reach = hamiltonian._SCREEN_REACH
+    assert _isolated_vertex(grid, np.array([0, 1, 2]), reach) == 2
+
+
+def test_fallback_certifies_no_vertex_whose_neighbour_rounds_far():
+    # a path: vertex 0's one neighbour is vertex 1, r apart and two buckets
+    # away, and both of its tour hops are long. The graph is connected, so
+    # the failure must not be Disconnected
+    r = 0.1
+    pts = np.array([[np.nextafter(0.2, 0.0), 0.5], [0.3, 0.5], [0.29, 0.56],
+                    [0.08, 0.5], [0.1, 0.59], [0.19, 0.62], [0.25, 0.63]])
+    assert is_connected(build_spatial_index(VertexSet(pts), r, 2.0))
+    with pytest.raises(ConstructionError) as err:
+        full_construction(pts, 2.0, r)
+    assert err.value.reason is FailureReason.EDGE_TOO_LONG
+
+
+@pytest.mark.parametrize("first", [1, 2, 3, 256])
+def test_isolated_vertex_is_the_first_in_the_order_given(monkeypatch, first):
+    # batches only decide where the search stops, never which vertex it names
+    monkeypatch.setattr(instance, "_FIRST_BATCH", first)
+    rng = np.random.default_rng(7)
+    for n, mult in ((300, 0.5), (300, 0.9), (1000, 0.7), (1000, 1.3)):
+        pts = rng.random((n, 2))
+        r = mult * threshold_radius(n, 2.0)
+        near = lp_norms(2.0, pts[:, None, 0] - pts[None, :, 0],
+                        pts[:, None, 1] - pts[None, :, 1]) <= r
+        alone = near.sum(axis=1) == 1   # within r of itself only
+        grid = hamiltonian._repair_grid(pts, 2.0, r)
+        for u in (np.arange(n), rng.permutation(n), rng.permutation(n)[:n // 3]):
+            want = next((int(v) for v in u if alone[v]), None)
+            assert _isolated_vertex(grid, u, hamiltonian._SCREEN_REACH) == want
 
 
 # instances where the tessellation path gives up without a certificate:
