@@ -40,12 +40,6 @@ class GroupKey(NamedTuple):
 Node = Union[int, GroupKey]  # old vertices are flat square ids
 
 
-def node_sort_key(node: Node) -> tuple:
-    if isinstance(node, GroupKey):
-        return (1, node.sparse_square, node.label_square)
-    return (0, node, 0)
-
-
 # --------------------------------------------------------------------------
 # density graph
 # --------------------------------------------------------------------------
@@ -213,6 +207,8 @@ class AugmentedGraph:
     groups maps each GroupKey to the flat ids of the sparse square's cells
     hooked into the label square, in row-major order; hooks maps each such
     cell to its hook cell. Group nodes attach only to their label vertex.
+    Every adjacency list is in node order: old vertices ascending, then
+    group nodes by sparse square, then label square.
     """
 
     tessellation: Tessellation
@@ -260,9 +256,8 @@ def attach_sparse_groups(t: Tessellation, cls: CellClassification,
             groups[key].append(flat_cell)
         assert len(labels_seen) <= MAX_FRIENDS
 
-    for node, nbrs in adjacency.items():
-        nbrs.sort(key=node_sort_key)
-        assert len(nbrs) <= MAX_FRIENDS
+    # lists are in node order as built: sparse squares are taken ascending
+    assert all(len(nbrs) <= MAX_FRIENDS for nbrs in adjacency.values())
     return AugmentedGraph(tessellation=t, density=dg,
                           old_vertices=dg.square_ids,
                           adjacency=adjacency, groups=groups, hooks=hooks)

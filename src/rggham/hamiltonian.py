@@ -37,12 +37,14 @@ full_construction then falls back to a serpentine tour: every vertex in rows
 of clique cells, sorted along each row, with a return lane that closes the
 tour. The few hops longer than r, at gaps in a row, are repaired locally
 with 2-opt moves and single-vertex moves that use only edges within r
-(after Posa's rotations). The fallback reports its failures with existing
-reasons. Before any repair, every vertex whose two tour hops are both longer
-than r is tested exactly, and the first one with no neighbour within r is
-reported as Disconnected, a certificate: below the threshold almost every
-instance has such a vertex. Otherwise the first hop that no repair mends is
-reported as EdgeTooLong, with the degrees of its ends.
+(after Posa's rotations). Its neighbours come from buckets of side about r
+through SpatialIndex.window, the rule is_connected reads too. The fallback
+reports its failures with existing reasons. Before any repair, every vertex
+whose two tour hops are both longer than r is tested exactly, and the first
+one with no neighbour within r is reported as Disconnected, a certificate:
+below the threshold almost every instance has such a vertex. Otherwise the
+first hop that no repair mends is reported as EdgeTooLong, with the degrees
+of its ends.
 
 Every constructed cycle is self-verified (zero tolerance) before being
 returned, so callers get either a valid cycle or a typed failure.
@@ -61,8 +63,8 @@ from .auxgraphs import (AugmentedGraph, GroupKey, Node, attach_sparse_groups,
                         build_density_graph, euler_traversal, spanning_tree)
 from .failures import ConstructionError, FailureReason
 from .geometry import _lp_from_abs, lp_norms, unit_disk_area, validate_p
-from .instance import (SpatialIndex, VertexSet, _isolated_vertex,
-                       occupied_cells, validate_points)
+from .instance import (SpatialIndex, VertexSet, _isolated_vertex, gather_runs,
+                       neighbour_lists, occupied_cells, validate_points)
 from .tessellation import (DENSE_THRESHOLD, CellClassification,
                            Tessellation, build_tessellation,
                            choose_cells_per_side, classify_cells,
@@ -110,12 +112,6 @@ def _remainder_runs(cls: CellClassification, cells,
              - np.searchsorted(withdrawn, cells))
     slot, occupancy = cls.occupancy(cells)
     return cls.starts[slot] + taken, occupancy - taken
-
-
-def _gather(order: np.ndarray, lo: np.ndarray, size: np.ndarray) -> np.ndarray:
-    """order at positions lo[i], ..., lo[i] + size[i] - 1 of each run, in turn."""
-    return order[np.repeat(lo - np.cumsum(size) + size, size)
-                 + np.arange(size.sum())]
 
 
 # --------------------------------------------------------------------------
@@ -305,7 +301,7 @@ def construct_cycle(points: np.ndarray, t: Tessellation,
     lo = np.concatenate([take_lo, drain_lo, sweep_lo])[by]
     size = np.concatenate([np.ones(len(take_lo), dtype=np.int64),
                            drain_size, sweep_size])[by]
-    cycle = _gather(cls.order, lo, size).astype(np.int64, copy=False)
+    cycle = gather_runs(cls.order, lo, size).astype(np.int64, copy=False)
     report = verify_cycle(points, t.radius, t.p, cycle)
     if not report.valid:
         violation = report.violation
@@ -453,17 +449,10 @@ def _stable_argsort(key: np.ndarray) -> np.ndarray:
     return order
 
 
-# the bucket rows the test for isolated vertices searches, and the widest
-# column offset in each, as instance._isolated_vertex takes them. Buckets
-# at least r wide leave a neighbour one bucket away on each axis, but for
-# rounding at a bucket edge: at r = 0.1, x = 0.3 and the float just below
-# 0.2 are r apart and two buckets apart
-_SCREEN_REACH = {0: 2, 1: 2, 2: 2}
-
-
 def _repair_grid(points: np.ndarray, p: float, r: float) -> SpatialIndex:
     """The repair's buckets: side floor(1 / r), capped at 2^32, so each is
-    at least r wide."""
+    at least r wide, and its window is the 3x3 block around it but where a
+    bucket is within about 1e-9 of r wide (see SpatialIndex.window)."""
     side = max(1, math.floor(min(1.0 / r, 2.0 ** 32)))
     return SpatialIndex(points, r, p, side, *occupied_cells(points, side))
 
@@ -488,21 +477,19 @@ class _TourRepair:
         self._near: dict[int, np.ndarray] = {}
 
     def near(self, v: int) -> np.ndarray:
-        """Vertices within r of v, from the 3x3 bucket patch around it."""
-        got = self._near.get(v)
-        if got is None:
-            grid = self.grid
-            side = grid.side
-            # v's bucket, as occupied_cells files it
-            col, row = (min(int(self.points[v, i] * side), side - 1) for i in (0, 1))
-            ends = np.searchsorted(grid.cells, np.array(
-                [rr * side + c for rr in range(max(row - 1, 0), min(row + 2, side))
-                 for c in (max(col - 1, 0), min(col + 2, side))], dtype=np.uint64))
-            cand = np.concatenate([grid.order[grid.starts[a]:grid.starts[b]]
-                                   for a, b in ends.reshape(-1, 2).tolist()])
-            got = cand[self._within(cand, v) & (cand != v)]
-            self._near[v] = got
-        return got
+        """Vertices within r of v, but v, by ascending bucket key, then
+        index (neighbour_lists); the order breaks ties in _two_opt."""
+        if v not in self._near:
+            self.look_up([v])
+        return self._near[v]
+
+    def look_up(self, vertices) -> None:
+        """Find the near lists of vertices in one search of the grid."""
+        new = list(set(np.ravel(vertices).tolist()) - self._near.keys())
+        if new:
+            at, got = neighbour_lists(self.grid, np.array(new, dtype=np.int64))
+            cut = np.searchsorted(at, np.arange(1, len(new)))
+            self._near.update(zip(new, np.split(got, cut)))
 
     def _within(self, a, b) -> np.ndarray:
         pts = self.points
@@ -557,14 +544,18 @@ class _TourRepair:
         if self._mend(i):
             return True
         tour, pos, n = self.tour, self.pos, self.n
+        a, b = int(tour[i]), int(tour[i + 1])
+        # the far ends of every hop the tries below can expose
+        self.look_up(np.concatenate((tour[(pos[self.near(a)] + 1) % n],
+                                     tour[pos[self.near(b)] - 1])))
         tries = []      # (lo, hi) to reverse, and the long hop it exposes
-        for j in pos[self.near(int(tour[i]))].tolist():
+        for j in pos[self.near(a)].tolist():
             # a gets its neighbour c = tour[j]; (b, succ c) is exposed
             if i < j < n - 1:
                 tries.append((i + 1, j, j))
             elif j < i:
                 tries.append((j + 1, i, i))
-        for j in ((pos[self.near(int(tour[i + 1]))] - 1) % n).tolist():
+        for j in ((pos[self.near(b)] - 1) % n).tolist():
             # b gets its neighbour succ c; (a, c = tour[j]) is exposed
             tries.append((i + 1, j, i) if j > i else (j + 1, i, j))
         tries.sort(key=lambda t: (t[1] - t[0], t))
@@ -595,9 +586,9 @@ def _repaired_tour_cycle(points: np.ndarray, p: float, r: float) -> np.ndarray:
 
     Before any repair, the vertices whose two tour hops are both longer
     than r, the only ones that can have no neighbour within r, are tested
-    exactly on the repair's buckets, two buckets out on each axis: the
-    first without a neighbour ends the attempt with DISCONNECTED. Long hops
-    are then mended longest first, so that a hop no repair can mend is met
+    exactly on the repair's buckets, over each one's window: the first
+    without a neighbour ends the attempt with DISCONNECTED. Long hops are
+    then mended longest first, so that a hop no repair can mend is met
     early, and the first such hop ends the attempt with EDGE_TOO_LONG. A
     vertex of degree below 2 lies on no Hamiltonian cycle, so a hop at one
     fails at once. Deterministic: stable sorts, and each move goes to the
@@ -614,7 +605,7 @@ def _repaired_tour_cycle(points: np.ndarray, p: float, r: float) -> np.ndarray:
     if len(at) < n:
         tour = np.roll(tour, -shift)
     mend = _TourRepair(points, p, r, tour)
-    isolated = _isolated_vertex(mend.grid, alone, _SCREEN_REACH)
+    isolated = _isolated_vertex(mend.grid, alone)
     if isolated is not None:
         raise ConstructionError(
             FailureReason.DISCONNECTED,
@@ -626,7 +617,13 @@ def _repaired_tour_cycle(points: np.ndarray, p: float, r: float) -> np.ndarray:
     by = np.argsort(at, kind="stable")
     at = at[by][_stable_argsort(-length[by])]
     pos = mend.pos
-    for u, v in zip(tour[at].tolist(), tour[at + 1].tolist()):
+    ends = np.stack((tour[at], tour[at + 1]), axis=1)
+    ahead = 0
+    for k, (u, v) in enumerate(ends.tolist()):
+        if k == ahead:
+            # the ends of the next 8, 16, 32, ... hops, in one search
+            ahead = 2 * k + 8
+            mend.look_up(ends[k:ahead])
         i, j = int(pos[u]), int(pos[v])
         if abs(i - j) != 1:
             continue    # an earlier move took this hop out

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Union
 
 import numpy as np
@@ -266,6 +267,30 @@ class SpatialIndex:
     order: np.ndarray
     starts: np.ndarray
 
+    @cached_property
+    def window(self) -> list[tuple[int, int]]:
+        """The only rule for which cells can hold a neighbour: the offsets
+        (dc, dr), one of each +/- pair (dr > 0, or dr = 0 and dc >= 0),
+        nearest first, of the cells whose gap to cell (0, 0) is at most r
+        plus a margin for rounding, which at r = 0.1 on cells 0.1 wide files
+        x = 0.3 and the float below 0.2, r apart, two cells apart."""
+        side, s = self.side, 1.0 / self.side
+        most = int(min(self.r * side + 2, side - 1))
+        near = sorted((_lp_from_abs(self.p, max(abs(dc) - 1, 0) * s,
+                                    max(dr - 1, 0) * s), dr, dc)
+                      for dr in range(most + 1) for dc in range(-most, most + 1)
+                      if dr > 0 or dc >= 0)
+        return [(dc, dr) for gap, dr, dc in near
+                if gap <= self.r * (1.0 + _REL_SLACK) + _ABS_SLACK]
+
+    @cached_property
+    def reach(self) -> np.ndarray:
+        """The widest |dc| of window at each row offset +/-dr, as uint64."""
+        dc, dr = np.abs(self.window).T
+        reach = np.zeros(dr.max() + 1, dtype=np.uint64)
+        np.maximum.at(reach, dr, dc.astype(np.uint64))
+        return reach
+
 
 def build_spatial_index(vs: VertexSet, r: float, p: float) -> SpatialIndex:
     """Grid of cell side s at most r / (2 ||(1, 1)||_p), less a rounding
@@ -289,18 +314,6 @@ def build_spatial_index(vs: VertexSet, r: float, p: float) -> SpatialIndex:
     cells, order, starts = occupied_cells(pts, side)
     return SpatialIndex(points=pts, r=r, p=p, side=side, cells=cells,
                         order=order, starts=starts)
-
-
-def _far_offsets(idx: SpatialIndex) -> list[tuple[int, int]]:
-    """Cell offsets beyond the 3x3 block that can hold a pair within r,
-    one of each +/- pair, nearest first."""
-    s, reach = 1.0 / idx.side, int(min(idx.r * idx.side + 2, idx.side - 1))
-    near = sorted((_lp_from_abs(idx.p, max(abs(dc) - 1, 0) * s, max(dr - 1, 0) * s),
-                   dr, dc)
-                  for dr in range(reach + 1) for dc in range(-reach, reach + 1)
-                  if (dr > 0 or dc > 0) and max(abs(dc), dr) > 1)
-    return [(dc, dr) for gap, dr, dc in near
-            if gap <= idx.r * (1.0 + _REL_SLACK) + _ABS_SLACK]
 
 
 def _near_pairs(cells: np.ndarray, col: np.ndarray,
@@ -336,18 +349,18 @@ def _near_pairs(cells: np.ndarray, col: np.ndarray,
     return pairs
 
 
-def _runs(idx: SpatialIndex, first: np.ndarray,
-          cnt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """idx.order[first[i]:first[i] + cnt[i]] for every i, joined, with the
-    i of each entry."""
-    at = np.repeat(np.arange(len(cnt)), cnt)
-    return at, idx.order[np.arange(len(at)) + (first + cnt - np.cumsum(cnt))[at]]
+def gather_runs(order: np.ndarray, first: np.ndarray,
+                cnt: np.ndarray) -> np.ndarray:
+    """order[first[i]:first[i] + cnt[i]] for every i, joined."""
+    return order[np.repeat(first - np.cumsum(cnt) + cnt, cnt)
+                 + np.arange(cnt.sum())]
 
 
 def _members(idx: SpatialIndex, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vertices of the listed cells, with the position in cells of each."""
     first = idx.starts[cells]
-    return _runs(idx, first, idx.starts[cells + 1] - first)
+    cnt = idx.starts[cells + 1] - first
+    return np.repeat(np.arange(len(cells)), cnt), gather_runs(idx.order, first, cnt)
 
 
 def _hook(parent: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
@@ -391,11 +404,6 @@ def _hook_close(idx: SpatialIndex, parent: np.ndarray, a: np.ndarray,
         _hook(parent, a[hit], b[hit])
 
 
-def _inside(x: np.ndarray, d: int, side: int) -> np.ndarray:
-    """Whether 0 <= x + d < side, for uint64 x in [0, side) and |d| < side."""
-    return x >= np.uint64(-d) if d < 0 else x < np.uint64(side - d)
-
-
 def _wrapped(d: int) -> np.uint64:
     """d as a uint64 that adds modulo 2^64, so that key + d is exact
     wherever the true sum lies in [0, 2^64)."""
@@ -406,71 +414,75 @@ def _shifted(idx: SpatialIndex, src: np.ndarray, row: np.ndarray,
              col: np.ndarray, dc: int, dr: int) -> tuple[np.ndarray, np.ndarray]:
     """The cells src[i] (at row[i], col[i]) whose cell (row + dr, col + dc)
     is occupied, and that cell's slot in idx.cells."""
-    i = np.flatnonzero(_inside(row, dr, idx.side) & _inside(col, dc, idx.side))
+    side = np.uint64(idx.side)
+    i = np.flatnonzero((row + _wrapped(dr) < side) & (col + _wrapped(dc) < side))
     b, hit = find_slots(idx.cells, idx.cells[src[i]] + _wrapped(dr * idx.side + dc))
     return src[i[hit]], b[hit]
 
 
-def _isolated_vertex(idx: SpatialIndex, u: np.ndarray,
-                     reach: dict[int, int]) -> Optional[int]:
-    """The first of the vertices u that has no other point within r, None
-    when each of them has one.
+def _pairs_within(idx: SpatialIndex, u: np.ndarray, key: np.ndarray,
+                  at: np.ndarray, dr: np.ndarray):
+    """Yield, in slabs of at most max(_PAIR_CHUNK, n) point pairs, the pairs
+    (at[k], v), k ascending, of each vertex u[at[k]], in cell key[at[k]],
+    and every other vertex v within r of it in its window's cells at row
+    offset dr[k], by ascending cell key, then index. Those cells are a run
+    of columns, which two searches find. Keys stay in uint64, which numpy
+    1.x would mix with signed ints into float64, rounding keys above 2^53;
+    a negative dr wraps modulo 2^64, so row + dr is huge below the grid."""
+    side = np.uint64(idx.side)
+    row, col = np.divmod(key[at], side)
+    to = row + dr.astype(np.uint64)
+    i = np.flatnonzero(to < side)
+    at, w = at[i], idx.reach[np.abs(dr[i])]
+    col, at_col0 = col[i], to[i] * side
+    first = idx.starts[np.searchsorted(idx.cells, at_col0 + (np.maximum(col, w) - w))]
+    cnt = idx.starts[np.searchsorted(
+        idx.cells, at_col0 + np.minimum(col + w, side - np.uint64(1)), "right")] - first
+    step = max(1, _PAIR_CHUNK // int(cnt.max(initial=1)))
+    for lo in range(0, len(at), step):
+        c = cnt[lo:lo + step]
+        src = np.repeat(at[lo:lo + step], c)
+        v = gather_runs(idx.order, first[lo:lo + step], c)
+        d = idx.points[u[src]] - idx.points[v]
+        close = (lp_norms(idx.p, d[:, 0], d[:, 1]) <= idx.r) & (v != u[src])
+        yield src[close], v[close]
 
-    reach maps each row offset dr >= 0 to the widest column offset whose
-    cell, at row offset dr or -dr, can hold a point within r of a point of
-    the cell; the caller's grid must leave no neighbour outside those
-    cells. The vertices go in batches that double from _FIRST_BATCH, so
-    that a set with many isolated vertices stops after a few hundred.
-    """
+
+def neighbour_lists(idx: SpatialIndex,
+                    u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every other vertex v within r of each of the vertices u, as pairs
+    (at, v), u[at] the vertex: at ascending, and the v of each vertex by
+    ascending cell key, then index."""
+    rows = len(idx.reach)
+    got = [(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=idx.order.dtype))]
+    got += _pairs_within(idx, u, _cell_keys(idx.points[u], idx.side),
+                         np.repeat(np.arange(len(u)), 2 * rows - 1),
+                         np.tile(np.arange(1 - rows, rows), len(u)))
+    return tuple(np.concatenate(part) for part in zip(*got))
+
+
+def _isolated_vertex(idx: SpatialIndex, u: np.ndarray) -> Optional[int]:
+    """The first of the vertices u that has no other point within r, None
+    when each of them has one. Windows are searched a row offset at a time,
+    nearest rows first, and a vertex with a neighbour drops out at once; the
+    vertices go in batches that double from _FIRST_BATCH, so that a set
+    with many isolated vertices stops after a few hundred."""
     lo, size = 0, _FIRST_BATCH
     while lo < len(u):
         batch = u[lo:lo + size]
-        left = _without_neighbour(
-            idx, batch, _cell_keys(idx.points[batch], idx.side), reach)
-        if len(left):
-            return int(left[0])
+        key = _cell_keys(idx.points[batch], idx.side)
+        alone = np.ones(len(batch), dtype=bool)
+        for dr in sorted(range(1 - len(idx.reach), len(idx.reach)), key=abs):
+            at = np.flatnonzero(alone)
+            if not len(at):
+                break
+            for found, _ in _pairs_within(idx, batch, key, at, np.full(len(at), dr)):
+                alone[found] = False
+        if alone.any():
+            return int(batch[alone.argmax()])
         lo += size
         size *= 2
     return None
-
-
-def _without_neighbour(idx: SpatialIndex, u: np.ndarray, key: np.ndarray,
-                       reach: dict[int, int]) -> np.ndarray:
-    """Those of the vertices u (in cells key) with no other point within r,
-    in the order given.
-
-    The cells are searched one row offset dr at a time, nearest rows first:
-    two searches give the occupied cells of row + dr within reach[dr], and
-    every point of them is tested exactly. A vertex with a neighbour drops
-    out at once. Pairs go in slabs of at most max(_PAIR_CHUNK, n), as in
-    _hook_close.
-    """
-    pts, side = idx.points, np.uint64(idx.side)
-    row = key // side
-    col = key - row * side
-    base = key - col     # the key of column 0 of each cell's row
-    last = np.uint64(idx.side - 1)
-    for dr in sorted(reach):
-        w = np.uint64(reach[dr])
-        for sign in ((1,) if dr == 0 else (1, -1)):
-            if not len(u):
-                return u
-            i = np.flatnonzero(_inside(row, sign * dr, idx.side))
-            at_col0 = base[i] + _wrapped(sign * dr * idx.side)
-            first = idx.starts[np.searchsorted(
-                idx.cells, at_col0 + (np.maximum(col[i], w) - w))]
-            cnt = idx.starts[np.searchsorted(
-                idx.cells, at_col0 + np.minimum(col[i] + w, last), "right")] - first
-            step = max(1, _PAIR_CHUNK // int(cnt.max(initial=1)))
-            found = np.zeros(len(u), dtype=bool)
-            for lo in range(0, len(i), step):
-                at, v = _runs(idx, first[lo:lo + step], cnt[lo:lo + step])
-                at = i[lo:lo + step][at]
-                close = lp_norms(idx.p, pts[u[at], 0] - pts[v, 0],
-                                 pts[u[at], 1] - pts[v, 1]) <= idx.r
-                found[at[close & (v != u[at])]] = True
-            u, row, col, base = u[~found], row[~found], col[~found], base[~found]
-    return u
 
 
 def is_connected(idx: SpatialIndex) -> bool:
@@ -486,13 +498,13 @@ def is_connected(idx: SpatialIndex) -> bool:
     (the threshold is where the last isolated vertex disappears), and only
     one-point cells with no occupied cell around them need testing, by
     _isolated_vertex, which stops at the first batch that holds one such
-    vertex. Otherwise each farther offset that can hold a pair within r,
-    nearest first, tests point pairs only between the cells it pairs whose
-    roots still differ, and stops as soon as one component is left. Every
-    edge between two components has an end outside the largest one, so
-    when fewer than half the cells lie outside it, only those cells are
-    searched from, at both signs of each offset; otherwise every cell is,
-    at one sign.
+    vertex. Otherwise each offset of the window (SpatialIndex.window) beyond
+    the 3x3 block, nearest first, tests point pairs only between the cells
+    it pairs whose roots still differ, and stops as soon as one component
+    is left. Every edge between two components has an end outside the
+    largest one, so when fewer than half the cells lie outside it, only
+    those cells are searched from, at both signs of each offset; otherwise
+    every cell is, at one sign.
     """
     cells = idx.cells
     col = cells % np.uint64(idx.side)
@@ -501,16 +513,13 @@ def is_connected(idx: SpatialIndex) -> bool:
         _hook(parent, a, b)
     if not parent.any():
         return True
-    far = _far_offsets(idx)
     size = np.bincount(parent, minlength=len(parent))
     # parent holds roots, so a root counted once is a component of one cell
     lone = np.flatnonzero(size == 1)
     lone = lone[idx.starts[lone + 1] - idx.starts[lone] == 1]
-    reach: dict[int, int] = {}
-    for dc, dr in far:
-        reach[dr] = max(reach.get(dr, 0), abs(dc))
-    if _isolated_vertex(idx, idx.order[idx.starts[lone]], reach) is not None:
+    if _isolated_vertex(idx, idx.order[idx.starts[lone]]) is not None:
         return False
+    far = [(dc, dr) for dc, dr in idx.window if max(abs(dc), dr) > 1]
     row = cells // np.uint64(idx.side)
     outside = np.flatnonzero(parent != size.argmax())
     if 2 * len(outside) < len(cells):

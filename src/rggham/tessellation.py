@@ -258,27 +258,23 @@ def _scale_free_quadrant_count(p: float, k: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def choose_cells_per_side(p: float, eps: float,
-                          k_max: int = MAX_CELLS_PER_SIDE) -> tuple[int, bool]:
+def choose_cells_per_side(p: float, eps: float) -> tuple[int, bool]:
     """Smallest usable k with quadrant count >= (area_p - eps/2) k^2.
 
-    Searches even k in [4, k_max] (even k makes every serpentine stitch order
-    start and end at side-adjacent corners, see hamiltonian.py). Uses the
-    scale-free closeness bound so the answer depends on (p, eps) only and can
-    be cached across an n sweep. Returns (k, satisfied); when no k qualifies
-    the largest even candidate is returned with satisfied=False.
+    Searches even k up to MAX_CELLS_PER_SIDE (even k makes every serpentine
+    stitch order start and end at side-adjacent corners, see hamiltonian.py).
+    Uses the scale-free closeness bound so the answer depends on (p, eps)
+    only and can be cached across an n sweep. Returns (k, satisfied), and
+    (MAX_CELLS_PER_SIDE, False) when no k qualifies.
     """
     p = validate_p(p)
     area = unit_disk_area(p)
     if not 0.0 < eps < area:
         raise ValueError(f"eps must lie in (0, {area}), got {eps}")
-    candidates = range(MIN_CELLS_PER_SIDE, k_max + 1, 2)
-    last = MIN_CELLS_PER_SIDE
-    for k in candidates:
-        last = k
+    for k in range(MIN_CELLS_PER_SIDE, MAX_CELLS_PER_SIDE + 1, 2):
         if _scale_free_quadrant_count(p, k) >= (area - eps / 2.0) * k * k:
             return k, True
-    return last, False
+    return MAX_CELLS_PER_SIDE, False
 
 
 # --------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from rggham.auxgraphs import (AugmentedGraph, DensityGraph, GroupKey,
                               SpanningTree, _close_cell_pairs, _closeness,
                               attach_sparse_groups,
                               build_density_graph, euler_traversal,
-                              find_hook_cell, node_sort_key, spanning_tree)
+                              find_hook_cell, spanning_tree)
 from rggham.failures import ConstructionError, FailureReason
 from rggham.instance import VertexSet
 from rggham.tessellation import (DENSE_THRESHOLD, CellId, build_tessellation,
@@ -18,6 +18,19 @@ from rggham.tessellation import (DENSE_THRESHOLD, CellId, build_tessellation,
 
 # p = 2, r = 0.5: m = 4, k = 4, g = 16; cells with index offsets (dc, dr)
 # are close iff (|dc|+1)^2 + (|dr|+1)^2 <= 64, so offsets reach out to 6
+
+
+def node_sort_key(node):
+    """Node order: old vertices ascending, then group nodes by sparse
+    square, then label square."""
+    if isinstance(node, GroupKey):
+        return (1, node.sparse_square, node.label_square)
+    return (0, node, 0)
+
+
+def assert_node_order(ag):
+    for nbrs in ag.adjacency.values():
+        assert nbrs == sorted(nbrs, key=node_sort_key)
 
 
 @pytest.fixture
@@ -177,6 +190,7 @@ def test_attach_groups_row_major_membership(t):
     assert ag.adjacency[0] == [key]
     assert ag.adjacency[key] == [0]
     assert sorted(ag.nodes(), key=node_sort_key) == [0, key]
+    assert_node_order(ag)
     assert spanning_tree(ag).size() == 2
 
 
@@ -200,9 +214,39 @@ def test_attach_groups_split_by_label_square(t):
     assert ag.groups[GroupKey(5, 8)] == [6 * g + 6]
     assert ag.hooks[4 * g + 4] == 3
     assert ag.hooks[6 * g + 6] == 8 * g
+    assert_node_order(ag)
     with pytest.raises(ConstructionError) as err:
         spanning_tree(ag)
     assert err.value.reason is FailureReason.DISCONNECTED
+
+
+def test_attach_groups_lists_are_in_node_order():
+    # squares are dense (one dense cell) or sparse (a few one-point cells)
+    # at random, so that label squares gather several group nodes; the
+    # lists must come out in node order without a sort
+    t = build_tessellation(2.0, 0.2, 4)
+    m, k = t.squares_per_side, t.cells_per_side
+    groups = shared = 0
+    for seed in range(12):
+        rng = np.random.default_rng(seed)
+        blocks = []
+        for sq in range(m * m):
+            dense_square = rng.random() < 0.75
+            for _ in range(1 if dense_square else rng.integers(1, 4)):
+                c, r = rng.integers(0, k, 2) + (sq % m * k, sq // m * k)
+                blocks.append(cell_points(t, c, r, DENSE_THRESHOLD
+                                          if dense_square else 1))
+        cls = classify(t, blocks)
+        try:
+            ag = attach_sparse_groups(t, cls, build_density_graph(t, cls))
+        except ConstructionError as err:
+            assert err.reason is FailureReason.HOOK_MISSING
+            continue
+        assert_node_order(ag)
+        groups += len(ag.groups)
+        shared += sum(sum(isinstance(node, GroupKey) for node in nbrs) > 1
+                      for nbrs in ag.adjacency.values())
+    assert groups > 200 and shared > 30
 
 
 def test_spanning_tree_on_split_graph_reports_sizes(t):
@@ -230,6 +274,7 @@ def test_spanning_tree_without_old_vertices(t):
 def test_spanning_tree_and_euler_on_chained_instance(t):
     cls = classify(t, _two_cluster_blocks(t, bridged=True))
     ag = attach_sparse_groups(t, cls, build_density_graph(t, cls))
+    assert_node_order(ag)
     tree = spanning_tree(ag)
     assert tree.root == 0
     assert tree.size() == 5

@@ -17,12 +17,12 @@ from rggham.auxgraphs import (GroupKey, attach_sparse_groups,
                                spanning_tree)
 from rggham.failures import ConstructionError, FailureReason
 from rggham.geometry import _lp_from_abs, lp_norms
-from rggham.hamiltonian import (_cell_gaps, _gather, _remainder_runs,
+from rggham.hamiltonian import (_cell_gaps, _remainder_runs,
                                 _serpentine_orders, _tessellation_cycle,
                                 _withdrawal_positions, construct_cycle,
                                 full_construction, verify_cycle)
 from rggham.instance import (VertexSet, _isolated_vertex, build_spatial_index,
-                             is_connected, threshold_radius)
+                             gather_runs, is_connected, threshold_radius)
 from rggham.tessellation import (DENSE_THRESHOLD, CellId, build_tessellation,
                                  cells_close, classify_cells,
                                  tessellation_fits)
@@ -81,7 +81,7 @@ def test_ledger_drain_is_uncounted_remainder():
     first = withdraw(cls, [0, 0, 0])
     lo, size = _remainder_runs(cls, [0], [0, 0, 0])
     assert size.tolist() == [57]
-    rest = _gather(cls.order, lo, size).tolist()
+    rest = gather_runs(cls.order, lo, size).tolist()
     assert sorted(first + rest) == list(range(60))
     # every vertex withdrawn: nothing remains
     assert _remainder_runs(cls, [0], [0] * 60)[1].tolist() == [0]
@@ -92,12 +92,12 @@ def test_ledger_drains_cells_in_turn():
     cls = classified(t, [cell_points(t, 0, 0, 5), cell_points(t, 2, 0, 4),
                          cell_points(t, 1, 0, 3)])
     taken = withdraw(cls, [1])
-    got = _gather(cls.order, *_remainder_runs(cls, [2, 0, 1, 3], [1])).tolist()
+    got = gather_runs(cls.order, *_remainder_runs(cls, [2, 0, 1, 3], [1])).tolist()
     assert got == [5, 6, 7, 8, 0, 1, 2, 3, 4, 10, 11]
     assert taken == [9]
     lo, size = _remainder_runs(cls, [1, 2], [1, 1, 2, 1, 2, 2, 2])
     assert size.tolist() == [0, 0]
-    assert _gather(cls.order, lo, size).size == 0
+    assert gather_runs(cls.order, lo, size).size == 0
 
 
 # --------------------------------------------------------------------------
@@ -764,10 +764,24 @@ def test_isolated_vertex_keys_beyond_float_precision():
     assert math.floor(y[1] * g) - math.floor(y[0] * g) == 1
     grid = hamiltonian._repair_grid(pts, 2.0, r)
     assert grid.cells.dtype == np.uint64 and int(grid.cells[1]) > 2 ** 53
-    reach = hamiltonian._SCREEN_REACH
-    assert _isolated_vertex(grid, np.array([0, 1]), reach) is None
-    assert _isolated_vertex(grid, np.array([1, 0]), reach) is None
-    assert _isolated_vertex(grid, np.array([0, 2, 1]), reach) == 2
+    # the keys, from Python ints: exact where a float64 is not
+    assert grid.cells[1:].tolist() == [(k - 1) * side + c - 1, k * side + c]
+    assert _isolated_vertex(grid, np.array([0, 1])) is None
+    assert _isolated_vertex(grid, np.array([1, 0])) is None
+    assert _isolated_vertex(grid, np.array([0, 2, 1])) == 2
+    mend = hamiltonian._TourRepair(pts, 2.0, r, np.arange(3))
+    assert [mend.near(v).tolist() for v in range(3)] == [[1], [0], []]
+    # vertex 0's window in the next row starts at vertex 1's key; that row
+    # key, 70 above a multiple of 128, rounds up by 58 as a float64, and
+    # the window's start, 100 further on, would round past vertex 1's key
+    k = next(k for k in range(k, k + 128) if k * side % 128 == 70)
+    pts = np.array([[(101 + 0.1) / side, (k - 0.1) / side],
+                    [(101 - 0.1) / side, (k + 0.1) / side]])
+    grid = hamiltonian._repair_grid(pts, 2.0, r)
+    assert grid.cells.tolist() == [(k - 1) * side + 101, k * side + 100]
+    assert _isolated_vertex(grid, np.array([0, 1])) is None
+    mend = hamiltonian._TourRepair(pts, 2.0, r, np.arange(2))
+    assert [mend.near(v).tolist() for v in range(2)] == [[1], [0]]
 
 
 @pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
@@ -782,8 +796,13 @@ def test_isolated_vertex_sees_a_neighbour_two_buckets_away(p, axis):
     grid = hamiltonian._repair_grid(pts, p, r)
     buckets = np.minimum((pts[:2, axis] * grid.side).astype(int), grid.side - 1)
     assert buckets.tolist() == [1, 3]
-    reach = hamiltonian._SCREEN_REACH
-    assert _isolated_vertex(grid, np.array([0, 1, 2]), reach) == 2
+    assert _isolated_vertex(grid, np.array([0, 1, 2])) == 2
+
+
+def oracle_degrees(pts, p, r, vertices):
+    """The number of other points within r of each vertex, by brute force."""
+    return [int((lp_norms(p, pts[:, 0] - pts[v, 0], pts[:, 1] - pts[v, 1])
+                 <= r).sum()) - 1 for v in vertices]
 
 
 def test_fallback_certifies_no_vertex_whose_neighbour_rounds_far():
@@ -794,9 +813,70 @@ def test_fallback_certifies_no_vertex_whose_neighbour_rounds_far():
     pts = np.array([[np.nextafter(0.2, 0.0), 0.5], [0.3, 0.5], [0.29, 0.56],
                     [0.08, 0.5], [0.1, 0.59], [0.19, 0.62], [0.25, 0.63]])
     assert is_connected(build_spatial_index(VertexSet(pts), r, 2.0))
+    assert hamiltonian._TourRepair(pts, 2.0, r, np.arange(7)).near(0).tolist() == [1]
     with pytest.raises(ConstructionError) as err:
         full_construction(pts, 2.0, r)
     assert err.value.reason is FailureReason.EDGE_TOO_LONG
+    ctx = err.value.context
+    assert ctx["degrees"] == oracle_degrees(pts, 2.0, r, ctx["vertices"])
+
+
+def _bucket_edge_points(side, rng):
+    """Points at and an ulp either side of the repair's bucket edges, and
+    at random places; rounding files the edge points either way."""
+    edges = np.arange(side + 1) / side
+    at_edge = np.concatenate([np.nextafter(edges, -1.0), edges,
+                              np.nextafter(edges, 2.0)]).clip(0.0, 1.0)
+    pts = rng.random((240, 2))
+    pts[:80, 0] = rng.choice(at_edge, 80)
+    pts[80:160, 1] = rng.choice(at_edge, 80)
+    pts[160:200] = rng.choice(at_edge, (40, 2))
+    return pts
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0, math.inf])
+def test_near_is_the_brute_force_list(p):
+    # every vertex within r, in the order the repair's moves break ties
+    # by: ascending bucket key, then vertex index
+    rng = np.random.default_rng(int(p) if p != math.inf else 4)
+    radii = [0.5, 0.25, 0.2, 0.125, 0.1, 0.05] + rng.uniform(0.03, 0.6, 4).tolist()
+    for r in radii:
+        side = hamiltonian._repair_grid(np.zeros((1, 2)), p, r).side
+        pts = _bucket_edge_points(side, rng)
+        n = len(pts)
+        col, row = (np.minimum((pts[:, i] * side).astype(np.int64), side - 1)
+                    for i in (0, 1))
+        bucket = row * side + col
+        within = lp_norms(p, pts[:, None, 0] - pts[None, :, 0],
+                          pts[:, None, 1] - pts[None, :, 1]) <= r
+        np.fill_diagonal(within, False)
+        want = [sorted(np.flatnonzero(within[v]).tolist(),
+                       key=lambda u: (bucket[u], u)) for v in range(n)]
+        batched = hamiltonian._TourRepair(pts, p, r, np.arange(n))
+        batched.look_up(rng.permutation(n))
+        assert [batched.near(v).tolist() for v in range(n)] == want
+        single = hamiltonian._TourRepair(pts, p, r, np.arange(n))
+        for v in rng.permutation(n)[:40].tolist():
+            assert single.near(v).tolist() == want[v]
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
+def test_fallback_failure_degrees_are_the_oracle_degrees(p):
+    # at 1.5x the fallback gives up on most instances; the degrees it
+    # reports are those of the point graph
+    n = 10 ** 4
+    r = 1.5 * threshold_radius(n, p)
+    failures = 0
+    for seed in range(4):
+        pts = rand_points(n, seed)
+        try:
+            hamiltonian._repaired_tour_cycle(pts, p, r)
+        except ConstructionError as err:
+            if err.reason is FailureReason.EDGE_TOO_LONG:
+                ctx = err.context
+                assert ctx["degrees"] == oracle_degrees(pts, p, r, ctx["vertices"])
+                failures += 1
+    assert failures
 
 
 @pytest.mark.parametrize("first", [1, 2, 3, 256])
@@ -813,7 +893,7 @@ def test_isolated_vertex_is_the_first_in_the_order_given(monkeypatch, first):
         grid = hamiltonian._repair_grid(pts, 2.0, r)
         for u in (np.arange(n), rng.permutation(n), rng.permutation(n)[:n // 3]):
             want = next((int(v) for v in u if alone[v]), None)
-            assert _isolated_vertex(grid, u, hamiltonian._SCREEN_REACH) == want
+            assert _isolated_vertex(grid, u) == want
 
 
 # instances where the tessellation path gives up without a certificate:

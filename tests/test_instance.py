@@ -211,8 +211,8 @@ def test_is_connected_leaves_at_an_isolated_vertex(monkeypatch):
                                    (0.04, -0.15)])
 def test_is_connected_sees_a_neighbour_at_a_negative_far_offset(p, dx, dy):
     # each point is alone in its 3x3 block of cells, and (0.505, 0.505) sees
-    # its only neighbour at a far offset of negative sign, which
-    # _far_offsets does not list
+    # its only neighbour at a far offset of negative sign, which the window
+    # lists only by its opposite
     pts = np.array([[0.505, 0.505], [0.505 + dx, 0.505 + dy]])
     r = 0.2
     assert lp_distance(p, pts[0], pts[1]) <= r
@@ -450,7 +450,7 @@ def test_far_phase_searches_outside_the_largest_component(monkeypatch, p,
         assert all(outside[a].all() for a in seen)
     else:
         # the first far offset, from every cell that has an occupied cell there
-        dc, dr = instance._far_offsets(idx)[0]
+        dc, dr = next((dc, dr) for dc, dr in idx.window if max(abs(dc), dr) > 1)
         keys = set(idx.cells.tolist())
         want = [i for i, key in enumerate(idx.cells.tolist())
                 if 0 <= key % idx.side + dc < idx.side
