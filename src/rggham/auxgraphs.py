@@ -28,7 +28,7 @@ import numpy as np
 from .failures import ConstructionError, FailureReason
 from .instance import find_slots
 from .tessellation import (FRIEND_CHEBYSHEV, MAX_FRIENDS, CellClassification,
-                           CellId, Tessellation, cells_close, close_offsets)
+                           CellId, Tessellation, cells_close)
 
 
 class GroupKey(NamedTuple):
@@ -186,7 +186,7 @@ def find_hook_cell(t: Tessellation, cls: CellClassification, cell: CellId) -> in
     in the intended density regime every sparse cell has one.
     """
     g = t.grid
-    col, row = np.array(close_offsets(t)).T + np.array([[cell.col], [cell.row]])
+    col, row = t.close_offsets.T + np.array([[cell.col], [cell.row]])
     flat = (row * g + col)[(col >= 0) & (col < g) & (row >= 0) & (row < g)]
     dense = cls.dense(flat)
     if dense.any():

@@ -3,16 +3,19 @@
 A trial samples an instance, times the construction pipeline (tessellation
 through the verified cycle; sampling and the connectivity check are not part
 of the timed span), and records either the verified cycle or the typed
-failure. A verified cycle certifies connectivity, and a Disconnected failure
-certifies the opposite (a vertex with no neighbour within r), so the
-connectivity check (union-find over the occupied cells of a sparse grid, see
-instance.py) runs only after other failures. The fallback tests for such a
-vertex before it repairs anything, so at and below the threshold, where
-almost every instance has one, a failed trial ends without the check. The
-tessellation, the fallback's buckets and the check each bucket the points
-once, by instance.occupied_cells. A trial that does reach the check has no
-isolated vertex (the check would stop at the first right after touching
-cells are joined), so the check pairs farther cells, and above the
+failure. Near the threshold no tessellation cell can hold the 48 points a
+dense cell needs; full_construction sees that from one count of the points
+per block of squares and goes straight to the serpentine fallback. A
+verified cycle certifies connectivity, and a Disconnected failure certifies
+the opposite (a vertex with no neighbour within r), so the connectivity
+check (union-find over the occupied cells of a sparse grid, see instance.py)
+runs only after other failures. The fallback tests for such a vertex before
+it repairs anything, so at and below the threshold, where almost every
+instance has one, a failed trial ends without the check. The fallback's
+buckets, the check and, where it runs, the tessellation each bucket the
+points once, by instance.occupied_cells. A trial that does reach the check
+has no isolated vertex (the check would stop at the first right after
+touching cells are joined), so the check pairs farther cells, and above the
 threshold searches only from the cells outside the largest component. A
 sweep aggregates trials per (n, radius multiplier) pair into one summary
 row; trial seeds are assigned from a single base seed by global trial index

@@ -29,22 +29,24 @@ from. So at every sweep a cell holds its occupancy less its withdrawals,
 and each withdrawal's vertex is found from its rank alone.
 
 The tessellation path needs dense cells of 48 points, which near the
-connectivity threshold only exist once log n is in the thousands; at any
-practical n it stops at HookMissing. It also gives up, at any n, when its
-augmented graph splits, which the point graph need not do, and when its
-cycle has a hop longer than r (at p = 1 a square can be wider than r).
-full_construction then falls back to a serpentine tour: every vertex in rows
-of clique cells, sorted along each row, with a return lane that closes the
-tour. The few hops longer than r, at gaps in a row, are repaired locally
-with 2-opt moves and single-vertex moves that use only edges within r
-(after Posa's rotations). Its neighbours come from buckets of side about r
-through SpatialIndex.window, the rule is_connected reads too. The fallback
-reports its failures with existing reasons. Before any repair, every vertex
-whose two tour hops are both longer than r is tested exactly, and the first
-one with no neighbour within r is reported as Disconnected, a certificate:
-below the threshold almost every instance has such a vertex. Otherwise the
-first hop that no repair mends is reported as EdgeTooLong, with the degrees
-of its ends.
+connectivity threshold only exist once log n is in the thousands. Without
+one, the first occupied cell finds no hook and the path stops at
+HookMissing, so full_construction first counts the points per block of
+whole squares (_may_hold_dense_cell) and, where no block holds 48, skips
+the attempt. The path also gives up when its augmented graph splits, which
+the point graph need not do, and when its cycle has a hop longer than r (at
+p = 1 a square can be wider than r). full_construction then falls back to
+a serpentine tour: every vertex in rows of clique cells, sorted along each
+row, with a return lane that closes the tour. The few hops longer than r,
+at gaps in a row, are repaired locally with 2-opt moves and single-vertex
+moves that use only edges within r (after Posa's rotations). Its
+neighbours come from buckets of side about r through SpatialIndex.window,
+the rule is_connected reads too. The fallback reports its failures with
+existing reasons. Before any repair, every vertex whose two tour hops are
+both longer than r is tested exactly, and the first one with no neighbour
+within r is reported as Disconnected, a certificate: below the threshold
+almost every instance has such a vertex. Otherwise the first hop that no
+repair mends is reported as EdgeTooLong, with the degrees of its ends.
 
 Every constructed cycle is self-verified (zero tolerance) before being
 returned, so callers get either a valid cycle or a typed failure.
@@ -670,9 +672,11 @@ def full_construction(points: np.ndarray, p: float, r: float,
     the cycle instead, or raises Disconnected or EdgeTooLong. Every other
     failure of the tessellation path, LedgerExhausted included, is raised
     as it is. Where no tessellation fits (tessellation_fits: r > 1, or r
-    below about 3e-9), the fallback answers alone. Raises ValueError for
-    fewer than 3 points, points outside [0, 1]^2, and radii that are not
-    positive.
+    below about 3e-9), the fallback answers alone. So it does where no cell
+    can hold 48 points (_may_hold_dense_cell, near the threshold at any n
+    this code can hold), and gives what it would give after the attempt's
+    HookMissing. Raises ValueError for fewer than 3 points, points outside
+    [0, 1]^2, and radii that are not positive.
     """
     p = validate_p(p)
     n = len(points)
@@ -688,8 +692,10 @@ def full_construction(points: np.ndarray, p: float, r: float,
             cells_per_square, _ = choose_cells_per_side(p, eps)
         else:
             cells_per_square = 4
-    if tessellation_fits(r, cells_per_square):
-        t = build_tessellation(p, r, cells_per_square)
+    t = (build_tessellation(p, r, cells_per_square)
+         if tessellation_fits(r, cells_per_square) else None)
+    # with no dense cell the attempt can only end at HookMissing
+    if t is not None and _may_hold_dense_cell(points, t):
         # held through the fallback, which then reuses the pages of the
         # classification's temporaries instead of faulting in fresh ones
         cls = classify_cells(t, VertexSet(points))
@@ -706,6 +712,26 @@ def full_construction(points: np.ndarray, p: float, r: float,
         else:
             return ConstructionOutcome(cycle, cells_per_square)
     return ConstructionOutcome(_repaired_tour_cycle(points, p, r), None)
+
+
+def _may_hold_dense_cell(points: np.ndarray, t: Tessellation) -> bool:
+    """Whether some cell of t can hold DENSE_THRESHOLD points; exact.
+
+    Counts the points per block of whole squares, s x s blocks with
+    s = min(m, isqrt(n)), so at most n bins. A point's square comes from
+    its cell as occupied_cells files it (truncate x * g, clamp to g - 1),
+    so every cell lies in one block, whatever the rounding, and a block
+    below the threshold holds no dense cell. Where n >= 48 s^2 some block
+    reaches it, and nothing is counted.
+    """
+    n = len(points)
+    m, k, g = t.squares_per_side, t.cells_per_side, t.grid
+    s = min(m, math.isqrt(n))
+    if n >= DENSE_THRESHOLD * s * s:
+        return True
+    col, row = (np.minimum((points[:, i] * g).astype(np.int64), g - 1)
+                // k * s // m for i in (0, 1))
+    return int(np.bincount(row * s + col).max()) >= DENSE_THRESHOLD
 
 
 def _tessellation_cycle(points: np.ndarray, t: Tessellation,

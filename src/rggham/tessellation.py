@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -81,6 +81,26 @@ class Tessellation:
         k = self.cells_per_side
         return SquareId(cell.col // k, cell.row // k)
 
+    @cached_property
+    def close_offsets(self) -> np.ndarray:
+        """All index offsets (dcol, drow) whose cells are close, row-major
+        sorted, as a read-only (count, 2) int64 array built once.
+
+        Sorted ascending by (drow, dcol): scanning a fixed cell's
+        neighbourhood in this order visits candidate cells in global
+        row-major (lexicographic) order, which makes first-hit searches
+        deterministic.
+        """
+        s = self.cell_side
+        bound = int(self.radius / s) + 1
+        out = [(dc, dr) for dr in range(-bound, bound + 1)
+               for dc in range(-bound, bound + 1)
+               if _lp_from_abs(self.p, (abs(dc) + 1) * s,
+                               (abs(dr) + 1) * s) <= self.radius]
+        offsets = np.array(out, dtype=np.int64).reshape(-1, 2)
+        offsets.flags.writeable = False
+        return offsets
+
     def cell_box(self, cell: CellId):
         from .geometry import Box
         s = self.cell_side
@@ -114,25 +134,6 @@ def cells_close(t: Tessellation, a: CellId, b: CellId) -> bool:
     sx = (abs(a.col - b.col) + 1) * s
     sy = (abs(a.row - b.row) + 1) * s
     return _lp_from_abs(t.p, sx, sy) <= t.radius
-
-
-def close_offsets(t: Tessellation) -> list[tuple[int, int]]:
-    """All index offsets (dcol, drow) whose cells are close, row-major sorted.
-
-    Sorted ascending by (drow, dcol): scanning a fixed cell's neighbourhood in
-    this order visits candidate cells in global row-major (lexicographic)
-    order, which makes first-hit searches deterministic.
-    """
-    s = t.cell_side
-    bound = int(t.radius / s) + 1
-    out = []
-    for dr in range(-bound, bound + 1):
-        for dc in range(-bound, bound + 1):
-            sx = (abs(dc) + 1) * s
-            sy = (abs(dr) + 1) * s
-            if _lp_from_abs(t.p, sx, sy) <= t.radius:
-                out.append((dc, dr))
-    return out
 
 
 # --------------------------------------------------------------------------
@@ -356,7 +357,7 @@ def density_diagnostics(t: Tessellation, cls: CellClassification) -> Diagnostics
     # hook existence: a sparse cell must see a dense cell at some close
     # offset; cells that do drop out, offset by offset
     todo = cls.cells[~cls.dense_mask]
-    for dc, dr in close_offsets(t) if n_dense else ():
+    for dc, dr in t.close_offsets.tolist() if n_dense else ():
         row, col = np.divmod(todo, g) + np.array([[dr], [dc]])
         flat = np.where((row >= 0) & (row < g) & (col >= 0) & (col < g),
                         row * g + col, -1)

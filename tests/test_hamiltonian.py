@@ -926,6 +926,117 @@ def test_split_augmented_graph_falls_back(n, p, r, seed):
 
 
 # --------------------------------------------------------------------------
+# the screen that skips the tessellation where no cell can be dense
+# --------------------------------------------------------------------------
+
+def spy_on_classify(monkeypatch):
+    """A list that grows by one at every classify_cells call of
+    full_construction."""
+    calls = []
+
+    def spy(t, vs):
+        calls.append(t)
+        return classify_cells(t, vs)
+
+    monkeypatch.setattr(hamiltonian, "classify_cells", spy)
+    return calls
+
+
+@pytest.mark.parametrize("count", [DENSE_THRESHOLD - 1, DENSE_THRESHOLD])
+def test_screen_skips_only_without_a_cell_of_48(monkeypatch, count):
+    # the cell at the top right corner of a square whose right and top
+    # edges are block edges of the screen, s = isqrt(count) = 6 blocks a side
+    t = build_tessellation(2.0, 0.02, 4)
+    m, k, s = t.squares_per_side, t.cells_per_side, math.isqrt(count)
+    assert count < DENSE_THRESHOLD * s * s     # the screen counts
+    q = next(q for q in range(m - 1) if q * s // m != (q + 1) * s // m)
+    pts = cell_points(t, q * k + k - 1, q * k + k - 1, count)
+    assert hamiltonian._may_hold_dense_cell(pts, t) is (count == DENSE_THRESHOLD)
+    calls = spy_on_classify(monkeypatch)
+    out = full_construction(pts, 2.0, 0.02, cells_per_square=4)
+    # one dense cell and nothing else: the tessellation builds the cycle
+    assert out.cells_per_side == (4 if count == DENSE_THRESHOLD else None)
+    assert len(calls) == (count == DENSE_THRESHOLD)
+    assert verify_cycle(pts, 0.02, 2.0, out.cycle).valid
+
+
+@pytest.mark.parametrize("r, k", [(0.3, 6), (0.3, 4), (0.35, 6), (0.45, 4),
+                                  (0.6, 4), (1.0, 4)])
+def test_screen_files_edge_points_in_their_cells_square(r, k):
+    # n = 48 and m <= 6 make every square its own block. A point an ulp
+    # either side of a square edge, on it, or at 1.0 goes with 47 points
+    # in the middle of the cell classify_cells files it in; at m = k = 6,
+    # x = 5/6 lies in square 4, though floor(x * m) = 5
+    t = build_tessellation(2.0, r, k)
+    m, g = t.squares_per_side, t.grid
+    assert min(m, math.isqrt(DENSE_THRESHOLD)) == m
+    edges = [e for j in range(1, m) for e in
+             (np.nextafter(j / m, 0.0), j / m, np.nextafter(j / m, 1.0))]
+    for x in edges + [1.0]:
+        for edge in ([x, 0.5], [0.5, x], [x, x]):
+            cell = int(classify_cells(t, VertexSet(np.array([edge]))).cells[0])
+            mid = [(cell % g + 0.5) / g, (cell // g + 0.5) / g]
+            pts = np.array([edge] + [mid] * (DENSE_THRESHOLD - 1))
+            assert classify_cells(t, VertexSet(pts)).dense_mask.any()
+            assert hamiltonian._may_hold_dense_cell(pts, t), (x, edge)
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
+def test_screen_never_skips_a_dense_cell(p):
+    # uniform points and up to 3 clusters of 30 to 70 about a cell wide
+    rng = np.random.default_rng(11)
+    skipped = kept = 0
+    for _ in range(60):
+        n = int(rng.integers(200, 3000))
+        r = float(rng.uniform(0.005, 0.2))
+        t = build_tessellation(p, r, int(rng.choice([4, 6, 8])))
+        pts = rng.random((n, 2))
+        for _ in range(int(rng.integers(0, 4))):
+            size = int(rng.integers(30, 70))
+            centre = rng.random(2)
+            blob = centre + rng.normal(scale=t.cell_side / 4, size=(size, 2))
+            pts = np.vstack((pts, np.clip(blob, 0.0, 1.0)))
+        if not hamiltonian._may_hold_dense_cell(pts, t):
+            assert not classify_cells(t, VertexSet(pts)).dense_mask.any()
+            skipped += 1
+        else:
+            kept += 1
+    assert skipped and kept
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
+def test_skipping_the_tessellation_changes_only_speed(monkeypatch, p):
+    def answer(pts, r):
+        try:
+            out = full_construction(pts, p, r)
+        except ConstructionError as exc:
+            return exc.reason, exc.context
+        return out.cells_per_side, out.cycle.tobytes()
+
+    cases = [(rand_points(n, seed), mult * threshold_radius(n, p))
+             for n, seed in ((2000, 0), (10000, 1))
+             for mult in (0.5, 0.7, 1.0, 1.2, 1.5, 2.0)]
+    calls = spy_on_classify(monkeypatch)
+    screened = [answer(pts, r) for pts, r in cases]
+    assert calls == []      # no cell can be dense: every attempt skipped
+    monkeypatch.setattr(hamiltonian, "_may_hold_dense_cell",
+                        lambda points, t: True)
+    assert [answer(pts, r) for pts, r in cases] == screened
+    assert len(calls) == len(cases)
+
+
+@pytest.mark.parametrize("mult", [0.7, 1.0, 1.5, 2.0])
+def test_no_classification_near_the_threshold(monkeypatch, mult):
+    calls = spy_on_classify(monkeypatch)
+    n = 50000
+    try:
+        full_construction(rand_points(n, 3), 2.0, mult * threshold_radius(n, 2.0))
+    except ConstructionError:
+        pass
+    assert calls == []
+
+
+# --------------------------------------------------------------------------
 # golden cycles: the construction's output, pinned bit for bit
 # --------------------------------------------------------------------------
 
@@ -953,9 +1064,13 @@ GOLDEN = [
 
 
 @pytest.mark.parametrize("n, p, r, seed, k, digest", GOLDEN)
-def test_golden_cycle(n, p, r, seed, k, digest):
+def test_golden_cycle(monkeypatch, n, p, r, seed, k, digest):
+    calls = spy_on_classify(monkeypatch)
     out = full_construction(rand_points(n, seed), p, r)
     assert out.cells_per_side == k
+    # the screen lets every tessellation case through, and skips the
+    # fallback case, where no cell holds 48 points
+    assert len(calls) == (k is not None)
     assert out.cycle.dtype == np.int64
     assert hashlib.sha256(out.cycle.tobytes()).hexdigest() == digest
 

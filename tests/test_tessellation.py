@@ -14,7 +14,7 @@ from rggham.tessellation import (DENSE_THRESHOLD, FRIEND_CHEBYSHEV,
                                  SquareId,
                                  build_tessellation, cells_close,
                                  choose_cells_per_side, classify_cells,
-                                 close_offsets, density_diagnostics,
+                                 density_diagnostics,
                                  quadrant_close_count)
 
 
@@ -98,10 +98,12 @@ def test_cells_close_agrees_with_box_sup_distance():
 def test_close_offsets_sorted_symmetric_contains_origin():
     for p in (1.0, 2.0, math.inf):
         t = build_tessellation(p, 0.45, 4)
-        offs = close_offsets(t)
-        assert (0, 0) in offs
+        offs = t.close_offsets.tolist()
+        assert [0, 0] in offs
         assert offs == sorted(offs, key=lambda o: (o[1], o[0]))
-        have = set(offs)
+        assert t.close_offsets is t.close_offsets
+        assert not t.close_offsets.flags.writeable
+        have = set(map(tuple, offs))
         assert all((-dc, -dr) in have for dc, dr in offs)
         for dc, dr in offs:
             assert cells_close(t, CellId(10, 10), CellId(10 + dc, 10 + dr))
