@@ -15,11 +15,11 @@ instance has one, a failed trial ends without the check. The fallback's
 buckets, the check and, where it runs, the tessellation each bucket the
 points once, by instance.occupied_cells. A trial that does reach the check
 has no isolated vertex (the check would stop at the first right after
-touching cells are joined), so the check pairs farther cells, and above the
-threshold searches only from the cells outside the largest component. A
-sweep aggregates trials per (n, radius multiplier) pair into one summary
-row; trial seeds are assigned from a single base seed by global trial index
-so any trial can be reproduced in isolation.
+touching cells are joined), so the check pairs farther points, searching
+only from the vertices outside the largest component, one row offset at a
+time. A sweep aggregates trials per (n, radius multiplier) pair into one
+summary row; trial seeds are assigned from a single base seed by global
+trial index so any trial can be reproduced in isolation.
 """
 
 from __future__ import annotations
@@ -251,6 +251,8 @@ def scaling_bench(ns: list[int], p: float, multiplier: float = 2.0,
         raise ValueError("bench sizes must be strictly ascending")
     if any(n < 1000 for n in ns):
         raise ValueError("bench sizes below 1000 are all noise")
+    if trials < 1:
+        raise ValueError("bench needs at least one trial per size")
     radii = [resolve_radius(n, p, ThresholdMultiple(multiplier)) for n in ns]
     walls: list[list[float]] = [[] for _ in ns]
     for i in range(trials):

@@ -367,7 +367,13 @@ def verify_cycle(points: np.ndarray, r: float, p: float,
     l_p norm: none to about 700 of 4e5 on tessellation cycles at r = 0.2
     and 0.1. NaN lengths fail the screen and then pass the exact test, as
     they always did. The report is the one lp_norms over every hop gives.
+
+    Raises ValueError unless r > 0 and tolerance >= 0. NaN fails both; no
+    hop is longer than a NaN bound, so it would pass any permutation.
     """
+    if not (r > 0.0 and tolerance >= 0.0):
+        raise ValueError(f"need radius > 0 and tolerance >= 0, "
+                         f"got {r} and {tolerance}")
     n = len(points)
     arr = np.asarray(cycle)
     if arr.ndim != 1 or len(arr) != n or not np.issubdtype(arr.dtype, np.integer):

@@ -179,9 +179,11 @@ def sample_points(cfg: InstanceConfig) -> VertexSet:
 # lp_norms rounds too
 _REL_SLACK, _ABS_SLACK = 1e-9, 1e-15
 _MAX_SIDE = 1 << 32  # flat cell keys row * side + col then fit in uint64
-# ceiling on the point pairs tested at once; point files come from outside,
-# so one cell may hold any share of the points
-_PAIR_CHUNK = 1 << 21
+# ceiling on the point pairs tested at once (a few MB of temporaries):
+# point files come from outside, so one cell may hold any share of the
+# points, and near the threshold is_connected may search from almost all
+# of them
+_PAIR_CHUNK = 1 << 16
 # vertices in the first batch of _isolated_vertex
 _FIRST_BATCH = 256
 
@@ -356,13 +358,6 @@ def gather_runs(order: np.ndarray, first: np.ndarray,
                  + np.arange(cnt.sum())]
 
 
-def _members(idx: SpatialIndex, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vertices of the listed cells, with the position in cells of each."""
-    first = idx.starts[cells]
-    cnt = idx.starts[cells + 1] - first
-    return np.repeat(np.arange(len(cells)), cnt), gather_runs(idx.order, first, cnt)
-
-
 def _hook(parent: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
     """Union the components of cells a[i] and b[i].
 
@@ -380,44 +375,6 @@ def _hook(parent: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
         np.minimum.at(parent, np.maximum(ra, rb), np.minimum(ra, rb))
         while not np.array_equal(up := parent[parent], parent):
             parent[:] = up
-
-
-def _hook_close(idx: SpatialIndex, parent: np.ndarray, a: np.ndarray,
-                b: np.ndarray) -> None:
-    """Union cells a[i] and b[i] that hold a pair of points within r.
-
-    Only cells whose roots still differ are tested: each vertex u of a[i]
-    against all of b[i], in slabs of at most max(_PAIR_CHUNK, n) point pairs.
-    """
-    keep = parent[a] != parent[b]
-    at, u = _members(idx, a[keep])
-    a, b = a[keep][at], b[keep][at]
-    most = int((idx.starts[b + 1] - idx.starts[b]).max(initial=1))
-    step = max(1, _PAIR_CHUNK // most)
-    for lo in range(0, len(u), step):
-        live = lo + np.flatnonzero(parent[a[lo:lo + step]] != parent[b[lo:lo + step]])
-        at, v = _members(idx, b[live])
-        src, pts = u[live[at]], idx.points
-        close = lp_norms(idx.p, pts[src, 0] - pts[v, 0],
-                         pts[src, 1] - pts[v, 1]) <= idx.r
-        hit = live[at[close]]
-        _hook(parent, a[hit], b[hit])
-
-
-def _wrapped(d: int) -> np.uint64:
-    """d as a uint64 that adds modulo 2^64, so that key + d is exact
-    wherever the true sum lies in [0, 2^64)."""
-    return np.uint64(d % (1 << 64))
-
-
-def _shifted(idx: SpatialIndex, src: np.ndarray, row: np.ndarray,
-             col: np.ndarray, dc: int, dr: int) -> tuple[np.ndarray, np.ndarray]:
-    """The cells src[i] (at row[i], col[i]) whose cell (row + dr, col + dc)
-    is occupied, and that cell's slot in idx.cells."""
-    side = np.uint64(idx.side)
-    i = np.flatnonzero((row + _wrapped(dr) < side) & (col + _wrapped(dc) < side))
-    b, hit = find_slots(idx.cells, idx.cells[src[i]] + _wrapped(dr * idx.side + dc))
-    return src[i[hit]], b[hit]
 
 
 def _pairs_within(idx: SpatialIndex, u: np.ndarray, key: np.ndarray,
@@ -438,13 +395,17 @@ def _pairs_within(idx: SpatialIndex, u: np.ndarray, key: np.ndarray,
     first = idx.starts[np.searchsorted(idx.cells, at_col0 + (np.maximum(col, w) - w))]
     cnt = idx.starts[np.searchsorted(
         idx.cells, at_col0 + np.minimum(col + w, side - np.uint64(1)), "right")] - first
+    # a generator keeps its locals alive between slabs
+    del row, col, to, i, w, at_col0
     step = max(1, _PAIR_CHUNK // int(cnt.max(initial=1)))
     for lo in range(0, len(at), step):
         c = cnt[lo:lo + step]
         src = np.repeat(at[lo:lo + step], c)
-        v = gather_runs(idx.order, first[lo:lo + step], c)
-        d = idx.points[u[src]] - idx.points[v]
-        close = (lp_norms(idx.p, d[:, 0], d[:, 1]) <= idx.r) & (v != u[src])
+        v, us = gather_runs(idx.order, first[lo:lo + step], c), u[src]
+        # np.take gathers whole rows, much faster than fancy indexing here
+        d = np.take(idx.points, us, axis=0)
+        d -= np.take(idx.points, v, axis=0)
+        close = (lp_norms(idx.p, d[:, 0], d[:, 1]) <= idx.r) & (v != us)
         yield src[close], v[close]
 
 
@@ -498,18 +459,17 @@ def is_connected(idx: SpatialIndex) -> bool:
     (the threshold is where the last isolated vertex disappears), and only
     one-point cells with no occupied cell around them need testing, by
     _isolated_vertex, which stops at the first batch that holds one such
-    vertex. Otherwise each offset of the window (SpatialIndex.window) beyond
-    the 3x3 block, nearest first, tests point pairs only between the cells
-    it pairs whose roots still differ, and stops as soon as one component
-    is left. Every edge between two components has an end outside the
-    largest one, so when fewer than half the cells lie outside it, only
-    those cells are searched from, at both signs of each offset; otherwise
-    every cell is, at one sign.
+    vertex. Otherwise the window is searched a row offset at a time,
+    nearest rows first as in _isolated_vertex, by _pairs_within from every
+    vertex outside the component that holds the largest one the near joins
+    left (it grows, so it is read again at each row); the cells of each
+    pair found are joined, and the search stops as soon as one component is
+    left. Every edge between two components has an end outside that
+    component, so no such edge is missed.
     """
     cells = idx.cells
-    col = cells % np.uint64(idx.side)
     parent = np.arange(len(cells))
-    for a, b in _near_pairs(cells, col, idx.side):
+    for a, b in _near_pairs(cells, cells % np.uint64(idx.side), idx.side):
         _hook(parent, a, b)
     if not parent.any():
         return True
@@ -519,16 +479,16 @@ def is_connected(idx: SpatialIndex) -> bool:
     lone = lone[idx.starts[lone + 1] - idx.starts[lone] == 1]
     if _isolated_vertex(idx, idx.order[idx.starts[lone]]) is not None:
         return False
-    far = [(dc, dr) for dc, dr in idx.window if max(abs(dc), dr) > 1]
-    row = cells // np.uint64(idx.side)
-    outside = np.flatnonzero(parent != size.argmax())
-    if 2 * len(outside) < len(cells):
-        src, far = outside, [o for dc, dr in far for o in ((dc, dr), (-dc, -dr))]
-    else:
-        src = np.arange(len(cells))
-    row, col = row[src], col[src]
-    for dc, dr in far:
-        _hook_close(idx, parent, *_shifted(idx, src, row, col, dc, dr))
-        if not parent.any():
-            return True
+    # own and key: the cell slot and key of each vertex in idx.order;
+    # slot: the cell slot of each vertex by index
+    own = np.repeat(np.arange(len(cells)), np.diff(idx.starts))
+    slot = np.empty_like(own)
+    slot[idx.order] = own
+    key, big = cells[own], size.argmax()
+    for dr in sorted(range(1 - len(idx.reach), len(idx.reach)), key=abs):
+        at = np.flatnonzero(parent[own] != parent[big])
+        for found, v in _pairs_within(idx, idx.order, key, at, np.full(len(at), dr)):
+            _hook(parent, own[found], slot[v])
+            if not parent.any():
+                return True
     return False

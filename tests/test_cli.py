@@ -199,6 +199,18 @@ def test_verify_rtol_slack(tmp_path, triangle, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("extra", [["--radius", "nan"],
+                                   ["--radius", "0.001", "--rtol", "nan"],
+                                   ["--radius", "-0.5"], ["--radius", "0"]])
+def test_verify_rejects_bad_bounds(tmp_path, triangle, capsys, extra):
+    # a NaN bound used to certify any cycle; a radius <= 0 is no radius
+    cyc = write_cycle(tmp_path, [0, 1, 2])
+    assert main(["verify", "--points", str(triangle), "--cycle", str(cyc),
+                 "-p", "2"] + extra) == 2
+    cap = capsys.readouterr()
+    assert cap.out == "" and "radius > 0" in cap.err
+
+
 def test_verify_json_report(tmp_path, triangle, capsys):
     cyc = write_cycle(tmp_path, [0, 1, 2])
     assert main(["verify", "--points", str(triangle), "--cycle", str(cyc),
@@ -251,6 +263,14 @@ def test_bench_table_and_json(capsys):
 def test_bench_rejects_descending_sizes(capsys):
     assert main(["bench", "--ns", "2000,1000", "-p", "2"]) == 2
     capsys.readouterr()
+
+
+def test_bench_rejects_zero_trials(capsys):
+    # no trial means no median to print
+    assert main(["bench", "--ns", "1000", "-p", "2", "--trials", "0",
+                 "--json"]) == 2
+    cap = capsys.readouterr()
+    assert cap.out == "" and "trial" in cap.err
 
 
 # --------------------------------------------------------------------------

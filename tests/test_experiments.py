@@ -191,6 +191,9 @@ def test_bench_validates_sizes():
         scaling_bench([1000, 1000], 2.0)
     with pytest.raises(ValueError):
         scaling_bench([500, 1000], 2.0)
+    for trials in (0, -1):
+        with pytest.raises(ValueError, match="trial"):
+            scaling_bench([1000], 2.0, trials=trials)
 
 
 def test_bench_rows_and_ratios():

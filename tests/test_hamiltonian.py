@@ -197,6 +197,16 @@ def test_verify_tolerance_slack():
     assert verify_cycle(pts, 0.1, 2.0, cyc, tolerance=0.11).valid
 
 
+def test_verify_rejects_a_bound_that_is_not_a_length():
+    # a NaN bound used to pass every hop, so any permutation was "valid"
+    pts = np.array([[0.1, 0.5], [0.2, 0.5], [0.9, 0.5]])
+    cyc = np.array([0, 1, 2])
+    for r, tol in ((math.nan, 0.0), (0.1, math.nan), (0.0, 0.0), (-0.5, 0.0),
+                   (0.1, -0.01)):
+        with pytest.raises(ValueError, match="radius > 0"):
+            verify_cycle(pts, r, 2.0, cyc, tolerance=tol)
+
+
 def _reference_verdict(points, r, p, cycle, tolerance=0.0):
     """verify_cycle's verdict by its definition: the first out-of-range
     position, else the first repeat, else lp_norms over every hop and the
@@ -302,7 +312,12 @@ def test_long_hops_in_small_chunks(p, monkeypatch):
             at, length = hamiltonian._long_hops(pts, p, r, cycle)
             assert at.tolist() == np.flatnonzero(d > r).tolist()
             assert np.array_equal(length, d[d > r])
-            _assert_same_verdict(pts, r, p, cycle)
+            if r > 0.0:
+                _assert_same_verdict(pts, r, p, cycle)
+            else:
+                # no radius: verify_cycle refuses to judge
+                with pytest.raises(ValueError, match="radius > 0"):
+                    verify_cycle(pts, r, p, cycle)
 
 
 # --------------------------------------------------------------------------

@@ -194,16 +194,36 @@ def test_is_connected_simple_cases():
     assert is_connected(build_spatial_index(same, 0.1, 2.0))
 
 
-def test_is_connected_leaves_at_an_isolated_vertex(monkeypatch):
-    def far_phase(*args):
-        raise AssertionError("the far phase ran")
+def _far_searches(monkeypatch):
+    """Record the answers of is_connected's isolated-vertex exit, and the
+    vertices each point-pair search starts from once an exit has answered."""
+    exits, searched = [], []
+    isolated_vertex, pairs_within = instance._isolated_vertex, instance._pairs_within
 
+    def exit_(idx, u):
+        exits.append(isolated_vertex(idx, u))
+        return exits[-1]
+
+    def search(idx, u, key, at, dr):
+        if exits:
+            searched.append(u[at])
+        return pairs_within(idx, u, key, at, dr)
+
+    monkeypatch.setattr(instance, "_isolated_vertex", exit_)
+    monkeypatch.setattr(instance, "_pairs_within", search)
+    return exits, searched
+
+
+def test_is_connected_leaves_at_an_isolated_vertex(monkeypatch):
     cfg = InstanceConfig(n=2000, p=2.0, radius=ThresholdMultiple(0.7), seed=9)
     vs = sample_points(cfg)
     two_far = VertexSet(np.array([[0.05, 0.05], [0.95, 0.95]]))
-    monkeypatch.setattr(instance, "_hook_close", far_phase)
-    assert not is_connected(build_spatial_index(vs, cfg.resolved_radius(), 2.0))
-    assert not is_connected(build_spatial_index(two_far, 0.2, 2.0))
+    exits, searched = _far_searches(monkeypatch)
+    for pts, r in ((vs, cfg.resolved_radius()), (two_far, 0.2)):
+        exits.clear()
+        assert not is_connected(build_spatial_index(pts, r, 2.0))
+        assert len(exits) == 1 and exits[0] is not None
+        assert not searched, "the far phase ran"
 
 
 @pytest.mark.parametrize("p", [1.0, 2.0, 3.0, math.inf])
@@ -302,6 +322,29 @@ def test_is_connected_matches_brute_force():
             answers.add(truth)
         # each kind of case reaches both answers, so none of them is idle
         assert answers == {True, False}
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
+def test_is_connected_matches_a_kd_tree_at_n_5e4(p):
+    # the size threshold_sweep runs, where brute force takes seconds: 1.0x
+    # is disconnected, 1.2x and 1.5x are connected and reach the far phase,
+    # and at p = 1, 1.2x the near joins leave no giant component
+    sparse = pytest.importorskip("scipy.sparse")
+    spatial = pytest.importorskip("scipy.spatial")
+    from scipy.sparse.csgraph import connected_components
+    n = 50_000
+    pts = np.random.default_rng(17).random((n, 2))
+    tree = spatial.cKDTree(pts)
+    answers = []
+    for mult in (1.0, 1.2, 1.5):
+        r = mult * threshold_radius(n, p)
+        pairs = tree.query_pairs(r, p=p, output_type="ndarray")
+        graph = sparse.coo_matrix((np.ones(len(pairs), dtype=bool),
+                                   (pairs[:, 0], pairs[:, 1])), shape=(n, n))
+        truth = connected_components(graph, directed=False)[0] == 1
+        assert is_connected(build_spatial_index(VertexSet(pts), r, p)) == truth
+        answers.append(truth)
+    assert answers == [False, True, True]
 
 
 def test_is_connected_in_small_slabs(monkeypatch):
@@ -424,39 +467,27 @@ def _near_components(idx):
     return parent
 
 
-@pytest.mark.parametrize("p,mult,restricted", [(2.0, 1.5, True),
-                                               (1.0, 1.2, False)])
+@pytest.mark.parametrize("p,mult,giant", [(2.0, 1.5, True),
+                                          (1.0, 1.2, False)])
 def test_far_phase_searches_outside_the_largest_component(monkeypatch, p,
-                                                          mult, restricted):
+                                                          mult, giant):
     # n = 2000, connected: at 1.5x, p = 2 a giant component holds all but
     # 124 of 1458 cells after the near joins; at 1.2x, p = 1 the near joins
-    # leave no giant, and every cell is searched from, at one sign
+    # leave no giant, yet the search still starts only outside the largest
+    # component
     cfg = InstanceConfig(n=2000, p=p, radius=ThresholdMultiple(mult), seed=0)
     idx = build_spatial_index(sample_points(cfg), cfg.resolved_radius(), p)
     parent = _near_components(idx)
     outside = parent != np.bincount(parent).argmax()
-    assert (2 * outside.sum() < len(parent)) == restricted
-    seen = []
-    hook_close = instance._hook_close
-
-    def record(idx, parent, a, b):
-        seen.append(a.copy())
-        hook_close(idx, parent, a, b)
-
-    monkeypatch.setattr(instance, "_hook_close", record)
+    assert (2 * outside.sum() < len(parent)) == giant
+    slot, _ = find_slots(idx.cells, instance._cell_keys(idx.points, idx.side))
+    exits, searched = _far_searches(monkeypatch)
     assert is_connected(idx)
-    assert seen
-    if restricted:
-        assert all(outside[a].all() for a in seen)
-    else:
-        # the first far offset, from every cell that has an occupied cell there
-        dc, dr = next((dc, dr) for dc, dr in idx.window if max(abs(dc), dr) > 1)
-        keys = set(idx.cells.tolist())
-        want = [i for i, key in enumerate(idx.cells.tolist())
-                if 0 <= key % idx.side + dc < idx.side
-                and key // idx.side + dr < idx.side
-                and key + dr * idx.side + dc in keys]
-        assert seen[0].tolist() == want
+    assert exits == [None] and searched
+    # the first row offset starts from every vertex outside it, and each
+    # later one from some of the vertices before, as that component grows
+    assert np.array_equal(np.sort(searched[0]), np.flatnonzero(outside[slot]))
+    assert all(np.isin(b, a).all() for a, b in zip(searched, searched[1:]))
 
 
 @pytest.mark.parametrize("bound", [1, 2**16 - 1, 2**16, 2**16 + 1, 2**32,
