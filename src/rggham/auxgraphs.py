@@ -28,7 +28,7 @@ import numpy as np
 from .failures import ConstructionError, FailureReason
 from .instance import find_slots
 from .tessellation import (FRIEND_CHEBYSHEV, MAX_FRIENDS, CellClassification,
-                           CellId, Tessellation, cells_close)
+                           Tessellation, first_hits, hook_cells)
 
 
 class GroupKey(NamedTuple):
@@ -65,16 +65,7 @@ class DensityGraph:
         return ca, cb
 
 
-def _closeness(t: Tessellation) -> np.ndarray:
-    """close[|drow|, |dcol|] tells whether cells at that index offset are
-    close, for every offset between cells of friend squares (below 3k)."""
-    span = (FRIEND_CHEBYSHEV + 1) * t.cells_per_side
-    return np.array([[cells_close(t, CellId(0, 0), CellId(dc, dr))
-                      for dc in range(span)] for dr in range(span)])
-
-
-def _close_cell_pairs(t: Tessellation, close: np.ndarray, dsc: int,
-                      dsr: int) -> tuple[np.ndarray, np.ndarray]:
+def _close_cell_pairs(t: Tessellation, dsc: int, dsr: int) -> tuple[np.ndarray, np.ndarray]:
     """Cell pairs close across square offset (dsc, dsr), as two aligned
     arrays of flat id offsets (of R's cell from R's first cell, of S's cell
     from S's first cell).
@@ -87,7 +78,8 @@ def _close_cell_pairs(t: Tessellation, close: np.ndarray, dsc: int,
     k, g = t.cells_per_side, t.grid
     lr_r, lc_r, lr_s, lc_s = (a.ravel() for a in np.meshgrid(
         *[np.arange(k)] * 4, indexing="ij"))
-    hit = close[np.abs(dsr * k + lr_s - lr_r), np.abs(dsc * k + lc_s - lc_r)]
+    hit = t.close_table[np.abs(dsr * k + lr_s - lr_r),
+                        np.abs(dsc * k + lc_s - lc_r)]
     return (lr_r * g + lc_r)[hit], (lr_s * g + lc_s)[hit]
 
 
@@ -95,33 +87,6 @@ def _close_cell_pairs(t: Tessellation, close: np.ndarray, dsc: int,
 _FORWARD_FRIENDS = [(dc, dr) for dr in range(FRIEND_CHEBYSHEV + 1)
                     for dc in range(-FRIEND_CHEBYSHEV, FRIEND_CHEBYSHEV + 1)
                     if dr > 0 or dc > 0]
-# ceiling on the (square pair, cell pair) tests made at once
-_TEST_CHUNK = 1 << 20
-
-
-def _first_dense_pair(cls: CellClassification, base_r: np.ndarray,
-                      base_s: np.ndarray, da: np.ndarray,
-                      db: np.ndarray) -> np.ndarray:
-    """For each square pair i, the first j with dense cells base_r[i] + da[j]
-    and base_s[i] + db[j], or -1 if none.
-
-    Tests the pairs still without a hit against a block of the table at
-    once. The first block is one entry, which settles most pairs where
-    most cells are dense; each next block is twice as long, up to
-    _TEST_CHUNK tests a block.
-    """
-    first = np.full(len(base_r), -1)
-    todo = np.arange(len(base_r))
-    lo, step = 0, 1
-    while todo.size and lo < len(da):
-        hit = (cls.dense(base_r[todo, None] + da[lo:lo + step])
-               & cls.dense(base_s[todo, None] + db[lo:lo + step]))
-        got = hit.any(axis=1)
-        first[todo[got]] = lo + hit[got].argmax(axis=1)
-        todo = todo[~got]
-        lo += step
-        step = max(1, min(2 * step, _TEST_CHUNK // max(todo.size, 1)))
-    return first
 
 
 def build_density_graph(t: Tessellation, cls: CellClassification) -> DensityGraph:
@@ -129,7 +94,7 @@ def build_density_graph(t: Tessellation, cls: CellClassification) -> DensityGrap
 
     The witness of an edge is the first such pair in _close_cell_pairs'
     scan order. For each of the 12 forward friend offsets, all dense square
-    pairs at that offset are tested at once against its table.
+    pairs at that offset are searched at once along its table (first_hits).
     """
     m = t.squares_per_side
     k = t.cells_per_side
@@ -138,7 +103,6 @@ def build_density_graph(t: Tessellation, cls: CellClassification) -> DensityGrap
     if not dense_squares.size:
         return DensityGraph(tessellation=t, square_ids=dense_squares,
                             adjacency={}, witness={})
-    close = _closeness(t)
     r_row, r_col = np.divmod(dense_squares, m)
     # columns (R, S, R's witness cell, S's witness cell), one per edge
     blocks = [np.zeros((4, 0), dtype=np.int64)]
@@ -150,8 +114,10 @@ def build_density_graph(t: Tessellation, cls: CellClassification) -> DensityGrap
             continue
         base_r = r_row[at] * k * g + r_col[at] * k
         base_s = s_row[at] * k * g + s_col[at] * k
-        da, db = _close_cell_pairs(t, close, dc, dr)
-        j = _first_dense_pair(cls, base_r, base_s, da, db)
+        da, db = _close_cell_pairs(t, dc, dr)
+        j = first_hits(len(at), len(da), lambda rows, lo, hi: (
+            cls.dense(base_r[rows, None] + da[lo:hi])
+            & cls.dense(base_s[rows, None] + db[lo:hi])))
         hit = j >= 0
         j = j[hit]
         blocks.append(np.stack((dense_squares[at[hit]],
@@ -179,27 +145,6 @@ def build_density_graph(t: Tessellation, cls: CellClassification) -> DensityGrap
 # hooks and the augmented graph
 # --------------------------------------------------------------------------
 
-def find_hook_cell(t: Tessellation, cls: CellClassification, cell: CellId) -> int:
-    """Flat id of the lexicographically smallest dense cell close to cell.
-
-    Raises ConstructionError(HOOK_MISSING) when no close dense cell exists;
-    in the intended density regime every sparse cell has one.
-    """
-    g = t.grid
-    col, row = t.close_offsets.T + np.array([[cell.col], [cell.row]])
-    flat = (row * g + col)[(col >= 0) & (col < g) & (row >= 0) & (row < g)]
-    dense = cls.dense(flat)
-    if dense.any():
-        return int(flat[dense.argmax()])
-    sq = t.square_of(cell)
-    raise ConstructionError(
-        FailureReason.HOOK_MISSING,
-        {"detail": "no dense cell close to an occupied cell",
-         "cell": [cell.col, cell.row],
-         "square": [sq.col, sq.row],
-         "occupancy": int(cls.occupancy(cell.row * g + cell.col)[1])})
-
-
 @dataclass(frozen=True)
 class AugmentedGraph:
     """Density graph plus one leaf node per (sparse square, label square).
@@ -226,37 +171,60 @@ class AugmentedGraph:
 
 def attach_sparse_groups(t: Tessellation, cls: CellClassification,
                          dg: DensityGraph) -> AugmentedGraph:
-    m = t.squares_per_side
-    g = t.grid
-    k = t.cells_per_side
+    """Hook every occupied cell of a sparse square to its smallest close
+    dense cell (hook_cells), and group the cells by (square, hook square).
+
+    Raises ConstructionError(HOOK_MISSING) at the first cell without a
+    hook, sparse squares ascending, each one's cells row-major; in the
+    intended density regime every sparse cell has one.
+    """
+    m, g, k = t.squares_per_side, t.grid, t.cells_per_side
     adjacency: dict[Node, list[Node]] = {s: list(nbrs)
                                          for s, nbrs in dg.adjacency.items()}
     groups: dict[GroupKey, list[int]] = {}
     hooks: dict[int, int] = {}
 
-    # local cells of a square, row-major, as flat id offsets
-    local = (np.arange(k)[:, None] * g + np.arange(k)).ravel()
-    for s_flat in map(int, cls.squares[cls.square_dense_count == 0]):
-        s_row, s_col = divmod(s_flat, m)
-        cells = (s_row * k * g + s_col * k) + local
-        labels_seen = set()
-        for flat_cell in cells[cls.occupancy(cells)[1] > 0].tolist():
-            cell = CellId(flat_cell % g, flat_cell // g)
-            hook = find_hook_cell(t, cls, cell)
-            hook_sq = (hook // g) // k * m + (hook % g) // k
-            assert max(abs(hook_sq % m - s_col), abs(hook_sq // m - s_row)) <= 2, \
-                "hook square must be a friend of the sparse square"
-            hooks[flat_cell] = hook
-            key = GroupKey(s_flat, hook_sq)
-            if key not in groups:
-                groups[key] = []
-                adjacency.setdefault(hook_sq, []).append(key)
-                adjacency[key] = [hook_sq]
-                labels_seen.add(hook_sq)
-            groups[key].append(flat_cell)
-        assert len(labels_seen) <= MAX_FRIENDS
+    cells = cls.cells
+    if cells.size and not dg.square_ids.size:
+        # no cell has a hook: search only the first row of squares, which
+        # holds the first square
+        band = cls.squares[0] // m * k * g
+        cells = cells[:np.searchsorted(cells, band + k * g)]
+    # occupied cells by square, then row-major; the squares come in the
+    # order of cls.squares, so a cell's slot there counts the runs before
+    row, col = np.divmod(cells, g)
+    square = row // k * m + col // k
+    by = np.argsort(square, kind="stable")
+    cells, square = cells[by], square[by]
+    slot = np.cumsum(np.diff(square, prepend=-1) != 0) - 1
+    sparse = cls.square_dense_count[slot] == 0
+    cells, square = cells[sparse], square[sparse]
+    hook = hook_cells(t, cls, cells)
+    if (hook < 0).any():
+        i = int(np.argmax(hook < 0))
+        c = int(cells[i])
+        raise ConstructionError(
+            FailureReason.HOOK_MISSING,
+            {"detail": "no dense cell close to an occupied cell",
+             "cell": [c % g, c // g],
+             "square": [c % g // k, c // g // k],
+             "occupancy": int(cls.occupancy(c)[1])})
+    hook_sq = hook // g // k * m + hook % g // k
+    assert (np.maximum(abs(hook_sq % m - square % m),
+                       abs(hook_sq // m - square // m)) <= FRIEND_CHEBYSHEV).all(), \
+        "hook square must be a friend of the sparse square"
+    for cell, s_flat, hook_cell, label in zip(cells.tolist(), square.tolist(),
+                                              hook.tolist(), hook_sq.tolist()):
+        hooks[cell] = hook_cell
+        key = GroupKey(s_flat, label)
+        if key not in groups:
+            groups[key] = []
+            adjacency.setdefault(label, []).append(key)
+            adjacency[key] = [label]
+        groups[key].append(cell)
 
-    # lists are in node order as built: sparse squares are taken ascending
+    # lists are in node order as built: sparse squares are taken ascending;
+    # a square has at most 24 friends, so at most 24 group nodes
     assert all(len(nbrs) <= MAX_FRIENDS for nbrs in adjacency.values())
     return AugmentedGraph(tessellation=t, density=dg,
                           old_vertices=dg.square_ids,

@@ -134,7 +134,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         # wrong entry count is a malformed file, not a judged cycle
         raise ValueError(f"cycle file has {len(cycle)} entries "
                          f"for {len(vs)} points")
-    tolerance = args.rtol * args.radius
+    # no slack means none, also at an infinite radius (0 * inf is NaN)
+    tolerance = args.rtol * args.radius if args.rtol else 0.0
     report = verify_cycle(vs.points, args.radius, args.p, cycle,
                           tolerance=tolerance)
     if args.json:

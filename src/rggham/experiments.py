@@ -180,8 +180,10 @@ def sweep(cfg: SweepConfig) -> list[SweepRow]:
                 seed = cfg.base_seed + len(tasks)
                 tasks.append((n, cfg.p, r, seed))
 
-    if cfg.workers > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+    # a fork pool starts all its processes at once: no more than tasks
+    workers = min(cfg.workers, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_trial_task, tasks, chunksize=1))
     else:
         results = [_trial_task(t) for t in tasks]

@@ -146,23 +146,6 @@ def _serpentine_orders(k: int) -> np.ndarray:
     return orders
 
 
-def _cell_gaps(t: Tessellation, dcol: np.ndarray, drow: np.ndarray) -> np.ndarray:
-    """_lp_from_abs(p, dcol * s, drow * s) for arrays of integer steps.
-
-    Evaluated once per distinct pair with the scalar norm, so every value
-    is the exact float a scalar call gives: lp_norms rounds differently in
-    the last bit for some p, which can break a tie between variants the
-    other way.
-    """
-    span = int(drow.max(initial=0)) + 1
-    pairs, at = np.unique(dcol * span + drow, return_inverse=True)
-    s = t.cell_side
-    dcol_of, drow_of = divmod(pairs, span)
-    norms = np.array([_lp_from_abs(t.p, dc * s, dr * s) for dc, dr
-                      in zip(dcol_of.tolist(), drow_of.tolist())], dtype=float)
-    return norms[at].reshape(dcol.shape)
-
-
 def _sweep_runs(t: Tessellation, cls: CellClassification, squares: np.ndarray,
                 start_near: np.ndarray, end_near: np.ndarray,
                 withdrawn: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -199,7 +182,8 @@ def _sweep_runs(t: Tessellation, cls: CellClassification, squares: np.ndarray,
         cell = steps[np.arange(8), step]
         dcol = np.abs(scol[:, None] * k + cell % k - (near % g)[:, None]) + 1
         drow = np.abs(srow[:, None] * k + cell // k - (near // g)[:, None]) + 1
-        return np.where(near[:, None] < 0, 0.0, _cell_gaps(t, dcol, drow))
+        none = near[:, None] < 0    # gap 0: offset_norms[0, 0]
+        return t.offset_norms[np.where(none, 0, drow), np.where(none, 0, dcol)]
 
     # the lexicographic minimum of (end gap, start gap, variant)
     end_gap = gap(last, end_near)

@@ -17,7 +17,9 @@ k x k congruent cells of side y/k. Conventions used throughout:
   * two cells are close iff the supremum of pairwise l_p distances between
     them is at most r. For grid cells the per-axis maximum separation is
     exactly (|dcol| + 1) * cell_side, so closeness depends on the index
-    offset only and is translation invariant by construction.
+    offset only: Tessellation.offset_norms holds the norm of every offset
+    between friend squares' cells, and every closeness test, the quadrant
+    count and the sweep gaps read it.
 
 The density threshold 48 and the Chebyshev-2 friendship radius are load
 bearing (each square visit consumes two unused vertices of a dense cell and
@@ -48,11 +50,6 @@ class CellId(NamedTuple):
     row: int
 
 
-class SquareId(NamedTuple):
-    col: int
-    row: int
-
-
 @dataclass(frozen=True)
 class Tessellation:
     p: float
@@ -77,27 +74,37 @@ class Tessellation:
         g = self.grid
         return CellId(min(int(x * g), g - 1), min(int(y * g), g - 1))
 
-    def square_of(self, cell: CellId) -> SquareId:
-        k = self.cells_per_side
-        return SquareId(cell.col // k, cell.row // k)
+    @cached_property
+    def offset_norms(self) -> np.ndarray:
+        """offset_norms[j, i] is the l_p norm of (i, j) cell sides, for
+        0 <= i, j <= 3k: one past every index offset between cells of
+        friend squares. Read-only, built once."""
+        return _offset_norms(self.p, self.cell_side,
+                             (FRIEND_CHEBYSHEV + 1) * self.cells_per_side)
+
+    @cached_property
+    def close_table(self) -> np.ndarray:
+        """close_table[|drow|, |dcol|] tells whether cells at that index
+        offset are close, for every offset between cells of friend squares (below
+        3k; no cell further off is close). Read-only."""
+        close = self.offset_norms[1:, 1:] <= self.radius
+        close.flags.writeable = False
+        return close
 
     @cached_property
     def close_offsets(self) -> np.ndarray:
-        """All index offsets (dcol, drow) whose cells are close, row-major
-        sorted, as a read-only (count, 2) int64 array built once.
+        """All index offsets (dcol, drow) whose cells are close, close_table
+        mirrored, as a read-only (count, 2) int64 array.
 
         Sorted ascending by (drow, dcol): scanning a fixed cell's
         neighbourhood in this order visits candidate cells in global
         row-major (lexicographic) order, which makes first-hit searches
         deterministic.
         """
-        s = self.cell_side
-        bound = int(self.radius / s) + 1
-        out = [(dc, dr) for dr in range(-bound, bound + 1)
-               for dc in range(-bound, bound + 1)
-               if _lp_from_abs(self.p, (abs(dc) + 1) * s,
-                               (abs(dr) + 1) * s) <= self.radius]
-        offsets = np.array(out, dtype=np.int64).reshape(-1, 2)
+        span = len(self.close_table)
+        back = np.abs(np.arange(1 - span, span))
+        drow, dcol = np.nonzero(self.close_table[np.ix_(back, back)])
+        offsets = np.column_stack((dcol, drow)).astype(np.int64) - (span - 1)
         offsets.flags.writeable = False
         return offsets
 
@@ -123,17 +130,21 @@ def build_tessellation(p: float, r: float, cells_per_square: int) -> Tessellatio
     t = Tessellation(p=p, radius=r, squares_per_side=m,
                      cells_per_side=cells_per_square)
     # same-cell closeness must hold, else a cell is not a clique at radius r
-    assert _lp_from_abs(p, t.cell_side, t.cell_side) <= r, \
+    assert _offset_norms(p, t.cell_side, 1)[1, 1] <= r, \
         "cell diameter exceeds r; tessellation unusable"
     return t
 
 
-def cells_close(t: Tessellation, a: CellId, b: CellId) -> bool:
-    """True iff sup over point pairs of the two cells is <= r (inclusive)."""
-    s = t.cell_side
-    sx = (abs(a.col - b.col) + 1) * s
-    sy = (abs(a.row - b.row) + 1) * s
-    return _lp_from_abs(t.p, sx, sy) <= t.radius
+def _offset_norms(p: float, side: float, span: int) -> np.ndarray:
+    """norms[j, i] = _lp_from_abs(p, i * side, j * side) for 0 <= i, j <=
+    span, read-only. Each entry is a scalar call, so it is the exact float
+    a scalar call gives: lp_norms rounds differently in the last bit for
+    some p, which can flip a test at the radius or a tie between sweep
+    variants."""
+    norms = np.array([[_lp_from_abs(p, i * side, j * side)
+                       for i in range(span + 1)] for j in range(span + 1)])
+    norms.flags.writeable = False
+    return norms
 
 
 # --------------------------------------------------------------------------
@@ -197,6 +208,51 @@ def classify_cells(t: Tessellation, vs: VertexSet) -> CellClassification:
         square_dense_count=square_dense)
 
 
+# ceiling on the tests first_hits makes at once
+_TEST_CHUNK = 1 << 20
+
+
+def first_hits(count: int, length: int, test) -> np.ndarray:
+    """For each i < count, the first j < length with a hit, or -1 for none.
+
+    test(rows, lo, hi) gives the hits of the rows (an index array) at
+    lo <= j < hi, as a bool matrix. The rows still without a hit are tested
+    against a block of j at once: the first block is one entry, which
+    settles most rows where hits are common; each next block is twice as
+    long, up to _TEST_CHUNK tests a block.
+    """
+    first = np.full(count, -1)
+    todo = np.arange(count)
+    lo, step = 0, 1
+    while todo.size and lo < length:
+        hit = test(todo, lo, lo + step)
+        got = hit.any(axis=1)
+        first[todo[got]] = lo + hit[got].argmax(axis=1)
+        todo = todo[~got]
+        lo += step
+        step = max(1, min(2 * step, _TEST_CHUNK // max(todo.size, 1)))
+    return first
+
+
+def hook_cells(t: Tessellation, cls: CellClassification,
+               cells: np.ndarray) -> np.ndarray:
+    """Each flat cell id's hook: the lexicographically smallest close dense
+    cell, or -1 for none. The first dense hit along close_offsets, which
+    are in row-major order."""
+    g = t.grid
+    row, col = np.divmod(cells, g)
+    drow, dcol = t.close_offsets[:, 1], t.close_offsets[:, 0]
+
+    def flat(rows, lo, hi):
+        r = row[rows, None] + drow[lo:hi]
+        c = col[rows, None] + dcol[lo:hi]
+        return np.where((r >= 0) & (r < g) & (c >= 0) & (c < g), r * g + c, -1)
+
+    j = first_hits(len(cells), len(drow) if cls.dense_mask.any() else 0,
+                   lambda rows, lo, hi: cls.dense(flat(rows, lo, hi)))
+    return np.where(j >= 0, (row + drow[j]) * g + col + dcol[j], -1)
+
+
 # --------------------------------------------------------------------------
 # quadrant close-cell count and the subdivision choice
 # --------------------------------------------------------------------------
@@ -215,32 +271,14 @@ def quadrant_close_count(t: Tessellation) -> int:
     """Number of cells close to an interior cell and weakly above/right of it.
 
     Counts offsets (dcol >= 0, drow >= 0) != (0, 0) in the closed upper-right
-    quadrant. Translation invariant over interior cells; verified against
-    three probe cells. Signals ValueError when no interior cell exists.
+    quadrant: close_table less the cell itself. Closeness depends on
+    the offset only, so every interior cell has this count. Signals
+    ValueError when no interior cell exists.
     """
     lo, hi = _interior_cell_range(t)
     if lo > hi:
         raise ValueError("no cell lies at distance >= r from the boundary")
-    s = t.cell_side
-    bound = int(t.radius / s) + 1
-
-    def count_at(cell: CellId) -> int:
-        cnt = 0
-        for dr in range(0, bound + 1):
-            for dc in range(0, bound + 1):
-                if dc == 0 and dr == 0:
-                    continue
-                if cells_close(t, cell, CellId(cell.col + dc, cell.row + dr)):
-                    cnt += 1
-        return cnt
-
-    mid = CellId((lo + hi) // 2, (lo + hi) // 2)
-    result = count_at(mid)
-    rng = np.random.default_rng(0)
-    for _ in range(3):
-        probe = CellId(int(rng.integers(lo, hi + 1)), int(rng.integers(lo, hi + 1)))
-        assert count_at(probe) == result, "quadrant count not position independent"
-    return result
+    return int(t.close_table.sum()) - 1
 
 
 def _scale_free_quadrant_count(p: float, k: int) -> int:
@@ -250,12 +288,7 @@ def _scale_free_quadrant_count(p: float, k: int) -> int:
     ((a+1)^p + (b+1)^p)^(1/p) <= 2k, independent of the radius.
     """
     limit = 2 * k
-    cnt = 0
-    for A in range(1, limit + 1):
-        for B in range(1, limit + 1):
-            if _lp_from_abs(p, float(A), float(B)) <= limit:
-                cnt += 1
-    return cnt - 1  # offset (0, 0) is the cell itself
+    return int((_offset_norms(p, 1.0, limit)[1:, 1:] <= limit).sum()) - 1
 
 
 @lru_cache(maxsize=None)
@@ -355,13 +388,9 @@ def density_diagnostics(t: Tessellation, cls: CellClassification) -> Diagnostics
                            for c in bad[:_VIOLATION_CAP - len(corner_bad)]]
 
     # hook existence: a sparse cell must see a dense cell at some close
-    # offset; cells that do drop out, offset by offset
+    # offset
     todo = cls.cells[~cls.dense_mask]
-    for dc, dr in t.close_offsets.tolist() if n_dense else ():
-        row, col = np.divmod(todo, g) + np.array([[dr], [dc]])
-        flat = np.where((row >= 0) & (row < g) & (col >= 0) & (col < g),
-                        row * g + col, -1)
-        todo = todo[~cls.dense(flat)]
+    todo = todo[hook_cells(t, cls, todo) < 0]
     hook_total = int(todo.size)
     hook_bad = [CellId(int(c) % g, int(c) // g) for c in todo[:_VIOLATION_CAP]]
 

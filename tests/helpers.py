@@ -1,6 +1,8 @@
-"""Crafted-instance builders shared across test modules."""
+"""Crafted-instance builders and reference rules shared across test modules."""
 
 import numpy as np
+
+from rggham.geometry import _lp_from_abs
 
 
 def cell_points(t, col, row, count):
@@ -41,3 +43,12 @@ def grid_cells(t, points):
     counts = np.bincount(flat, minlength=t.grid ** 2)
     starts = np.concatenate([[0], np.cumsum(counts)])
     return counts, np.argsort(flat, kind="stable"), starts
+
+
+def cells_close(t, a, b):
+    """The closeness rule one cell pair at a time, with the scalar norm:
+    True iff the sup over point pairs of cells a and b is <= r."""
+    s = t.cell_side
+    sx = (abs(a.col - b.col) + 1) * s
+    sy = (abs(a.row - b.row) + 1) * s
+    return _lp_from_abs(t.p, sx, sy) <= t.radius

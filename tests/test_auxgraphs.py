@@ -4,17 +4,16 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from helpers import cell_points, filled_grid, grid_cells
-from rggham import auxgraphs
+from helpers import cell_points, cells_close, filled_grid, grid_cells
+from rggham import tessellation
 from rggham.auxgraphs import (AugmentedGraph, DensityGraph, GroupKey,
-                              SpanningTree, _close_cell_pairs, _closeness,
-                              attach_sparse_groups,
-                              build_density_graph, euler_traversal,
-                              find_hook_cell, spanning_tree)
+                              SpanningTree, _close_cell_pairs,
+                              attach_sparse_groups, build_density_graph,
+                              euler_traversal, spanning_tree)
 from rggham.failures import ConstructionError, FailureReason
 from rggham.instance import VertexSet
 from rggham.tessellation import (DENSE_THRESHOLD, CellId, build_tessellation,
-                                 cells_close, classify_cells)
+                                 classify_cells, hook_cells)
 
 # p = 2, r = 0.5: m = 4, k = 4, g = 16; cells with index offsets (dc, dr)
 # are close iff (|dc|+1)^2 + (|dr|+1)^2 <= 64, so offsets reach out to 6
@@ -72,7 +71,6 @@ def test_close_cell_pairs_match_a_scan_of_cells_close(p, r, k):
     # R's cells then S's cells, both row-major
     t = build_tessellation(p, r, k)
     g = t.grid
-    close = _closeness(t)
     for dsr in range(3):
         for dsc in range(-2, 3):
             if dsr == 0 and dsc <= 0:
@@ -82,7 +80,7 @@ def test_close_cell_pairs_match_a_scan_of_cells_close(p, r, k):
                     for lr_s in range(k) for lc_s in range(k)
                     if cells_close(t, CellId(lc_r, lr_r),
                                    CellId(dsc * k + lc_s, dsr * k + lr_s))]
-            da, db = _close_cell_pairs(t, close, dsc, dsr)
+            da, db = _close_cell_pairs(t, dsc, dsr)
             assert list(zip(da.tolist(), db.tolist())) == want
 
 
@@ -128,7 +126,7 @@ def test_density_graph_matches_a_scan_of_friend_pairs(p, share, chunk,
     # random dense cells over m = 10 squares of k = 4 cells a side; chunk 7
     # tests a few table entries at a time, so most pairs need several blocks
     if chunk is not None:
-        monkeypatch.setattr(auxgraphs, "_TEST_CHUNK", chunk)
+        monkeypatch.setattr(tessellation, "_TEST_CHUNK", chunk)
     t = build_tessellation(p, 0.2, 4)
     rng = np.random.default_rng(int(share * 100))
     cells = np.flatnonzero(rng.random(t.grid ** 2) < share)
@@ -159,21 +157,97 @@ def test_find_hook_prefers_smallest_row_then_col(t):
     cls = classify(t, [dense(t, 5, 3), dense(t, 3, 5), dense(t, 6, 5),
                        cell_points(t, 5, 5, 1)])
     g = t.grid
-    assert find_hook_cell(t, cls, CellId(5, 5)) == 3 * g + 5
+    assert hook_cells(t, cls, np.array([5 * g + 5])).tolist() == [3 * g + 5]
     cls2 = classify(t, [dense(t, 3, 5), dense(t, 6, 5),
                         cell_points(t, 5, 5, 1)])
-    assert find_hook_cell(t, cls2, CellId(5, 5)) == 5 * g + 3
+    assert hook_cells(t, cls2, np.array([5 * g + 5])).tolist() == [5 * g + 3]
 
 
 def test_find_hook_missing_reports_context(t):
     cls = classify(t, [cell_points(t, 5, 5, 1)])
+    g = t.grid
+    assert hook_cells(t, cls, np.array([5 * g + 5])).tolist() == [-1]
     with pytest.raises(ConstructionError) as err:
-        find_hook_cell(t, cls, CellId(5, 5))
+        attach_sparse_groups(t, cls, build_density_graph(t, cls))
     assert err.value.reason is FailureReason.HOOK_MISSING
     ctx = err.value.context
     assert ctx["cell"] == [5, 5]
     assert ctx["square"] == [1, 1]
     assert ctx["occupancy"] == 1
+
+
+def _per_cell_groups(t, pts):
+    """Groups and hooks one cell at a time: sparse squares ascending, each
+    one's occupied cells row-major, each cell's hook the first dense cell
+    in a row-major scan of the cells around it that cells_close accepts.
+    Returns the HookMissing context of the first cell without one instead."""
+    m, k, g = t.squares_per_side, t.cells_per_side, t.grid
+    counts = grid_cells(t, pts)[0]
+    dense_mask = counts >= DENSE_THRESHOLD
+    square_dense = dense_mask.reshape(m, k, m, k).any(axis=(1, 3)).ravel()
+    groups, hooks = {}, {}
+    reach = 2 * k    # (|dcol| + 1) * cell_side <= r <= 2k * cell_side
+    for sq in np.flatnonzero(~square_dense).tolist():
+        srow, scol = divmod(sq, m)
+        for row in range(srow * k, srow * k + k):
+            for col in range(scol * k, scol * k + k):
+                if not counts[row * g + col]:
+                    continue
+                hook = next((hr * g + hc
+                             for hr in range(max(row - reach, 0), min(row + reach + 1, g))
+                             for hc in range(max(col - reach, 0), min(col + reach + 1, g))
+                             if dense_mask[hr * g + hc]
+                             and cells_close(t, CellId(col, row), CellId(hc, hr))),
+                            None)
+                if hook is None:
+                    return {"detail": "no dense cell close to an occupied cell",
+                            "cell": [col, row], "square": [scol, srow],
+                            "occupancy": int(counts[row * g + col])}
+                hooks[row * g + col] = hook
+                label = hook // g // k * m + hook % g // k
+                groups.setdefault(GroupKey(sq, label), []).append(row * g + col)
+    return groups, hooks
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
+@pytest.mark.parametrize("dense_share", [0.0, 0.3, 0.6, 0.9])
+def test_attach_groups_match_a_per_cell_search(p, dense_share):
+    # over m = 10 squares of k = 4 cells a side, a square holds one or two
+    # dense cells with chance dense_share; every square holds a few one- to
+    # three-point cells. The rarer the dense squares, the more layouts stop
+    # at HookMissing, which must name the same first cell (with none, the
+    # search covers only the first row of squares)
+    t = build_tessellation(p, 0.2, 4)
+    m, k = t.squares_per_side, t.cells_per_side
+    outcomes = set()
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        blocks = []
+        for sq in range(m * m):
+            base = np.array([sq % m * k, sq // m * k])
+            cells = rng.integers(0, k, (rng.integers(1, 6), 2)) + base
+            blocks += [cell_points(t, c, r, rng.integers(1, 4)) for c, r in cells]
+            if rng.random() < dense_share:
+                cells = rng.integers(0, k, (rng.integers(1, 3), 2)) + base
+                blocks += [dense(t, c, r) for c, r in cells]
+        pts = np.vstack(blocks)
+        cls = classify_cells(t, VertexSet(pts))
+        want = _per_cell_groups(t, pts)
+        try:
+            ag = attach_sparse_groups(t, cls, build_density_graph(t, cls))
+        except ConstructionError as err:
+            assert err.reason is FailureReason.HOOK_MISSING
+            assert err.context == want
+            outcomes.add("missing")
+            continue
+        groups, hooks = want
+        assert list(ag.groups.items()) == list(groups.items())
+        assert ag.hooks == hooks
+        for key in groups:
+            assert ag.adjacency[key] == [key.label_square]
+            assert key in ag.adjacency[key.label_square]
+        outcomes.add("groups" if groups else "none")
+    assert outcomes <= {"groups", "missing"}
 
 
 def test_attach_groups_row_major_membership(t):

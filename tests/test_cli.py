@@ -211,6 +211,15 @@ def test_verify_rejects_bad_bounds(tmp_path, triangle, capsys, extra):
     assert cap.out == "" and "radius > 0" in cap.err
 
 
+def test_verify_infinite_radius_takes_any_permutation(tmp_path, triangle, capsys):
+    # every pair is within an infinite radius; no --rtol means no slack,
+    # not a NaN one from 0 * inf
+    cyc = write_cycle(tmp_path, [2, 0, 1])
+    assert main(["verify", "--points", str(triangle), "--cycle", str(cyc),
+                 "-p", "2", "--radius", "inf"]) == 0
+    assert "valid cycle over 3 vertices" in capsys.readouterr().out
+
+
 def test_verify_json_report(tmp_path, triangle, capsys):
     cyc = write_cycle(tmp_path, [0, 1, 2])
     assert main(["verify", "--points", str(triangle), "--cycle", str(cyc),

@@ -140,6 +140,38 @@ def test_sweep_parallel_matches_serial():
     assert [strip(r) for r in serial] == [strip(r) for r in parallel]
 
 
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, starts no
+    process and maps in this one."""
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks, chunksize=1):
+        return map(fn, tasks)
+
+
+@pytest.mark.parametrize("workers, ns, trials, pool", [
+    (64, (300, 500), 1, [2]), (64, (300,), 1, []), (3, (300, 500), 3, [3])])
+def test_sweep_starts_no_more_workers_than_trials(monkeypatch, workers, ns,
+                                                  trials, pool):
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+    cfg = small_cfg(ns=ns, multipliers=(2.0,), trials=trials, workers=workers)
+    rows = sweep(cfg)
+    assert RecordingPool.sizes == pool
+    strip = lambda r: dataclasses.replace(r, median_ms=0.0, p90_ms=0.0)
+    serial = sweep(dataclasses.replace(cfg, workers=1))
+    assert [strip(r) for r in rows] == [strip(r) for r in serial]
+
+
 def test_sweep_row_with_verified_cycles():
     # far enough above threshold that cells genuinely reach the density
     # cut: the construction works and connectivity must agree

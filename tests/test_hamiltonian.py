@@ -10,22 +10,21 @@ import time
 import numpy as np
 import pytest
 
-from helpers import cell_points, grid_cells
+from helpers import cell_points, cells_close, grid_cells
 from rggham import hamiltonian, instance
 from rggham.auxgraphs import (GroupKey, attach_sparse_groups,
                                build_density_graph, euler_traversal,
                                spanning_tree)
 from rggham.failures import ConstructionError, FailureReason
 from rggham.geometry import _lp_from_abs, lp_norms
-from rggham.hamiltonian import (_cell_gaps, _remainder_runs,
-                                _serpentine_orders, _tessellation_cycle,
-                                _withdrawal_positions, construct_cycle,
-                                full_construction, verify_cycle)
+from rggham.hamiltonian import (_remainder_runs, _serpentine_orders,
+                                _tessellation_cycle, _withdrawal_positions,
+                                construct_cycle, full_construction,
+                                verify_cycle)
 from rggham.instance import (VertexSet, _isolated_vertex, build_spatial_index,
                              gather_runs, is_connected, threshold_radius)
 from rggham.tessellation import (DENSE_THRESHOLD, CellId, build_tessellation,
-                                 cells_close, classify_cells,
-                                 tessellation_fits)
+                                 classify_cells, tessellation_fits)
 
 
 def rand_points(n, seed):
@@ -132,7 +131,7 @@ def test_sweep_gaps_are_the_scalar_norms(p, r):
     want = [[_lp_from_abs(p, c * t.cell_side, d * t.cell_side)
              for c, d in zip(cs, ds)]
             for cs, ds in zip(dcol.tolist(), drow.tolist())]
-    got = _cell_gaps(t, dcol, drow)
+    got = t.offset_norms[drow, dcol]    # as _sweep_runs reads it
     assert got.shape == dcol.shape
     assert got.tolist() == want
 

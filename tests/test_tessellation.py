@@ -5,16 +5,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import cell_points, filled_grid, grid_cells
+from helpers import cell_points, cells_close, filled_grid, grid_cells
 from rggham.auxgraphs import build_density_graph
-from rggham.geometry import max_box_distance, unit_disk_area
+from rggham.geometry import _lp_from_abs, max_box_distance, unit_disk_area
 from rggham.instance import VertexSet, find_slots
 from rggham.tessellation import (DENSE_THRESHOLD, FRIEND_CHEBYSHEV,
                                  MAX_CELLS_PER_SIDE, MAX_FRIENDS, CellId,
-                                 SquareId,
-                                 build_tessellation, cells_close,
-                                 choose_cells_per_side, classify_cells,
-                                 density_diagnostics,
+                                 _scale_free_quadrant_count,
+                                 build_tessellation, choose_cells_per_side,
+                                 classify_cells, density_diagnostics,
                                  quadrant_close_count)
 
 
@@ -62,11 +61,8 @@ def test_classification_cells_match_scalar_locate(pairs):
             assert CellId(flat % t.grid, flat // t.grid) == t.locate(x, y)
 
 
-def test_square_of_and_cell_box():
+def test_cell_box():
     t = build_tessellation(2.0, 0.5, 4)
-    assert t.square_of(CellId(0, 0)) == SquareId(0, 0)
-    assert t.square_of(CellId(3, 3)) == SquareId(0, 0)
-    assert t.square_of(CellId(4, 3)) == SquareId(1, 0)
     box = t.cell_box(CellId(2, 5))
     s = t.cell_side
     assert box.x_hi - box.x_lo == pytest.approx(s)
@@ -93,6 +89,48 @@ def test_cells_close_agrees_with_box_sup_distance():
                 d = max_box_distance(p, t.cell_box(a), t.cell_box(b))
                 if abs(d - t.radius) > 1e-9:
                     assert cells_close(t, a, b) == (d <= t.radius), (p, dc, dr)
+                assert t.close_table[dr, dc] == cells_close(t, a, b)
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 7.0, math.inf])
+@pytest.mark.parametrize("r", [0.45, 0.2, 0.1, 0.02])
+@pytest.mark.parametrize("k", [2, 4, 6, 32])
+def test_offset_table_is_the_scalar_rule(p, r, k):
+    # bit for bit over the whole friend span: every entry against the scalar
+    # norm, every close entry against the pair rule, and close_offsets
+    # against a row-major scan of the pair rule
+    t = build_tessellation(p, r, k)
+    s, span = t.cell_side, 3 * k
+    assert t.offset_norms.shape == (span + 1, span + 1)
+    assert t.offset_norms.tolist() == [
+        [_lp_from_abs(p, i * s, j * s) for i in range(span + 1)]
+        for j in range(span + 1)]
+    want = [[cells_close(t, CellId(0, 0), CellId(dc, dr))
+             for dc in range(span)] for dr in range(span)]
+    assert t.close_table.tolist() == want
+    assert not t.offset_norms.flags.writeable
+    assert not t.close_table.flags.writeable
+    if k <= 6:
+        assert t.close_offsets.tolist() == [
+            [dc, dr] for dr in range(1 - span, span)
+            for dc in range(1 - span, span)
+            if cells_close(t, CellId(span, span), CellId(span + dc, span + dr))]
+    if p == 1.0 and k == 32 and r == 0.02:
+        # two pairs on the scale-free boundary (dc + 1) + (dr + 1) = 64
+        # round above r; the table must leave out exactly those
+        edge = [(dc, 62 - dc) for dc in range(63)]
+        assert sum(not t.close_table[dr, dc] for dc, dr in edge) == 2
+        assert quadrant_close_count(t) == 2013
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 7.0, math.inf])
+def test_scale_free_count_is_the_scalar_rule(p):
+    # offsets (a, b) with ((a+1)^p + (b+1)^p)^(1/p) <= 2k, the cell itself
+    # left out, one scalar norm each
+    for k in (4, 8, 32, 64):
+        want = sum(_lp_from_abs(p, float(a), float(b)) <= 2 * k
+                   for a in range(1, 2 * k + 1) for b in range(1, 2 * k + 1))
+        assert _scale_free_quadrant_count(p, k) == want - 1
 
 
 def test_close_offsets_sorted_symmetric_contains_origin():
