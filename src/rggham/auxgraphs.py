@@ -52,7 +52,6 @@ class DensityGraph:
     of its close dense pair, aligned with the edge orientation.
     """
 
-    tessellation: Tessellation
     square_ids: np.ndarray
     adjacency: dict
     witness: dict
@@ -101,8 +100,7 @@ def build_density_graph(t: Tessellation, cls: CellClassification) -> DensityGrap
     g = t.grid
     dense_squares = cls.squares[cls.square_dense_count > 0]
     if not dense_squares.size:
-        return DensityGraph(tessellation=t, square_ids=dense_squares,
-                            adjacency={}, witness={})
+        return DensityGraph(square_ids=dense_squares, adjacency={}, witness={})
     r_row, r_col = np.divmod(dense_squares, m)
     # columns (R, S, R's witness cell, S's witness cell), one per edge
     blocks = [np.zeros((4, 0), dtype=np.int64)]
@@ -137,8 +135,8 @@ def build_density_graph(t: Tessellation, cls: CellClassification) -> DensityGrap
     nbr = nbr[by_end].tolist()
     adjacency = {s: nbr[a:b] for s, a, b in
                  zip(dense_squares.tolist(), lo.tolist(), hi.tolist())}
-    return DensityGraph(tessellation=t, square_ids=dense_squares,
-                        adjacency=adjacency, witness=witness)
+    return DensityGraph(square_ids=dense_squares, adjacency=adjacency,
+                        witness=witness)
 
 
 # --------------------------------------------------------------------------
@@ -156,15 +154,13 @@ class AugmentedGraph:
     group nodes by sparse square, then label square.
     """
 
-    tessellation: Tessellation
     density: DensityGraph
-    old_vertices: np.ndarray
     adjacency: dict
     groups: dict
     hooks: dict
 
     def nodes(self) -> list[Node]:
-        out: list[Node] = [int(s) for s in self.old_vertices]
+        out: list[Node] = [int(s) for s in self.density.square_ids]
         out.extend(self.groups.keys())
         return out
 
@@ -226,9 +222,8 @@ def attach_sparse_groups(t: Tessellation, cls: CellClassification,
     # lists are in node order as built: sparse squares are taken ascending;
     # a square has at most 24 friends, so at most 24 group nodes
     assert all(len(nbrs) <= MAX_FRIENDS for nbrs in adjacency.values())
-    return AugmentedGraph(tessellation=t, density=dg,
-                          old_vertices=dg.square_ids,
-                          adjacency=adjacency, groups=groups, hooks=hooks)
+    return AugmentedGraph(density=dg, adjacency=adjacency, groups=groups,
+                          hooks=hooks)
 
 
 # --------------------------------------------------------------------------
@@ -251,13 +246,14 @@ def spanning_tree(ag: AugmentedGraph) -> SpanningTree:
     Raises ConstructionError(DISCONNECTED) when the augmented graph does not
     reach every node (or has no old vertex at all).
     """
-    total = len(ag.old_vertices) + len(ag.groups)
-    if len(ag.old_vertices) == 0:
+    old_vertices = ag.density.square_ids
+    total = len(old_vertices) + len(ag.groups)
+    if len(old_vertices) == 0:
         raise ConstructionError(FailureReason.DISCONNECTED,
                                 {"detail": "no dense square exists",
                                  "old_vertices": 0,
                                  "group_nodes": len(ag.groups)})
-    root: Node = int(ag.old_vertices.min())
+    root: Node = int(old_vertices.min())
     parent: dict[Node, Node] = {}
     children: dict[Node, list[Node]] = {root: []}
     queue = deque([root])

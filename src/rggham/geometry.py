@@ -55,6 +55,18 @@ def _lp_from_abs(p: float, ax: float, ay: float) -> float:
     return hi * (1.0 + t**p) ** (1.0 / p)
 
 
+def _offset_norms(p: float, side: float, span: int) -> np.ndarray:
+    """norms[j, i] = _lp_from_abs(p, i * side, j * side) for 0 <= i, j <=
+    span, read-only. Each entry is a scalar call, so it is the exact float
+    a scalar call gives: lp_norms rounds differently in the last bit for
+    some p, which can flip a test at the radius or a tie between sweep
+    variants."""
+    norms = np.array([[_lp_from_abs(p, i * side, j * side)
+                       for i in range(span + 1)] for j in range(span + 1)])
+    norms.flags.writeable = False
+    return norms
+
+
 def lp_distance(p: float, a: tuple[float, float], b: tuple[float, float]) -> float:
     """l_p distance between two points in the plane."""
     return _lp_from_abs(p, abs(a[0] - b[0]), abs(a[1] - b[1]))

@@ -40,7 +40,7 @@ a serpentine tour: every vertex in rows of clique cells, sorted along each
 row, with a return lane that closes the tour. The few hops longer than r,
 at gaps in a row, are repaired locally with 2-opt moves and single-vertex
 moves that use only edges within r (after Posa's rotations). Its
-neighbours come from buckets of side about r through SpatialIndex.window,
+neighbours come from buckets of side about r through SpatialIndex.reach,
 the rule is_connected reads too. The fallback reports its failures with
 existing reasons. Before any repair, every vertex whose two tour hops are
 both longer than r is tested exactly, and the first one with no neighbour
@@ -228,46 +228,39 @@ def construct_cycle(points: np.ndarray, t: Tessellation,
     start_near: list[int] = []
     end_near: list[int] = []
 
-    if len(order) == 1:
-        root = order[0]
-        assert isinstance(root, int)
-        swept.append(root)
-        start_near.append(-1)
-        end_near.append(-1)
-        events.append(_SWEEP)
-    else:
-        i = 0
-        while i < len(order) - 1:
-            u, v = order[i], order[i + 1]
-            assert isinstance(u, int), "traversal must move between old vertices"
-            if isinstance(v, GroupKey):
-                # leaf roundtrip: hook in, walk the sparse cells, hook out
-                assert order[i + 2] == u
-                cells = ag.groups[v]
-                drains.append(cells)
-                takes += [ag.hooks[cells[0]], ag.hooks[cells[-1]]]
-                events += [_TAKE, _DRAIN, _TAKE]
-                i += 2
-                continue
-            cu, cv = ag.density.witness_cells(u, v)
-            if i == last_pos[u]:
-                # final departure: empty the square before leaving. The exit
-                # vertex is withdrawn first but placed after the sweep; no
-                # withdrawal lies between, so recording it here keeps the
-                # order of withdrawals
-                swept.append(u)
-                start_near.append(takes[-1])
-                end_near.append(cu)
-                events.append(_SWEEP)
-            takes += [cu, cv]
-            events += [_TAKE, _TAKE]
-            i += 1
-        root = order[-1]
-        assert isinstance(root, int)
-        swept.append(root)
-        start_near.append(takes[-1])
-        end_near.append(takes[0])   # the first step withdraws a vertex
-        events.append(_SWEEP)
+    i = 0
+    while i < len(order) - 1:
+        u, v = order[i], order[i + 1]
+        assert isinstance(u, int), "traversal must move between old vertices"
+        if isinstance(v, GroupKey):
+            # leaf roundtrip: hook in, walk the sparse cells, hook out
+            assert order[i + 2] == u
+            cells = ag.groups[v]
+            drains.append(cells)
+            takes += [ag.hooks[cells[0]], ag.hooks[cells[-1]]]
+            events += [_TAKE, _DRAIN, _TAKE]
+            i += 2
+            continue
+        cu, cv = ag.density.witness_cells(u, v)
+        if i == last_pos[u]:
+            # final departure: empty the square before leaving. The exit
+            # vertex is withdrawn first but placed after the sweep; no
+            # withdrawal lies between, so recording it here keeps the
+            # order of withdrawals
+            swept.append(u)
+            start_near.append(takes[-1])
+            end_near.append(cu)
+            events.append(_SWEEP)
+        takes += [cu, cv]
+        events += [_TAKE, _TAKE]
+        i += 1
+    root = order[-1]
+    assert isinstance(root, int)
+    swept.append(root)
+    # the first step withdraws a vertex; a one-square tree withdraws none
+    start_near.append(takes[-1] if takes else -1)
+    end_near.append(takes[0] if takes else -1)
+    events.append(_SWEEP)
 
     taken = np.array(takes, dtype=np.int64)
     take_lo = _withdrawal_positions(cls, taken)
@@ -443,8 +436,9 @@ def _stable_argsort(key: np.ndarray) -> np.ndarray:
 
 def _repair_grid(points: np.ndarray, p: float, r: float) -> SpatialIndex:
     """The repair's buckets: side floor(1 / r), capped at 2^32, so each is
-    at least r wide, and its window is the 3x3 block around it but where a
-    bucket is within about 1e-9 of r wide (see SpatialIndex.window)."""
+    at least r wide, and its reach is 1 at each row offset -1, 0 and 1, the
+    3x3 block around a bucket, but where a bucket is within about 1e-9 of r
+    wide (see SpatialIndex.reach)."""
     side = max(1, math.floor(min(1.0 / r, 2.0 ** 32)))
     return SpatialIndex(points, r, p, side, *occupied_cells(points, side))
 
@@ -578,7 +572,7 @@ def _repaired_tour_cycle(points: np.ndarray, p: float, r: float) -> np.ndarray:
 
     Before any repair, the vertices whose two tour hops are both longer
     than r, the only ones that can have no neighbour within r, are tested
-    exactly on the repair's buckets, over each one's window: the first
+    exactly on the repair's buckets, as far as their reach: the first
     without a neighbour ends the attempt with DISCONNECTED. Long hops are
     then mended longest first, so that a hop no repair can mend is met
     early, and the first such hop ends the attempt with EDGE_TOO_LONG. A

@@ -24,7 +24,8 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .geometry import _lp_from_abs, lp_norms, unit_disk_area, validate_p
+from .geometry import (_lp_from_abs, _offset_norms, lp_norms, unit_disk_area,
+                       validate_p)
 
 
 # --------------------------------------------------------------------------
@@ -270,28 +271,21 @@ class SpatialIndex:
     starts: np.ndarray
 
     @cached_property
-    def window(self) -> list[tuple[int, int]]:
-        """The only rule for which cells can hold a neighbour: the offsets
-        (dc, dr), one of each +/- pair (dr > 0, or dr = 0 and dc >= 0),
-        nearest first, of the cells whose gap to cell (0, 0) is at most r
-        plus a margin for rounding, which at r = 0.1 on cells 0.1 wide files
-        x = 0.3 and the float below 0.2, r apart, two cells apart."""
-        side, s = self.side, 1.0 / self.side
-        most = int(min(self.r * side + 2, side - 1))
-        near = sorted((_lp_from_abs(self.p, max(abs(dc) - 1, 0) * s,
-                                    max(dr - 1, 0) * s), dr, dc)
-                      for dr in range(most + 1) for dc in range(-most, most + 1)
-                      if dr > 0 or dc >= 0)
-        return [(dc, dr) for gap, dr, dc in near
-                if gap <= self.r * (1.0 + _REL_SLACK) + _ABS_SLACK]
-
-    @cached_property
     def reach(self) -> np.ndarray:
-        """The widest |dc| of window at each row offset +/-dr, as uint64."""
-        dc, dr = np.abs(self.window).T
-        reach = np.zeros(dr.max() + 1, dtype=np.uint64)
-        np.maximum.at(reach, dr, dc.astype(np.uint64))
-        return reach
+        """The only rule for which cells can hold a neighbour: reach[dr] is
+        the widest |dc| of the cells (dc, +/-dr) whose gap to cell (0, 0) is
+        at most r plus a margin for rounding, which at r = 0.1 on cells 0.1
+        wide files x = 0.3 and the float below 0.2, r apart, two cells
+        apart. As uint64, one entry per row offset that holds such a cell.
+        The gap to cell (dc, dr) is _offset_norms' entry [max(|dr| - 1, 0),
+        max(|dc| - 1, 0)]; gaps grow with |dc|, so the count of a row's gaps
+        within the bound is its widest |dc|."""
+        most = int(min(self.r * self.side + 2, self.side - 1))
+        gaps = _offset_norms(self.p, 1.0 / self.side, most)
+        within = gaps[np.maximum(np.arange(most + 1) - 1, 0)] <= (
+            self.r * (1.0 + _REL_SLACK) + _ABS_SLACK)
+        reach = np.minimum(within.sum(axis=1), most)[within[:, 0]]
+        return reach.astype(np.uint64)
 
 
 def build_spatial_index(vs: VertexSet, r: float, p: float) -> SpatialIndex:
@@ -381,8 +375,8 @@ def _pairs_within(idx: SpatialIndex, u: np.ndarray, key: np.ndarray,
                   at: np.ndarray, dr: np.ndarray):
     """Yield, in slabs of at most max(_PAIR_CHUNK, n) point pairs, the pairs
     (at[k], v), k ascending, of each vertex u[at[k]], in cell key[at[k]],
-    and every other vertex v within r of it in its window's cells at row
-    offset dr[k], by ascending cell key, then index. Those cells are a run
+    and every other vertex v within r of it in the cells that reach allows at
+    row offset dr[k], by ascending cell key, then index. Those cells are a run
     of columns, which two searches find. Keys stay in uint64, which numpy
     1.x would mix with signed ints into float64, rounding keys above 2^53;
     a negative dr wraps modulo 2^64, so row + dr is huge below the grid."""
@@ -424,10 +418,11 @@ def neighbour_lists(idx: SpatialIndex,
 
 def _isolated_vertex(idx: SpatialIndex, u: np.ndarray) -> Optional[int]:
     """The first of the vertices u that has no other point within r, None
-    when each of them has one. Windows are searched a row offset at a time,
-    nearest rows first, and a vertex with a neighbour drops out at once; the
-    vertices go in batches that double from _FIRST_BATCH, so that a set
-    with many isolated vertices stops after a few hundred."""
+    when each of them has one. The cells reach allows are searched a row
+    offset at a time, nearest rows first, and a vertex with a neighbour
+    drops out at once; the vertices go in batches that double from
+    _FIRST_BATCH, so that a set with many isolated vertices stops after a
+    few hundred."""
     lo, size = 0, _FIRST_BATCH
     while lo < len(u):
         batch = u[lo:lo + size]
@@ -459,13 +454,13 @@ def is_connected(idx: SpatialIndex) -> bool:
     (the threshold is where the last isolated vertex disappears), and only
     one-point cells with no occupied cell around them need testing, by
     _isolated_vertex, which stops at the first batch that holds one such
-    vertex. Otherwise the window is searched a row offset at a time,
-    nearest rows first as in _isolated_vertex, by _pairs_within from every
-    vertex outside the component that holds the largest one the near joins
-    left (it grows, so it is read again at each row); the cells of each
-    pair found are joined, and the search stops as soon as one component is
-    left. Every edge between two components has an end outside that
-    component, so no such edge is missed.
+    vertex. Otherwise the cells reach allows are searched a row offset at
+    a time, nearest rows first as in _isolated_vertex, by _pairs_within
+    from every vertex outside the component that holds the largest one the
+    near joins left (it grows, so it is read again at each row); the cells
+    of each pair found are joined, and the search stops as soon as one
+    component is left. Every edge between two components has an end
+    outside that component, so no such edge is missed.
     """
     cells = idx.cells
     parent = np.arange(len(cells))

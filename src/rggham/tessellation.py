@@ -35,7 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import _lp_from_abs, validate_p, unit_disk_area
+from .geometry import _offset_norms, validate_p, unit_disk_area
 from .instance import VertexSet, find_slots, occupied_cells, sorted_runs
 
 DENSE_THRESHOLD = 48
@@ -122,8 +122,10 @@ def tessellation_fits(r: float, cells_per_square: int) -> bool:
 
 def build_tessellation(p: float, r: float, cells_per_square: int) -> Tessellation:
     p = validate_p(p)
-    if cells_per_square < 2:
-        raise ValueError(f"need k >= 2 cells per square side, got {cells_per_square}")
+    if not 2 <= cells_per_square <= MAX_CELLS_PER_SIDE:
+        # the offset tables hold (3k + 1)^2 scalar norms
+        raise ValueError(f"need 2 <= k <= {MAX_CELLS_PER_SIDE} cells per "
+                         f"square side, got {cells_per_square}")
     if not tessellation_fits(r, cells_per_square):
         raise ValueError(f"tessellation needs 0 < r <= 1 and int64 cell ids, got r = {r}")
     m = math.floor(2.0 / r)
@@ -133,18 +135,6 @@ def build_tessellation(p: float, r: float, cells_per_square: int) -> Tessellatio
     assert _offset_norms(p, t.cell_side, 1)[1, 1] <= r, \
         "cell diameter exceeds r; tessellation unusable"
     return t
-
-
-def _offset_norms(p: float, side: float, span: int) -> np.ndarray:
-    """norms[j, i] = _lp_from_abs(p, i * side, j * side) for 0 <= i, j <=
-    span, read-only. Each entry is a scalar call, so it is the exact float
-    a scalar call gives: lp_norms rounds differently in the last bit for
-    some p, which can flip a test at the radius or a tie between sweep
-    variants."""
-    norms = np.array([[_lp_from_abs(p, i * side, j * side)
-                       for i in range(span + 1)] for j in range(span + 1)])
-    norms.flags.writeable = False
-    return norms
 
 
 # --------------------------------------------------------------------------
@@ -158,7 +148,6 @@ class CellClassification:
     cells, and order[starts[i]:starts[i + 1]] lists the vertices of cells[i]
     in ascending index order; the square_ arrays align with squares."""
 
-    tessellation: Tessellation
     cells: np.ndarray
     counts: np.ndarray
     order: np.ndarray
@@ -203,7 +192,7 @@ def classify_cells(t: Tessellation, vs: VertexSet) -> CellClassification:
     np.cumsum(vertex, out=vertex)
     vertex = np.diff(vertex[first[1:] - 1], prepend=0)
     return CellClassification(
-        tessellation=t, cells=cells, counts=counts, order=order, starts=starts,
+        cells=cells, counts=counts, order=order, starts=starts,
         dense_mask=dense, squares=squares, square_vertex_count=vertex,
         square_dense_count=square_dense)
 
@@ -281,6 +270,7 @@ def quadrant_close_count(t: Tessellation) -> int:
     return int(t.close_table.sum()) - 1
 
 
+@lru_cache(maxsize=None)
 def _scale_free_quadrant_count(p: float, k: int) -> int:
     """Quadrant close-cell count in the r -> 0 limit, where r/cell_side -> 2k.
 

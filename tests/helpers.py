@@ -3,6 +3,7 @@
 import numpy as np
 
 from rggham.geometry import _lp_from_abs
+from rggham.instance import _ABS_SLACK, _REL_SLACK
 
 
 def cell_points(t, col, row, count):
@@ -52,3 +53,18 @@ def cells_close(t, a, b):
     sx = (abs(a.col - b.col) + 1) * s
     sy = (abs(a.row - b.row) + 1) * s
     return _lp_from_abs(t.p, sx, sy) <= t.radius
+
+
+def window_reach(p, r, side):
+    """SpatialIndex.reach one offset at a time, as the grid once listed its
+    window: the offsets (dc, dr), dr >= 0, whose gap to cell (0, 0) is at
+    most r plus the rounding margin, and the widest |dc| at each dr."""
+    s = 1.0 / side
+    most = int(min(r * side + 2, side - 1))
+    window = [(dc, dr) for dr in range(most + 1) for dc in range(-most, most + 1)
+              if _lp_from_abs(p, max(abs(dc) - 1, 0) * s, max(dr - 1, 0) * s)
+              <= r * (1.0 + _REL_SLACK) + _ABS_SLACK]
+    reach = [0] * (max(dr for _, dr in window) + 1)
+    for dc, dr in window:
+        reach[dr] = max(reach[dr], abs(dc))
+    return reach

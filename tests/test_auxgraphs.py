@@ -333,12 +333,10 @@ def test_spanning_tree_on_split_graph_reports_sizes(t):
     assert err.value.context["total"] == 4
 
 
-def test_spanning_tree_without_old_vertices(t):
-    dg = DensityGraph(tessellation=t, square_ids=np.array([], dtype=np.int64),
+def test_spanning_tree_without_old_vertices():
+    dg = DensityGraph(square_ids=np.array([], dtype=np.int64),
                       adjacency={}, witness={})
-    ag = AugmentedGraph(tessellation=t, density=dg,
-                        old_vertices=dg.square_ids, adjacency={},
-                        groups={}, hooks={})
+    ag = AugmentedGraph(density=dg, adjacency={}, groups={}, hooks={})
     with pytest.raises(ConstructionError) as err:
         spanning_tree(ag)
     assert err.value.reason is FailureReason.DISCONNECTED

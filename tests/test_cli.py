@@ -144,6 +144,12 @@ def test_ham_too_few_points_is_usage_error(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_ham_cells_per_square_past_the_search_is_usage_error(triangle, capsys):
+    assert main(["ham", "--points", str(triangle), "-p", "2", "--radius", "0.2",
+                 "--cells-per-square", "65"]) == 2
+    assert "k <= 64" in capsys.readouterr().err
+
+
 def test_ham_missing_points_file(tmp_path, capsys):
     missing = tmp_path / "nope.csv"
     assert main(["ham", "--points", str(missing), "-p", "2",

@@ -5,13 +5,15 @@ import time
 import numpy as np
 import pytest
 
+from helpers import window_reach
 from rggham import instance
 from rggham.geometry import lp_distance, lp_norms
 from rggham.instance import (EpsilonAbove, EpsilonBelow, ExplicitRadius,
-                             InstanceConfig, ThresholdMultiple, VertexSet,
-                             build_spatial_index, find_slots, is_connected,
-                             max_radius, occupied_cells, radix_sort,
-                             resolve_radius, sample_points, threshold_radius)
+                             InstanceConfig, SpatialIndex, ThresholdMultiple,
+                             VertexSet, build_spatial_index, find_slots,
+                             is_connected, max_radius, occupied_cells,
+                             radix_sort, resolve_radius, sample_points,
+                             threshold_radius)
 
 # frozen reference radii, checked against direct sqrt(log n / (area n))
 THRESHOLD_CASES = [
@@ -231,8 +233,8 @@ def test_is_connected_leaves_at_an_isolated_vertex(monkeypatch):
                                    (0.04, -0.15)])
 def test_is_connected_sees_a_neighbour_at_a_negative_far_offset(p, dx, dy):
     # each point is alone in its 3x3 block of cells, and (0.505, 0.505) sees
-    # its only neighbour at a far offset of negative sign, which the window
-    # lists only by its opposite
+    # its only neighbour at a far offset of negative sign, which reach
+    # lists only by its absolute value
     pts = np.array([[0.505, 0.505], [0.505 + dx, 0.505 + dy]])
     r = 0.2
     assert lp_distance(p, pts[0], pts[1]) <= r
@@ -555,6 +557,26 @@ def test_build_spatial_index_rejects_unusable_input():
         build_spatial_index(vs, 0.0, 2.0)
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
         build_spatial_index(VertexSet(np.array([[0.1, 1.5]])), 0.1, 2.0)
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 7.0, math.inf])
+def test_reach_is_the_window_rule(p):
+    # random radii on a log scale with sides 1, 2, 3, about 1 / r (the
+    # repair's), about 2.83 / r (the connectivity grid's) and random; then
+    # radii exactly j cells wide, where a gap is exactly r
+    rng = np.random.default_rng(15)
+    pts = np.array([[0.5, 0.5]])
+    cases = []
+    for r in np.exp(rng.uniform(math.log(1e-4), math.log(1.6), 40)).tolist():
+        sides = (1, 2, 3, max(1, math.floor(1 / r)), math.ceil(2.83 / r),
+                 int(rng.integers(1, math.ceil(4 / r) + 1)))
+        cases += [(r, side) for side in sides]
+    cases += [(j / side, side) for side in (1, 2, 3, 7, 10, 341, 5000)
+              for j in range(1, min(side, 5) + 1)]
+    for r, side in cases:
+        idx = SpatialIndex(pts, r, p, side, *occupied_cells(pts, side))
+        assert idx.reach.dtype == np.uint64
+        assert idx.reach.tolist() == window_reach(p, r, side), (r, side)
 
 
 def test_is_connected_fast_at_a_large_radius():

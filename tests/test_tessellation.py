@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import cell_points, cells_close, filled_grid, grid_cells
+from rggham import tessellation
 from rggham.auxgraphs import build_density_graph
 from rggham.geometry import _lp_from_abs, max_box_distance, unit_disk_area
 from rggham.instance import VertexSet, find_slots
@@ -35,6 +36,14 @@ def test_build_rejects_bad_radius(r):
 def test_build_rejects_tiny_k():
     with pytest.raises(ValueError):
         build_tessellation(2.0, 0.4, 1)
+
+
+def test_build_bounds_k_by_the_search():
+    # the offset tables grow as k^2, so k stops where the search stops
+    with pytest.raises(ValueError, match="k <= 64"):
+        build_tessellation(2.0, 0.45, MAX_CELLS_PER_SIDE + 1)
+    t = build_tessellation(2.0, 0.45, MAX_CELLS_PER_SIDE)
+    assert t.close_table.shape == (3 * MAX_CELLS_PER_SIDE,) * 2
 
 
 def test_locate_boundaries():
@@ -302,6 +311,23 @@ def test_choose_cells_per_side_gives_up_gracefully():
     area = unit_disk_area(2.0)
     k, ok = choose_cells_per_side(2.0, 0.001 * area)
     assert (k, ok) == (MAX_CELLS_PER_SIDE, False)
+
+
+def test_choose_cells_per_side_builds_each_table_once(monkeypatch):
+    # a new eps searches every k again, from the cached counts
+    builds = []
+
+    def counted(*args):
+        builds.append(args)
+        return real(*args)
+
+    real = tessellation._offset_norms
+    monkeypatch.setattr(tessellation, "_offset_norms", counted)
+    choose_cells_per_side.cache_clear()
+    _scale_free_quadrant_count.cache_clear()
+    for eps in (1e-3, 2e-3):
+        assert choose_cells_per_side(3.0, eps) == (MAX_CELLS_PER_SIDE, False)
+        assert len(builds) == 31
 
 
 def test_choose_cells_per_side_rejects_out_of_range_eps():
