@@ -1,25 +1,26 @@
 """Monte Carlo trials, threshold sweeps, and the scaling benchmark.
 
 A trial samples an instance, times the construction pipeline (tessellation
-through the verified cycle; sampling and the connectivity check are not part
-of the timed span), and records either the verified cycle or the typed
-failure. Near the threshold no tessellation cell can hold the 48 points a
-dense cell needs; full_construction sees that from one count of the points
-per block of squares and goes straight to the serpentine fallback. A
-verified cycle certifies connectivity, and a Disconnected failure certifies
-the opposite (a vertex with no neighbour within r), so the connectivity
-check (union-find over the occupied cells of a sparse grid, see instance.py)
-runs only after other failures. The fallback tests for such a vertex before
-it repairs anything, so at and below the threshold, where almost every
-instance has one, a failed trial ends without the check. The fallback's
-buckets, the check and, where it runs, the tessellation each bucket the
-points once, by instance.occupied_cells. A trial that does reach the check
-has no isolated vertex (the check would stop at the first right after
-touching cells are joined), so the check pairs farther points, searching
-only from the vertices outside the largest component, one row offset at a
-time. A sweep aggregates trials per (n, radius multiplier) pair into one
-summary row; trial seeds are assigned from a single base seed by global
-trial index so any trial can be reproduced in isolation.
+through the verified cycle, or through the typed failure; sampling is not
+part of the timed span), and records either the verified cycle or the
+typed failure, and whether the graph is connected. Near the threshold no
+tessellation cell can hold the 48 points a dense cell needs;
+full_construction sees that from one count of the points per block of
+squares and goes straight to the serpentine fallback. A verified cycle
+certifies connectivity, and the fallback's failures carry their own
+verdict: Disconnected certifies the opposite (a vertex with no neighbour
+within r, or the connectivity check, union-find over the occupied cells of
+a sparse grid, see instance.py), and EdgeTooLong says connected: true. The
+fallback runs that check on the grid its repair already reads, so a trial
+buckets the points once for the fallback and, where it runs, once for the
+tessellation, each by instance.occupied_cells. The fallback tests for an
+isolated vertex before it repairs anything, so at and below the threshold,
+where almost every instance has one, a failed trial ends without the
+check. Where the check runs, it pairs farther points, searching only from
+the vertices outside the largest component, one row offset at a time. A
+sweep aggregates trials per (n, radius multiplier) pair into one summary
+row; trial seeds are assigned from a single base seed by global trial
+index so any trial can be reproduced in isolation.
 """
 
 from __future__ import annotations
@@ -63,19 +64,22 @@ class TrialResult:
                 "cells_per_side": self.cells_per_side}
 
 
-def run_trial(n: int, p: float, r: float, seed: int,
-              check_connectivity: bool = True) -> TrialResult:
+def run_trial(n: int, p: float, r: float, seed: int) -> TrialResult:
     """One sampled instance through the pipeline; never raises on failure.
 
-    With check_connectivity, connected is True for a verified cycle (a
-    Hamiltonian cycle spans a connected graph), False for a Disconnected
-    failure, and is_connected's answer otherwise; without it, connected
-    stays False. full_construction raises Disconnected only from its
-    fallback, at a vertex with no neighbour within r: among n >= 3 vertices
-    that is a certificate, and it needs no grid at r, which at radii below
-    about 6.6e-10 (p = 2) build_spatial_index cannot build. The fallback
-    looks for such a vertex before any repair, so an instance that has one
-    ends in Disconnected, not EdgeTooLong, and skips the check.
+    connected is True for a verified cycle (a Hamiltonian cycle spans a
+    connected graph), False for a Disconnected failure, and True for a
+    failure whose context says connected: true. full_construction raises
+    Disconnected only from its fallback, which certifies it: a vertex with
+    no neighbour within r among n >= 3 vertices, or is_connected's answer
+    on its grid. Before it gives up at EdgeTooLong the fallback runs that
+    check, and says connected: true, so the trial builds no grid of its
+    own. It does build one, for is_connected, after a failure with no
+    verdict: LedgerExhausted and the fallback's self check, both logic
+    errors, and EdgeTooLong below about 6.6e-10 (p = 2), where the
+    fallback's grid is too coarse for the check. There build_spatial_index
+    raises ValueError; sampled points only get that far with two of them
+    within r, which at such radii almost never happens.
     """
     import time
 
@@ -83,20 +87,23 @@ def run_trial(n: int, p: float, r: float, seed: int,
     vs = sample_points(cfg)
     t0 = time.perf_counter()
     reason = None
-    cycle_ok = False
+    connected = None
     k = None
     try:
         out = full_construction(vs.points, p, r)
-        cycle_ok = True
+        connected = True
         k = out.cells_per_side
     except ConstructionError as exc:
         reason = exc.reason.value
+        if exc.reason is FailureReason.DISCONNECTED:
+            connected = False
+        else:
+            connected = exc.context.get("connected")
     wall_ms = (time.perf_counter() - t0) * 1e3
-    connected = False
-    if check_connectivity and reason != FailureReason.DISCONNECTED.value:
-        connected = cycle_ok or is_connected(build_spatial_index(vs, r, p))
+    if connected is None:
+        connected = is_connected(build_spatial_index(vs, r, p))
     return TrialResult(n=n, p=p, r=r, seed=seed,
-                       outcome=OUTCOME_CYCLE if cycle_ok else OUTCOME_FAILURE,
+                       outcome=OUTCOME_FAILURE if reason else OUTCOME_CYCLE,
                        failure_reason=reason, connected=connected,
                        wall_ms=wall_ms, cells_per_side=k)
 
@@ -244,7 +251,8 @@ def scaling_bench(ns: list[int], p: float, multiplier: float = 2.0,
     """Median construction wall time per n, with consecutive-size ratios.
 
     Sizes must be ascending and at least 1000 so per-trial noise does not
-    swamp the medians. Timing covers the construction pipeline only. The
+    swamp the medians. Timing covers the construction pipeline only, the
+    fallback's connectivity check included where it gives up. The
     sizes take turns, one trial each, so a spell of slower machine moves
     every size alike instead of one size's median; trial i of the j-th size
     gets seed base_seed + j * trials + i.
@@ -260,7 +268,7 @@ def scaling_bench(ns: list[int], p: float, multiplier: float = 2.0,
     for i in range(trials):
         for j, (n, r) in enumerate(zip(ns, radii)):
             seed = base_seed + j * trials + i
-            walls[j].append(run_trial(n, p, r, seed, check_connectivity=False).wall_ms)
+            walls[j].append(run_trial(n, p, r, seed).wall_ms)
     rows: list[BenchRow] = []
     prev = None
     for n, r, w in zip(ns, radii, walls):

@@ -39,14 +39,19 @@ p = 1 a square can be wider than r). full_construction then falls back to
 a serpentine tour: every vertex in rows of clique cells, sorted along each
 row, with a return lane that closes the tour. The few hops longer than r,
 at gaps in a row, are repaired locally with 2-opt moves and single-vertex
-moves that use only edges within r (after Posa's rotations). Its
-neighbours come from buckets of side about r through SpatialIndex.reach,
-the rule is_connected reads too. The fallback reports its failures with
-existing reasons. Before any repair, every vertex whose two tour hops are
-both longer than r is tested exactly, and the first one with no neighbour
-within r is reported as Disconnected, a certificate: below the threshold
-almost every instance has such a vertex. Otherwise the first hop that no
-repair mends is reported as EdgeTooLong, with the degrees of its ends.
+moves that use only edges within r (after Posa's rotations). The fallback
+buckets the points once, on the grid build_spatial_index builds (its side
+from instance._grid_side), and its neighbour lists, its isolated-vertex
+screen and its connectivity check all read it, through SpatialIndex.reach.
+Its failures are certificates where they can be. Before any repair, every
+vertex whose two tour hops are both longer than r is tested exactly, and
+the first one with no neighbour within r is reported as Disconnected:
+below the threshold almost every instance has such a vertex. Otherwise, at
+the first hop that no repair mends, is_connected runs once on the grid: a
+disconnected graph is reported as Disconnected, a connected one as
+EdgeTooLong with the degrees of the hop's ends and connected: true. No
+move depends on the order of the neighbour lists, so neither do the
+cycles: ties go to the lower tour position or vertex index.
 
 Every constructed cycle is self-verified (zero tolerance) before being
 returned, so callers get either a valid cycle or a typed failure.
@@ -65,8 +70,9 @@ from .auxgraphs import (AugmentedGraph, GroupKey, Node, attach_sparse_groups,
                         build_density_graph, euler_traversal, spanning_tree)
 from .failures import ConstructionError, FailureReason
 from .geometry import _lp_from_abs, lp_norms, unit_disk_area, validate_p
-from .instance import (SpatialIndex, VertexSet, _isolated_vertex, gather_runs,
-                       neighbour_lists, occupied_cells, validate_points)
+from .instance import (SpatialIndex, VertexSet, _grid_side, _isolated_vertex,
+                       gather_runs, is_connected, neighbour_lists,
+                       occupied_cells, validate_points)
 from .tessellation import (DENSE_THRESHOLD, CellClassification,
                            Tessellation, build_tessellation,
                            choose_cells_per_side, classify_cells,
@@ -434,15 +440,6 @@ def _stable_argsort(key: np.ndarray) -> np.ndarray:
     return order
 
 
-def _repair_grid(points: np.ndarray, p: float, r: float) -> SpatialIndex:
-    """The repair's buckets: side floor(1 / r), capped at 2^32, so each is
-    at least r wide, and its reach is 1 at each row offset -1, 0 and 1, the
-    3x3 block around a bucket, but where a bucket is within about 1e-9 of r
-    wide (see SpatialIndex.reach)."""
-    side = max(1, math.floor(min(1.0 / r, 2.0 ** 32)))
-    return SpatialIndex(points, r, p, side, *occupied_cells(points, side))
-
-
 class _TourRepair:
     """A closed tour as a position array, mended one long hop at a time.
 
@@ -459,12 +456,17 @@ class _TourRepair:
         self.n = len(tour)
         self.pos = np.empty(self.n, dtype=np.int64)
         self.pos[tour] = np.arange(self.n)
-        self.grid = _repair_grid(points, p, r)
+        # build_spatial_index's grid; below its resolution a coarser one
+        # (fine is False), where reach still finds every neighbour but
+        # is_connected cannot run
+        side, self.fine = _grid_side(r, p)
+        self.grid = SpatialIndex(points, r, p, side, *occupied_cells(points, side))
         self._near: dict[int, np.ndarray] = {}
 
     def near(self, v: int) -> np.ndarray:
-        """Vertices within r of v, but v, by ascending bucket key, then
-        index (neighbour_lists); the order breaks ties in _two_opt."""
+        """Vertices within r of v, but v, by ascending cell key of the
+        grid, then index (neighbour_lists). No move depends on this order:
+        _two_opt and _move_vertex break ties by tour position or index."""
         if v not in self._near:
             self.look_up([v])
         return self._near[v]
@@ -495,6 +497,8 @@ class _TourRepair:
         at = at[self._within(tour[(at + 1) % self.n], tour[i + 1])]
         if not at.size:
             return False
+        # of two positions equally near i, the lower
+        at.sort()
         j = int(at[np.argmin(np.abs(at - i))])
         self._reverse(*((i + 1, j) if j > i else (j + 1, i)))
         return True
@@ -555,16 +559,26 @@ class _TourRepair:
         return False
 
     def failure(self, i: int) -> ConstructionError:
-        """The typed failure for a hop i that no repair mends."""
+        """The typed failure for a hop i that no repair mends, with
+        is_connected's verdict on the grid: Disconnected where it finds the
+        graph disconnected, else EdgeTooLong, whose context then says
+        connected: true. Where the grid is not fine, the check cannot run,
+        and EdgeTooLong carries no verdict."""
+        if self.fine and not is_connected(self.grid):
+            return ConstructionError(
+                FailureReason.DISCONNECTED,
+                {"detail": "the graph is disconnected", "radius": self.r})
         a, b = int(self.tour[i]), int(self.tour[(i + 1) % self.n])
         pts = self.points
-        return ConstructionError(
-            FailureReason.EDGE_TOO_LONG,
-            {"detail": "no local repair brings this hop within r",
-             "position": i, "vertices": [a, b],
-             "distance": float(_lp_from_abs(
-                 self.p, abs(pts[a, 0] - pts[b, 0]), abs(pts[a, 1] - pts[b, 1]))),
-             "radius": self.r, "degrees": [len(self.near(a)), len(self.near(b))]})
+        context = {
+            "detail": "no local repair brings this hop within r",
+            "position": i, "vertices": [a, b],
+            "distance": float(_lp_from_abs(
+                self.p, abs(pts[a, 0] - pts[b, 0]), abs(pts[a, 1] - pts[b, 1]))),
+            "radius": self.r, "degrees": [len(self.near(a)), len(self.near(b))]}
+        if self.fine:
+            context["connected"] = True
+        return ConstructionError(FailureReason.EDGE_TOO_LONG, context)
 
 
 def _repaired_tour_cycle(points: np.ndarray, p: float, r: float) -> np.ndarray:
@@ -572,13 +586,15 @@ def _repaired_tour_cycle(points: np.ndarray, p: float, r: float) -> np.ndarray:
 
     Before any repair, the vertices whose two tour hops are both longer
     than r, the only ones that can have no neighbour within r, are tested
-    exactly on the repair's buckets, as far as their reach: the first
-    without a neighbour ends the attempt with DISCONNECTED. Long hops are
-    then mended longest first, so that a hop no repair can mend is met
-    early, and the first such hop ends the attempt with EDGE_TOO_LONG. A
-    vertex of degree below 2 lies on no Hamiltonian cycle, so a hop at one
-    fails at once. Deterministic: stable sorts, and each move goes to the
-    candidate nearest in the tour.
+    exactly on the grid, as far as their reach: the first without a
+    neighbour ends the attempt with DISCONNECTED. Long hops are then
+    mended longest first, so that a hop no repair can mend is met early,
+    and the first such hop ends the attempt with _TourRepair.failure: the
+    connectivity check on the same grid, then DISCONNECTED or
+    EDGE_TOO_LONG. A vertex of degree below 2 lies on no Hamiltonian
+    cycle, so a hop at one fails at once. Deterministic: stable sorts, and
+    each move goes to the candidate nearest in the tour, the lower
+    position or index on a tie.
     """
     tour = _serpentine_tour(points, p, r)
     at, length = _long_hops(points, p, r, tour)

@@ -191,24 +191,35 @@ _FIRST_BATCH = 256
 
 def radix_sort(key: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
     """np.argsort(key, kind="stable") for integer keys in [0, bound), and the
-    keys in that order (uint16 below 2^16): a stable argsort per 16-bit digit
-    of bound - 1, least significant first, which numpy radix-sorts in O(n)."""
-    digit = key.astype(np.uint16)
+    keys in that order (uint16 below 2^16).
+
+    Below 2^16, one stable argsort of the keys as uint16, which numpy
+    radix-sorts in O(n). Above, where each key shifted left by the bits of
+    an index still fits in 64, one sort of those uint64 values with each
+    key's index in the low bits: no two are equal, so any sort is stable,
+    and the index and key are read back off the sorted values, with fewer
+    n-sized temporaries than a stable radix pass per 16-bit digit would
+    take. Only keys too wide for that, from grids far finer than any
+    radius near the threshold needs, take numpy's stable argsort itself.
+    """
     if bound <= 1 << 16:
+        digit = key.astype(np.uint16)
         del key     # occupied_cells hands over its only reference
         order = np.argsort(digit, kind="stable")
         return order, digit[order]
-    order = np.argsort(digit, kind="stable")
-    ranked = key[order]
-    del key, digit
-    shift = 16
-    while bound > 1 << shift:
-        perm = np.argsort((ranked >> ranked.dtype.type(shift)).astype(np.uint16),
-                          kind="stable")
-        order = order[perm]
-        ranked = ranked[perm]
-        shift += 16
-    return order, ranked
+    bits = max(len(key) - 1, 1).bit_length()
+    if (bound - 1) >> (64 - bits):
+        order = np.argsort(key, kind="stable")
+        return order, key[order]
+    dtype = key.dtype
+    packed = np.left_shift(key, np.uint64(bits), dtype=np.uint64,
+                           casting="unsafe")
+    del key
+    packed |= np.arange(len(packed), dtype=np.uint64)
+    packed.sort()
+    order = (packed & np.uint64((1 << bits) - 1)).astype(np.int64)
+    packed >>= np.uint64(bits)
+    return order, packed.astype(dtype, copy=False)
 
 
 def sorted_runs(ranked: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -288,12 +299,26 @@ class SpatialIndex:
         return reach.astype(np.uint64)
 
 
+def _grid_side(r: float, p: float) -> tuple[int, bool]:
+    """The only rule for the side of the grid at r: the fewest cells per
+    side that are at most r / (2 ||(1, 1)||_p) wide, less a rounding
+    margin, and True. Where that takes more than 2^32 cells per side (r
+    below about 6.6e-10 at p = 2), 2^32 and False: its cells are then too
+    wide for is_connected's near joins, but reach still finds every
+    neighbour on them."""
+    width = r * (1.0 - _REL_SLACK) - _ABS_SLACK
+    side = 2.0 * _lp_from_abs(p, 1.0, 1.0) / width if width > 0.0 else math.inf
+    if not side <= _MAX_SIDE:
+        return _MAX_SIDE, False
+    return max(1, math.ceil(side)), True
+
+
 def build_spatial_index(vs: VertexSet, r: float, p: float) -> SpatialIndex:
     """Grid of cell side s at most r / (2 ||(1, 1)||_p), less a rounding
-    margin. A point and any point of its own cell or of the 8 cells that
-    touch it differ by at most 2 s on each axis, so they are within r. A
-    3x3 block is no clique: points in its opposite outer cells can be 3 s,
-    1.5 r, apart.
+    margin (_grid_side). A point and any point of its own cell or of the 8
+    cells that touch it differ by at most 2 s on each axis, so they are
+    within r. A 3x3 block is no clique: points in its opposite outer cells
+    can be 3 s, 1.5 r, apart.
 
     Raises ValueError for points outside [0, 1]^2, and for radii so small
     that the grid would need more than 2^32 cells per side.
@@ -303,10 +328,9 @@ def build_spatial_index(vs: VertexSet, r: float, p: float) -> SpatialIndex:
     p = validate_p(p)
     pts = vs.points
     validate_points(pts)
-    side = 2.0 * _lp_from_abs(p, 1.0, 1.0) / (r * (1.0 - _REL_SLACK) - _ABS_SLACK)
-    if not 0.0 <= side <= _MAX_SIDE:
+    side, fine = _grid_side(r, p)
+    if not fine:
         raise ValueError(f"radius {r} is below the grid's resolution")
-    side = max(1, math.ceil(side))
     cells, order, starts = occupied_cells(pts, side)
     return SpatialIndex(points=pts, r=r, p=p, side=side, cells=cells,
                         order=order, starts=starts)

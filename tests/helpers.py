@@ -3,7 +3,7 @@
 import numpy as np
 
 from rggham.geometry import _lp_from_abs
-from rggham.instance import _ABS_SLACK, _REL_SLACK
+from rggham.instance import _ABS_SLACK, _REL_SLACK, SpatialIndex, occupied_cells
 
 
 def cell_points(t, col, row, count):
@@ -68,3 +68,18 @@ def window_reach(p, r, side):
     for dc, dr in window:
         reach[dr] = max(reach[dr], abs(dc))
     return reach
+
+
+def grid_of_side(points, p, r, side):
+    """A SpatialIndex of the points on side x side cells, a side that
+    build_spatial_index need not choose: reach and the searches that read
+    it hold at every side."""
+    return SpatialIndex(points, r, p, side, *occupied_cells(points, side))
+
+
+def corner_clusters():
+    """Five points near (0, 0) and five near (1, 1), about 1.4 apart."""
+    rng = np.random.default_rng(4)
+    a = 0.01 * rng.random((5, 2))
+    b = 1.0 - 0.01 * rng.random((5, 2))
+    return np.vstack([a, b])

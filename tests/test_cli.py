@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from helpers import corner_clusters
 from rggham.cli import main
 from rggham.experiments import SWEEP_CSV_HEADER
 from rggham.failures import FailureReason
@@ -119,6 +120,20 @@ def test_ham_failure_prints_machine_readable_json(tmp_path, capsys):
     assert isinstance(payload["context"], dict) and payload["context"]
     vs = VertexSet.from_csv(pts)
     assert not is_connected(build_spatial_index(vs, payload["r"], 2.0))
+
+
+def test_ham_disconnected_clusters_exit_10(tmp_path, capsys):
+    # two 5-point clusters in opposite corners, about 1.4 apart: no repair
+    # crosses the gap, and the fallback's connectivity check certifies the
+    # failure as disconnected (the console-script smoke run in CI too)
+    pts = tmp_path / "corners.csv"
+    VertexSet(corner_clusters()).to_csv(pts)
+    assert main(["ham", "--points", str(pts), "-p", "2",
+                 "--radius", "1.01"]) == 10
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["reason"] == "Disconnected"
+    assert payload["context"] == {"detail": "the graph is disconnected",
+                                  "radius": 1.01}
 
 
 def test_ham_tiny_radius_fails_typed(tmp_path, capsys):

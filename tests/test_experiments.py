@@ -66,10 +66,21 @@ def test_run_trial_takes_disconnected_as_its_certificate(monkeypatch, r):
     assert t.connected is False
 
 
-def test_run_trial_skips_connectivity_when_asked():
-    t = run_trial(DESK["n"], DESK["p"], desk_r(2.0), seed=0,
-                  check_connectivity=False)
-    assert t.connected is False
+@pytest.mark.parametrize("mult", [0.7, 1.0, 1.5])
+def test_run_trial_builds_no_grid_after_the_fallback(monkeypatch, mult):
+    # the fallback's failures carry their own connectivity verdict
+    def no_grid(vs, r, p):
+        raise AssertionError("run_trial built a grid")
+
+    monkeypatch.setattr(experiments, "build_spatial_index", no_grid)
+    n, p = 10 ** 4, 2.0
+    r = resolve_radius(n, p, ThresholdMultiple(mult))
+    reasons = set()
+    for seed in range(3):
+        t = run_trial(n, p, r, seed)
+        reasons.add(t.failure_reason)
+        assert t.connected is (t.failure_reason != "Disconnected")
+    assert reasons & {"Disconnected", "EdgeTooLong"}
 
 
 def test_run_trial_deterministic_modulo_wall_time():
@@ -243,9 +254,9 @@ def test_bench_sizes_take_turns(monkeypatch):
     calls = []
     real = experiments.run_trial
 
-    def spy(n, p, r, seed, check_connectivity=True):
+    def spy(n, p, r, seed):
         calls.append((n, seed))
-        return real(n, p, r, seed, check_connectivity)
+        return real(n, p, r, seed)
 
     monkeypatch.setattr(experiments, "run_trial", spy)
     scaling_bench([1000, 1300, 1700], 2.0, trials=2, base_seed=10)

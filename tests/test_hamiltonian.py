@@ -10,7 +10,8 @@ import time
 import numpy as np
 import pytest
 
-from helpers import cell_points, cells_close, grid_cells
+from helpers import (cell_points, cells_close, corner_clusters, grid_cells,
+                     grid_of_side)
 from rggham import hamiltonian, instance
 from rggham.auxgraphs import (GroupKey, attach_sparse_groups,
                                build_density_graph, euler_traversal,
@@ -616,21 +617,32 @@ def test_degenerate_radius_uses_the_fallback():
 
 
 def test_degenerate_radius_failure_is_typed():
-    # two clusters in opposite corners, about 1.4 apart: the graph is
-    # disconnected, and the fallback stops at the hop between them, whose
-    # ends each have their four cluster mates as neighbours
-    rng = np.random.default_rng(4)
-    a = 0.01 * rng.random((5, 2))
-    b = 1.0 - 0.01 * rng.random((5, 2))
-    pts = np.vstack([a, b])
+    # two clusters in opposite corners: the graph is disconnected, and the
+    # fallback, which no repair gets across the gap, says so
+    pts = corner_clusters()
     assert not is_connected(build_spatial_index(VertexSet(pts), 1.01, 2.0))
+    with pytest.raises(ConstructionError) as err:
+        full_construction(pts, 2.0, 1.01)
+    assert err.value.reason is FailureReason.DISCONNECTED
+    assert err.value.context == {"detail": "the graph is disconnected",
+                                 "radius": 1.01}
+
+
+def test_degenerate_radius_cut_vertex_is_edge_too_long():
+    # a point in the middle joins the two clusters: the graph is connected,
+    # but the bridge is a cut vertex, so no Hamiltonian cycle exists. The
+    # fallback stops at the hop between the clusters, whose ends each have
+    # their four cluster mates and the bridge as neighbours
+    pts = np.vstack([corner_clusters(), [[0.5, 0.5]]])
+    assert is_connected(build_spatial_index(VertexSet(pts), 1.01, 2.0))
     with pytest.raises(ConstructionError) as err:
         full_construction(pts, 2.0, 1.01)
     assert err.value.reason is FailureReason.EDGE_TOO_LONG
     ctx = err.value.context
-    assert ctx["degrees"] == [4, 4]
+    assert ctx["degrees"] == [5, 5]
     assert ctx["distance"] == pytest.approx(1.401, abs=1e-3)
     assert ctx["distance"] > ctx["radius"] == 1.01
+    assert ctx["connected"] is True
 
 
 def test_midrange_fuzz_returns_cycle_or_typed_failure():
@@ -756,19 +768,20 @@ def test_fallback_certifies_isolated_vertices_before_any_repair(
 
 
 def test_isolated_vertex_keys_beyond_float_precision():
-    # at r = 1e-9 the repair's buckets number about 10^9 per side, and keys
-    # near y = 0.9 about 0.9e18, where a float64 rounds by 128: a uint64
-    # key promoted to float64 would miss the neighbour in the next row
+    # at r = 1e-9 the fallback's grid has about 2.8e9 cells per side, and
+    # keys near y = 0.9 about 7e18, where a float64 rounds by 1024: a uint64
+    # key promoted to float64 would miss the neighbour in the next row. The
+    # two points sit in adjacent rows of the serpentine tour, too
     r = 1e-9
-    grid = hamiltonian._repair_grid(np.zeros((1, 2)), 2.0, r)
-    side = grid.side
+    side, fine = instance._grid_side(r, 2.0)
+    assert fine
     g = math.ceil(_lp_from_abs(2.0, 1.0, 1.0) / r)
     g += g % 2  # rows of the serpentine tour, as _serpentine_tour cuts them
-    k = round(0.9 * side)
+    tour_edge = round(0.9 * g) / g
+    k = round(tour_edge * side)
     bucket_edge = k / side
-    tour_edge = round(bucket_edge * g) / g
-    y = [min(bucket_edge, tour_edge) - 0.1 * r,
-         max(bucket_edge, tour_edge) + 0.1 * r]
+    y = [min(bucket_edge, tour_edge) - 0.1 / side,
+         max(bucket_edge, tour_edge) + 0.1 / side]
     c = round(0.5 * side)
     x = [(c - 0.1) / side, (c + 0.1) / side]
     pts = np.array([[x[0], y[0]], [x[1], y[1]], [0.1, 0.1]])
@@ -776,38 +789,43 @@ def test_isolated_vertex_keys_beyond_float_precision():
     assert [math.floor(v * side) for v in y] == [k - 1, k]
     assert [math.floor(v * side) for v in x] == [c - 1, c]
     assert math.floor(y[1] * g) - math.floor(y[0] * g) == 1
-    grid = hamiltonian._repair_grid(pts, 2.0, r)
+    mend = hamiltonian._TourRepair(pts, 2.0, r, np.arange(3))
+    grid = mend.grid
+    assert grid.side == side
     assert grid.cells.dtype == np.uint64 and int(grid.cells[1]) > 2 ** 53
     # the keys, from Python ints: exact where a float64 is not
     assert grid.cells[1:].tolist() == [(k - 1) * side + c - 1, k * side + c]
     assert _isolated_vertex(grid, np.array([0, 1])) is None
     assert _isolated_vertex(grid, np.array([1, 0])) is None
     assert _isolated_vertex(grid, np.array([0, 2, 1])) == 2
-    mend = hamiltonian._TourRepair(pts, 2.0, r, np.arange(3))
     assert [mend.near(v).tolist() for v in range(3)] == [[1], [0], []]
-    # vertex 0's window in the next row starts at vertex 1's key; that row
-    # key, 70 above a multiple of 128, rounds up by 58 as a float64, and
-    # the window's start, 100 further on, would round past vertex 1's key
-    k = next(k for k in range(k, k + 128) if k * side % 128 == 70)
+    # vertex 0's window in the next row starts at vertex 1's key, reach[1]
+    # columns to its left. That row's key rounds up as a float64, by more
+    # than the window's start adds, so a float start would pass vertex 1
+    w = int(grid.reach[1])
+    ulp = 2 ** (math.floor(math.log2(k * side)) - 52)
+    k = next(k for k in range(k, k + ulp)
+             if ulp // 2 < k * side % ulp < ulp - 128)
     pts = np.array([[(101 + 0.1) / side, (k - 0.1) / side],
-                    [(101 - 0.1) / side, (k + 0.1) / side]])
-    grid = hamiltonian._repair_grid(pts, 2.0, r)
-    assert grid.cells.tolist() == [(k - 1) * side + 101, k * side + 100]
-    assert _isolated_vertex(grid, np.array([0, 1])) is None
+                    [(101 - w + 0.9) / side, (k + 0.1) / side]])
+    assert _lp_from_abs(2.0, *np.abs(pts[1] - pts[0])) <= r
+    assert float(k * side) + (101 - w) > k * side + 101 - w
     mend = hamiltonian._TourRepair(pts, 2.0, r, np.arange(2))
+    assert mend.grid.cells.tolist() == [(k - 1) * side + 101, k * side + 101 - w]
+    assert _isolated_vertex(mend.grid, np.array([0, 1])) is None
     assert [mend.near(v).tolist() for v in range(2)] == [[1], [0]]
 
 
 @pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
 @pytest.mark.parametrize("axis", [0, 1])
 def test_isolated_vertex_sees_a_neighbour_two_buckets_away(p, axis):
-    # the repair's buckets are 0.1 wide at r = 0.1, and the float just
-    # below 0.2 and 0.3 are r apart, yet rounding files them two apart
+    # on buckets 0.1 wide at r = 0.1, the float just below 0.2 and 0.3 are
+    # r apart, yet rounding files them two apart; reach holds at any side
     r = 0.1
     pts = np.array([[np.nextafter(0.2, 0.0), 0.5], [0.3, 0.5], [0.9, 0.9]])
     pts = pts[:, ::-1].copy() if axis else pts
     assert _lp_from_abs(p, *np.abs(pts[1] - pts[0])) <= r
-    grid = hamiltonian._repair_grid(pts, p, r)
+    grid = grid_of_side(pts, p, r, 10)
     buckets = np.minimum((pts[:2, axis] * grid.side).astype(int), grid.side - 1)
     assert buckets.tolist() == [1, 3]
     assert _isolated_vertex(grid, np.array([0, 1, 2])) == 2
@@ -820,9 +838,9 @@ def oracle_degrees(pts, p, r, vertices):
 
 
 def test_fallback_certifies_no_vertex_whose_neighbour_rounds_far():
-    # a path: vertex 0's one neighbour is vertex 1, r apart and two buckets
-    # away, and both of its tour hops are long. The graph is connected, so
-    # the failure must not be Disconnected
+    # a path: vertex 0's one neighbour is vertex 1, r apart, and both of
+    # its tour hops are long. The graph is connected, so the failure must
+    # not be Disconnected
     r = 0.1
     pts = np.array([[np.nextafter(0.2, 0.0), 0.5], [0.3, 0.5], [0.29, 0.56],
                     [0.08, 0.5], [0.1, 0.59], [0.19, 0.62], [0.25, 0.63]])
@@ -835,8 +853,8 @@ def test_fallback_certifies_no_vertex_whose_neighbour_rounds_far():
     assert ctx["degrees"] == oracle_degrees(pts, 2.0, r, ctx["vertices"])
 
 
-def _bucket_edge_points(side, rng):
-    """Points at and an ulp either side of the repair's bucket edges, and
+def _cell_edge_points(side, rng):
+    """Points at and an ulp either side of the grid's cell edges, and
     at random places; rounding files the edge points either way."""
     edges = np.arange(side + 1) / side
     at_edge = np.concatenate([np.nextafter(edges, -1.0), edges,
@@ -850,13 +868,13 @@ def _bucket_edge_points(side, rng):
 
 @pytest.mark.parametrize("p", [1.0, 2.0, 3.0, math.inf])
 def test_near_is_the_brute_force_list(p):
-    # every vertex within r, in the order the repair's moves break ties
-    # by: ascending bucket key, then vertex index
+    # every vertex within r, in the order neighbour_lists gives on the
+    # fallback's grid: ascending cell key, then vertex index
     rng = np.random.default_rng(int(p) if p != math.inf else 4)
     radii = [0.5, 0.25, 0.2, 0.125, 0.1, 0.05] + rng.uniform(0.03, 0.6, 4).tolist()
     for r in radii:
-        side = hamiltonian._repair_grid(np.zeros((1, 2)), p, r).side
-        pts = _bucket_edge_points(side, rng)
+        side = instance._grid_side(r, p)[0]
+        pts = _cell_edge_points(side, rng)
         n = len(pts)
         col, row = (np.minimum((pts[:, i] * side).astype(np.int64), side - 1)
                     for i in (0, 1))
@@ -893,6 +911,64 @@ def test_fallback_failure_degrees_are_the_oracle_degrees(p):
     assert failures
 
 
+def test_fallback_failures_match_a_kd_tree():
+    # every failure near the threshold says whether the graph is connected:
+    # Disconnected only on a disconnected graph, EdgeTooLong only with
+    # connected: true on a connected one. Seed 0 at n = 5e4, p = 1, 1.0x is
+    # disconnected with no isolated vertex, so the screen misses it and the
+    # verdict comes from the connectivity check
+    sparse = pytest.importorskip("scipy.sparse")
+    spatial = pytest.importorskip("scipy.spatial")
+    from scipy.sparse.csgraph import connected_components
+    seen = {"Disconnected": 0, "EdgeTooLong": 0, "no isolated vertex": 0}
+    for n in (10 ** 4, 5 * 10 ** 4):
+        for p in (1.0, 2.0, math.inf):
+            for seed in range(2):
+                pts = rand_points(n, seed)
+                tree = spatial.cKDTree(pts)
+                for mult in (1.0, 1.2, 1.5):
+                    r = mult * threshold_radius(n, p)
+                    try:
+                        full_construction(pts, p, r)
+                    except ConstructionError as err:
+                        reason, ctx = err.reason, err.context
+                    else:
+                        continue
+                    pairs = tree.query_pairs(r, p=p, output_type="ndarray")
+                    graph = sparse.coo_matrix(
+                        (np.ones(len(pairs), dtype=bool),
+                         (pairs[:, 0], pairs[:, 1])), shape=(n, n))
+                    connected = connected_components(graph, directed=False)[0] == 1
+                    seen[reason.value] += 1
+                    if reason is FailureReason.DISCONNECTED:
+                        assert not connected, (n, p, seed, mult)
+                        isolated = np.bincount(pairs.ravel(), minlength=n) == 0
+                        seen["no isolated vertex"] += not isolated.any()
+                    else:
+                        assert reason is FailureReason.EDGE_TOO_LONG
+                        assert ctx["connected"] is True and connected, (n, p, seed, mult)
+    assert all(seen.values()), seen
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
+@pytest.mark.parametrize("scale", [0.5, 2.0])
+def test_fallback_cycle_does_not_depend_on_the_grid_side(monkeypatch, p, scale):
+    # near lists are sets, and every move breaks its ties by tour position
+    # or vertex index, so a grid of half or twice the side gives the same
+    # cycles. Only the doubled grid is fine enough for is_connected
+    n = 2000
+    r = 2.0 * threshold_radius(n, p)
+    pts = [rand_points(n, seed) for seed in range(3)]
+    want = [full_construction(q, p, r) for q in pts]
+    assert all(out.cells_per_side is None for out in want)
+    side = int(instance._grid_side(r, p)[0] * scale)
+    monkeypatch.setattr(hamiltonian, "_grid_side",
+                        lambda r, p: (side, scale > 1.0))
+    assert hamiltonian._TourRepair(pts[0], p, r, np.arange(n)).grid.side == side
+    for q, out in zip(pts, want):
+        assert np.array_equal(full_construction(q, p, r).cycle, out.cycle)
+
+
 @pytest.mark.parametrize("first", [1, 2, 3, 256])
 def test_isolated_vertex_is_the_first_in_the_order_given(monkeypatch, first):
     # batches only decide where the search stops, never which vertex it names
@@ -904,7 +980,7 @@ def test_isolated_vertex_is_the_first_in_the_order_given(monkeypatch, first):
         near = lp_norms(2.0, pts[:, None, 0] - pts[None, :, 0],
                         pts[:, None, 1] - pts[None, :, 1]) <= r
         alone = near.sum(axis=1) == 1   # within r of itself only
-        grid = hamiltonian._repair_grid(pts, 2.0, r)
+        grid = build_spatial_index(VertexSet(pts), r, 2.0)
         for u in (np.arange(n), rng.permutation(n), rng.permutation(n)[:n // 3]):
             want = next((int(v) for v in u if alone[v]), None)
             assert _isolated_vertex(grid, u) == want
@@ -1073,7 +1149,7 @@ GOLDEN = [
      "f4a2c107b85678ef8f5069453e0ba676b96276b902e8d27f2e20915dc4fb1b68"),
     # serpentine fallback at 2x threshold
     (10000, 2.0, 2.0 * threshold_radius(10000, 2.0), 0, None,
-     "9452e1d9fbfbb6df69a427476d5199c6da8938b99948e57deb9a6a06bf77e031"),
+     "92328c1baceadfe0dd8b67659aaff57029fab500c96c16a1341d4ea6a5a46df2"),
 ]
 
 

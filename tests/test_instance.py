@@ -5,12 +5,12 @@ import time
 import numpy as np
 import pytest
 
-from helpers import window_reach
+from helpers import grid_of_side, window_reach
 from rggham import instance
 from rggham.geometry import lp_distance, lp_norms
 from rggham.instance import (EpsilonAbove, EpsilonBelow, ExplicitRadius,
-                             InstanceConfig, SpatialIndex, ThresholdMultiple,
-                             VertexSet, build_spatial_index, find_slots,
+                             InstanceConfig, ThresholdMultiple, VertexSet,
+                             build_spatial_index, find_slots,
                              is_connected, max_radius, occupied_cells,
                              radix_sort, resolve_radius, sample_points,
                              threshold_radius)
@@ -493,7 +493,7 @@ def test_far_phase_searches_outside_the_largest_component(monkeypatch, p,
 
 
 @pytest.mark.parametrize("bound", [1, 2**16 - 1, 2**16, 2**16 + 1, 2**32,
-                                   2**40])
+                                   2**40, 2**62])
 @pytest.mark.parametrize("dtype", [np.int64, np.uint64])
 def test_radix_argsort_is_the_stable_argsort(bound, dtype):
     rng = np.random.default_rng(bound % 1000)
@@ -561,8 +561,8 @@ def test_build_spatial_index_rejects_unusable_input():
 
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 7.0, math.inf])
 def test_reach_is_the_window_rule(p):
-    # random radii on a log scale with sides 1, 2, 3, about 1 / r (the
-    # repair's), about 2.83 / r (the connectivity grid's) and random; then
+    # random radii on a log scale with sides 1, 2, 3, about 1 / r (buckets
+    # r wide), about 2.83 / r (build_spatial_index's) and random; then
     # radii exactly j cells wide, where a gap is exactly r
     rng = np.random.default_rng(15)
     pts = np.array([[0.5, 0.5]])
@@ -574,7 +574,7 @@ def test_reach_is_the_window_rule(p):
     cases += [(j / side, side) for side in (1, 2, 3, 7, 10, 341, 5000)
               for j in range(1, min(side, 5) + 1)]
     for r, side in cases:
-        idx = SpatialIndex(pts, r, p, side, *occupied_cells(pts, side))
+        idx = grid_of_side(pts, p, r, side)
         assert idx.reach.dtype == np.uint64
         assert idx.reach.tolist() == window_reach(p, r, side), (r, side)
 
