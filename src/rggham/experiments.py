@@ -1,10 +1,10 @@
 """Monte Carlo trials, threshold sweeps, and the scaling benchmark.
 
-A trial samples an instance, times the construction pipeline (tessellation
-through the verified cycle, or through the typed failure; sampling is not
-part of the timed span), and records either the verified cycle or the
-typed failure, and whether the graph is connected. Near the threshold no
-tessellation cell can hold the 48 points a dense cell needs;
+A trial samples an instance, times everything after sampling (the
+construction pipeline through the verified cycle or the typed failure,
+and any connectivity check of its own), and records either the verified
+cycle or the typed failure, and whether the graph is connected. Near the
+threshold no tessellation cell can hold the 48 points a dense cell needs;
 full_construction sees that from one count of the points per block of
 squares and goes straight to the serpentine fallback. A verified cycle
 certifies connectivity, and the fallback's failures carry their own
@@ -77,31 +77,27 @@ def run_trial(n: int, p: float, r: float, seed: int) -> TrialResult:
     own. It does build one, for is_connected, after a failure with no
     verdict: LedgerExhausted and the fallback's self check, both logic
     errors, and EdgeTooLong below about 6.6e-10 (p = 2), where the
-    fallback's grid is too coarse for the check. There build_spatial_index
-    raises ValueError; sampled points only get that far with two of them
-    within r, which at such radii almost never happens.
+    fallback's grid does not resolve r. There build_spatial_index raises
+    ValueError; sampled points only get that far with two of them within
+    r, which at such radii almost never happens. wall_ms is the whole wait
+    after sampling, that check included.
     """
     import time
 
     cfg = InstanceConfig(n=n, p=p, radius=ExplicitRadius(r), seed=seed)
     vs = sample_points(cfg)
     t0 = time.perf_counter()
-    reason = None
-    connected = None
-    k = None
+    reason = k = None
     try:
-        out = full_construction(vs.points, p, r)
+        k = full_construction(vs.points, p, r).cells_per_side
         connected = True
-        k = out.cells_per_side
     except ConstructionError as exc:
         reason = exc.reason.value
-        if exc.reason is FailureReason.DISCONNECTED:
-            connected = False
-        else:
-            connected = exc.context.get("connected")
-    wall_ms = (time.perf_counter() - t0) * 1e3
+        connected = (False if exc.reason is FailureReason.DISCONNECTED
+                     else exc.context.get("connected"))
     if connected is None:
         connected = is_connected(build_spatial_index(vs, r, p))
+    wall_ms = (time.perf_counter() - t0) * 1e3
     return TrialResult(n=n, p=p, r=r, seed=seed,
                        outcome=OUTCOME_FAILURE if reason else OUTCOME_CYCLE,
                        failure_reason=reason, connected=connected,

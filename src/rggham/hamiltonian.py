@@ -39,10 +39,11 @@ p = 1 a square can be wider than r). full_construction then falls back to
 a serpentine tour: every vertex in rows of clique cells, sorted along each
 row, with a return lane that closes the tour. The few hops longer than r,
 at gaps in a row, are repaired locally with 2-opt moves and single-vertex
-moves that use only edges within r (after Posa's rotations). The fallback
-buckets the points once, on the grid build_spatial_index builds (its side
-from instance._grid_side), and its neighbour lists, its isolated-vertex
-screen and its connectivity check all read it, through SpatialIndex.reach.
+moves that use only edges within r (after Posa's rotations), each made of
+segment reversals. The fallback buckets the points once, on the grid
+build_spatial_index builds (instance._grid), and its neighbour lists, its
+isolated-vertex screen and its connectivity check all read it, through
+SpatialIndex.reach.
 Its failures are certificates where they can be. Before any repair, every
 vertex whose two tour hops are both longer than r is tested exactly, and
 the first one with no neighbour within r is reported as Disconnected:
@@ -70,9 +71,8 @@ from .auxgraphs import (AugmentedGraph, GroupKey, Node, attach_sparse_groups,
                         build_density_graph, euler_traversal, spanning_tree)
 from .failures import ConstructionError, FailureReason
 from .geometry import _lp_from_abs, lp_norms, unit_disk_area, validate_p
-from .instance import (SpatialIndex, VertexSet, _grid_side, _isolated_vertex,
-                       gather_runs, is_connected, neighbour_lists,
-                       occupied_cells, validate_points)
+from .instance import (VertexSet, _grid, _isolated_vertex, gather_runs,
+                       is_connected, neighbour_lists, validate_points)
 from .tessellation import (DENSE_THRESHOLD, CellClassification,
                            Tessellation, build_tessellation,
                            choose_cells_per_side, classify_cells,
@@ -427,12 +427,7 @@ def _serpentine_tour(points: np.ndarray, p: float, r: float) -> np.ndarray:
     key += gx
     del gx
     key[lane] = lane_key
-    return _stable_argsort(key)
-
-
-def _stable_argsort(key: np.ndarray) -> np.ndarray:
-    """np.argsort(key, kind="stable"), through the faster default sort when
-    no two keys are equal, where the two orders agree."""
+    # the faster default sort is the stable one where no two keys are equal
     order = np.argsort(key)
     ranked = key[order]
     if (ranked[1:] == ranked[:-1]).any():
@@ -445,8 +440,9 @@ class _TourRepair:
 
     Hop i runs from tour[i] to tour[i + 1]. The closing hop, tour[-1] to
     tour[0], is kept within r, so no move has to wrap around the array.
-    Every move creates only hops within r: a long hop, once taken out,
-    never comes back.
+    Every move is made of segment reversals (_reverse, the only writer of
+    tour and pos after __init__) and creates only hops within r: a long
+    hop, once taken out, never comes back.
     """
 
     def __init__(self, points: np.ndarray, p: float, r: float,
@@ -456,11 +452,7 @@ class _TourRepair:
         self.n = len(tour)
         self.pos = np.empty(self.n, dtype=np.int64)
         self.pos[tour] = np.arange(self.n)
-        # build_spatial_index's grid; below its resolution a coarser one
-        # (fine is False), where reach still finds every neighbour but
-        # is_connected cannot run
-        side, self.fine = _grid_side(r, p)
-        self.grid = SpatialIndex(points, r, p, side, *occupied_cells(points, side))
+        self.grid = _grid(points, r, p)
         self._near: dict[int, np.ndarray] = {}
 
     def near(self, v: int) -> np.ndarray:
@@ -513,16 +505,13 @@ class _TourRepair:
         if not at.size:
             return False
         k = int(at[np.argmin(np.abs(at - i))])
-        v = tour[k]
+        # v next to the hop, then the rest of the span back in order
         if k > i:
-            tour[i + 2:k + 1] = tour[i + 1:k].copy()
-            tour[i + 1] = v
-            lo, hi = i + 1, k
+            self._reverse(i + 1, k)
+            self._reverse(i + 2, k)
         else:
-            tour[k:i] = tour[k + 1:i + 1].copy()
-            tour[i] = v
-            lo, hi = k, i
-        self.pos[tour[lo:hi + 1]] = np.arange(lo, hi + 1)
+            self._reverse(k, i)
+            self._reverse(k, i - 1)
         return True
 
     def _mend(self, i: int) -> bool:
@@ -562,9 +551,10 @@ class _TourRepair:
         """The typed failure for a hop i that no repair mends, with
         is_connected's verdict on the grid: Disconnected where it finds the
         graph disconnected, else EdgeTooLong, whose context then says
-        connected: true. Where the grid is not fine, the check cannot run,
-        and EdgeTooLong carries no verdict."""
-        if self.fine and not is_connected(self.grid):
+        connected: true. Below about 6.6e-10 (p = 2) the grid does not
+        resolve r, the check cannot run, and EdgeTooLong carries no verdict;
+        reach still finds every neighbour there."""
+        if self.grid.resolves and not is_connected(self.grid):
             return ConstructionError(
                 FailureReason.DISCONNECTED,
                 {"detail": "the graph is disconnected", "radius": self.r})
@@ -576,7 +566,7 @@ class _TourRepair:
             "distance": float(_lp_from_abs(
                 self.p, abs(pts[a, 0] - pts[b, 0]), abs(pts[a, 1] - pts[b, 1]))),
             "radius": self.r, "degrees": [len(self.near(a)), len(self.near(b))]}
-        if self.fine:
+        if self.grid.resolves:
             context["connected"] = True
         return ConstructionError(FailureReason.EDGE_TOO_LONG, context)
 
@@ -616,8 +606,7 @@ def _repaired_tour_cycle(points: np.ndarray, p: float, r: float) -> np.ndarray:
     if len(at) == n:
         raise mend.failure(0)
     at = (at - shift) % n
-    by = np.argsort(at, kind="stable")
-    at = at[by][_stable_argsort(-length[by])]
+    at = at[np.lexsort((at, -length))]
     pos = mend.pos
     ends = np.stack((tour[at], tour[at + 1]), axis=1)
     ahead = 0

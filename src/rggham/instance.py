@@ -271,7 +271,8 @@ def validate_points(points: np.ndarray) -> None:
 
 @dataclass(frozen=True)
 class SpatialIndex:
-    """The occupied_cells of a side x side grid over [0, 1]^2."""
+    """The occupied_cells of a side x side grid over [0, 1]^2. reach holds
+    on any side; is_connected needs one that resolves r."""
 
     points: np.ndarray
     r: float
@@ -280,6 +281,14 @@ class SpatialIndex:
     cells: np.ndarray
     order: np.ndarray
     starts: np.ndarray
+
+    @property
+    def resolves(self) -> bool:
+        """Whether cells are at most r / (2 ||(1, 1)||_p) wide, less a
+        rounding margin, as is_connected's near joins need: points of
+        touching cells are then at most 2 widths apart on each axis, within
+        r. (A 3x3 block is no clique: its corners can be 1.5 r apart.)"""
+        return self.side >= _cells_to_resolve(self.r, self.p)
 
     @cached_property
     def reach(self) -> np.ndarray:
@@ -299,26 +308,26 @@ class SpatialIndex:
         return reach.astype(np.uint64)
 
 
-def _grid_side(r: float, p: float) -> tuple[int, bool]:
-    """The only rule for the side of the grid at r: the fewest cells per
-    side that are at most r / (2 ||(1, 1)||_p) wide, less a rounding
-    margin, and True. Where that takes more than 2^32 cells per side (r
-    below about 6.6e-10 at p = 2), 2^32 and False: its cells are then too
-    wide for is_connected's near joins, but reach still finds every
-    neighbour on them."""
+def _cells_to_resolve(r: float, p: float) -> float:
+    """The fewest cells a side that resolve r, as a float (maybe inf)."""
     width = r * (1.0 - _REL_SLACK) - _ABS_SLACK
-    side = 2.0 * _lp_from_abs(p, 1.0, 1.0) / width if width > 0.0 else math.inf
-    if not side <= _MAX_SIDE:
-        return _MAX_SIDE, False
-    return max(1, math.ceil(side)), True
+    return 2.0 * _lp_from_abs(p, 1.0, 1.0) / width if width > 0.0 else math.inf
+
+
+def _grid_side(r: float, p: float) -> int:
+    """The only rule for the grid's side: the fewest cells a side that
+    resolve r, capped at 2^32, too few below about 6.6e-10 (p = 2)."""
+    return max(1, math.ceil(min(_cells_to_resolve(r, p), _MAX_SIDE)))
+
+
+def _grid(points: np.ndarray, r: float, p: float) -> SpatialIndex:
+    """The SpatialIndex of points on _grid_side(r, p) cells a side."""
+    side = _grid_side(r, p)
+    return SpatialIndex(points, r, p, side, *occupied_cells(points, side))
 
 
 def build_spatial_index(vs: VertexSet, r: float, p: float) -> SpatialIndex:
-    """Grid of cell side s at most r / (2 ||(1, 1)||_p), less a rounding
-    margin (_grid_side). A point and any point of its own cell or of the 8
-    cells that touch it differ by at most 2 s on each axis, so they are
-    within r. A 3x3 block is no clique: points in its opposite outer cells
-    can be 3 s, 1.5 r, apart.
+    """The grid of _grid_side, which resolves r (SpatialIndex.resolves).
 
     Raises ValueError for points outside [0, 1]^2, and for radii so small
     that the grid would need more than 2^32 cells per side.
@@ -326,14 +335,11 @@ def build_spatial_index(vs: VertexSet, r: float, p: float) -> SpatialIndex:
     if not r > 0.0:
         raise ValueError(f"radius must be positive, got {r}")
     p = validate_p(p)
-    pts = vs.points
-    validate_points(pts)
-    side, fine = _grid_side(r, p)
-    if not fine:
+    validate_points(vs.points)
+    idx = _grid(vs.points, r, p)
+    if not idx.resolves:
         raise ValueError(f"radius {r} is below the grid's resolution")
-    cells, order, starts = occupied_cells(pts, side)
-    return SpatialIndex(points=pts, r=r, p=p, side=side, cells=cells,
-                        order=order, starts=starts)
+    return idx
 
 
 def _near_pairs(cells: np.ndarray, col: np.ndarray,
@@ -468,10 +474,11 @@ def _isolated_vertex(idx: SpatialIndex, u: np.ndarray) -> Optional[int]:
 def is_connected(idx: SpatialIndex) -> bool:
     """Union-find over the occupied cells of the grid, in three phases.
 
-    Each point is within r of every point of its own cell and of the 8
-    cells that touch it (see build_spatial_index), so touching occupied
-    cells are joined outright; they are read off the sorted keys with one
-    search per cell (_near_pairs). If more than one component is left, a
+    The grid resolves r (SpatialIndex.resolves; ValueError otherwise), so
+    each point is within r of every point of its own cell and of the 8
+    cells that touch it, and touching occupied cells are joined outright;
+    they are read off the sorted keys with one search per cell
+    (_near_pairs). If more than one component is left, a
     vertex with no other point within r answers False at once: the graph
     then has at least two vertices and one of them is isolated. Near the
     connectivity threshold this is how disconnection almost always shows
@@ -486,6 +493,8 @@ def is_connected(idx: SpatialIndex) -> bool:
     component is left. Every edge between two components has an end
     outside that component, so no such edge is missed.
     """
+    if not idx.resolves:
+        raise ValueError(f"{idx.side} cells a side are too wide for r = {idx.r}")
     cells = idx.cells
     parent = np.arange(len(cells))
     for a, b in _near_pairs(cells, cells % np.uint64(idx.side), idx.side):

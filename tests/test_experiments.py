@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import time
 
 import pytest
 
@@ -10,6 +11,7 @@ from rggham.experiments import (OUTCOME_CYCLE, OUTCOME_FAILURE,
                                 _encode_failures, run_trial, scaling_bench,
                                 sweep, sweep_row_csv, write_sweep_csv,
                                 write_sweep_json)
+from rggham.failures import ConstructionError, FailureReason
 from rggham.instance import ThresholdMultiple, resolve_radius
 
 WORKING = dict(n=20000, p=2.0, r=0.45, seed=7)
@@ -81,6 +83,23 @@ def test_run_trial_builds_no_grid_after_the_fallback(monkeypatch, mult):
         reasons.add(t.failure_reason)
         assert t.connected is (t.failure_reason != "Disconnected")
     assert reasons & {"Disconnected", "EdgeTooLong"}
+
+
+def test_run_trial_times_its_own_connectivity_check(monkeypatch):
+    # a failure with no verdict sends the trial to is_connected; wall_ms is
+    # the caller's whole wait, so it includes that check
+    def no_verdict(points, p, r):
+        raise ConstructionError(FailureReason.LEDGER_EXHAUSTED, {})
+
+    def slow_check(idx):
+        time.sleep(0.05)
+        return True
+
+    monkeypatch.setattr(experiments, "full_construction", no_verdict)
+    monkeypatch.setattr(experiments, "is_connected", slow_check)
+    t = run_trial(DESK["n"], DESK["p"], desk_r(1.0), seed=0)
+    assert t.failure_reason == "LedgerExhausted" and t.connected is True
+    assert t.wall_ms >= 50.0
 
 
 def test_run_trial_deterministic_modulo_wall_time():

@@ -773,8 +773,7 @@ def test_isolated_vertex_keys_beyond_float_precision():
     # key promoted to float64 would miss the neighbour in the next row. The
     # two points sit in adjacent rows of the serpentine tour, too
     r = 1e-9
-    side, fine = instance._grid_side(r, 2.0)
-    assert fine
+    side = instance._grid_side(r, 2.0)
     g = math.ceil(_lp_from_abs(2.0, 1.0, 1.0) / r)
     g += g % 2  # rows of the serpentine tour, as _serpentine_tour cuts them
     tour_edge = round(0.9 * g) / g
@@ -791,7 +790,7 @@ def test_isolated_vertex_keys_beyond_float_precision():
     assert math.floor(y[1] * g) - math.floor(y[0] * g) == 1
     mend = hamiltonian._TourRepair(pts, 2.0, r, np.arange(3))
     grid = mend.grid
-    assert grid.side == side
+    assert grid.side == side and grid.resolves
     assert grid.cells.dtype == np.uint64 and int(grid.cells[1]) > 2 ** 53
     # the keys, from Python ints: exact where a float64 is not
     assert grid.cells[1:].tolist() == [(k - 1) * side + c - 1, k * side + c]
@@ -873,7 +872,7 @@ def test_near_is_the_brute_force_list(p):
     rng = np.random.default_rng(int(p) if p != math.inf else 4)
     radii = [0.5, 0.25, 0.2, 0.125, 0.1, 0.05] + rng.uniform(0.03, 0.6, 4).tolist()
     for r in radii:
-        side = instance._grid_side(r, p)[0]
+        side = instance._grid_side(r, p)
         pts = _cell_edge_points(side, rng)
         n = len(pts)
         col, row = (np.minimum((pts[:, i] * side).astype(np.int64), side - 1)
@@ -955,18 +954,42 @@ def test_fallback_failures_match_a_kd_tree():
 def test_fallback_cycle_does_not_depend_on_the_grid_side(monkeypatch, p, scale):
     # near lists are sets, and every move breaks its ties by tour position
     # or vertex index, so a grid of half or twice the side gives the same
-    # cycles. Only the doubled grid is fine enough for is_connected
+    # cycles. Only the doubled grid resolves r, so only there could
+    # is_connected run
     n = 2000
     r = 2.0 * threshold_radius(n, p)
     pts = [rand_points(n, seed) for seed in range(3)]
     want = [full_construction(q, p, r) for q in pts]
     assert all(out.cells_per_side is None for out in want)
-    side = int(instance._grid_side(r, p)[0] * scale)
-    monkeypatch.setattr(hamiltonian, "_grid_side",
-                        lambda r, p: (side, scale > 1.0))
-    assert hamiltonian._TourRepair(pts[0], p, r, np.arange(n)).grid.side == side
+    side = int(instance._grid_side(r, p) * scale)
+    monkeypatch.setattr(instance, "_grid_side", lambda r, p: side)
+    grid = hamiltonian._TourRepair(pts[0], p, r, np.arange(n)).grid
+    assert grid.side == side and grid.resolves is (scale > 1.0)
     for q, out in zip(pts, want):
         assert np.array_equal(full_construction(q, p, r).cycle, out.cycle)
+
+
+@pytest.mark.parametrize("place", ["after", "before", "i - 1", "i + 2"])
+def test_move_vertex_is_the_list_move(place):
+    # hop (a, b) is 0.16 long at r = 0.1, v is their only common neighbour,
+    # and the other points sit 0.04 apart left of a and right of b, so v's
+    # tour neighbours are within r wherever it sits; the move takes v out
+    # and puts it between a and b, as on a list
+    a, b, v = 0, 1, 2
+    left, right = list(range(3, 11)), list(range(11, 20))
+    x = [0.40, 0.56, 0.48] + [0.05 + 0.04 * j for j in range(8)] + [
+        0.60 + 0.04 * j for j in range(9)]
+    pts = np.column_stack([x, np.full(len(x), 0.5)])
+    tour = {"after": left[:3] + [a, b] + right[:2] + [v] + right[2:] + left[3:],
+            "before": left[:2] + [v] + left[2:] + [a, b] + right,
+            "i - 1": left + [v, a, b] + right,
+            "i + 2": left + [a, b, v] + right}[place]
+    want = [u for u in tour if u != v]
+    want.insert(want.index(a) + 1, v)
+    mend = hamiltonian._TourRepair(pts, 2.0, 0.1, np.array(tour))
+    assert mend._move_vertex(tour.index(a))
+    assert mend.tour.tolist() == want
+    assert mend.pos.tolist() == [want.index(u) for u in range(len(want))]
 
 
 @pytest.mark.parametrize("first", [1, 2, 3, 256])

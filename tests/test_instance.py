@@ -559,24 +559,49 @@ def test_build_spatial_index_rejects_unusable_input():
         build_spatial_index(VertexSet(np.array([[0.1, 1.5]])), 0.1, 2.0)
 
 
-@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 7.0, math.inf])
-def test_reach_is_the_window_rule(p):
-    # random radii on a log scale with sides 1, 2, 3, about 1 / r (buckets
-    # r wide), about 2.83 / r (build_spatial_index's) and random; then
-    # radii exactly j cells wide, where a gap is exactly r
+def grid_cases():
+    """Random radii on a log scale with sides 1, 2, 3, about 1 / r (buckets
+    r wide), about 2.83 / r (build_spatial_index's) and random; then radii
+    exactly j cells wide, where a gap is exactly r."""
     rng = np.random.default_rng(15)
-    pts = np.array([[0.5, 0.5]])
     cases = []
     for r in np.exp(rng.uniform(math.log(1e-4), math.log(1.6), 40)).tolist():
         sides = (1, 2, 3, max(1, math.floor(1 / r)), math.ceil(2.83 / r),
                  int(rng.integers(1, math.ceil(4 / r) + 1)))
         cases += [(r, side) for side in sides]
-    cases += [(j / side, side) for side in (1, 2, 3, 7, 10, 341, 5000)
-              for j in range(1, min(side, 5) + 1)]
-    for r, side in cases:
+    return cases + [(j / side, side) for side in (1, 2, 3, 7, 10, 341, 5000)
+                    for j in range(1, min(side, 5) + 1)]
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 7.0, math.inf])
+def test_reach_is_the_window_rule(p):
+    pts = np.array([[0.5, 0.5]])
+    for r, side in grid_cases():
         idx = grid_of_side(pts, p, r, side)
         assert idx.reach.dtype == np.uint64
         assert idx.reach.tolist() == window_reach(p, r, side), (r, side)
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 7.0, math.inf])
+def test_resolves_from_the_side_build_spatial_index_chooses(p):
+    # a grid resolves r exactly when it has at least build_spatial_index's
+    # side, which is the least side that does
+    pts = np.array([[0.5, 0.5]])
+    for r, side in grid_cases():
+        least = build_spatial_index(VertexSet(pts), r, p).side
+        assert grid_of_side(pts, p, r, side).resolves is (side >= least), (r, side)
+        assert grid_of_side(pts, p, r, least).resolves
+        assert least == 1 or not grid_of_side(pts, p, r, least - 1).resolves
+
+
+def test_is_connected_refuses_a_grid_that_does_not_resolve_r():
+    # on 1 or 2 cells a side the three points' cells touch, so the near
+    # joins would join them, though no two are within r
+    pts = np.array([[0.05, 0.05], [0.5, 0.5], [0.95, 0.95]])
+    for side in (1, 2):
+        with pytest.raises(ValueError, match="too wide"):
+            is_connected(grid_of_side(pts, 2.0, 0.1, side))
+    assert not is_connected(build_spatial_index(VertexSet(pts), 0.1, 2.0))
 
 
 def test_is_connected_fast_at_a_large_radius():
