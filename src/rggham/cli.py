@@ -15,28 +15,26 @@ import argparse
 import json
 import sys
 
-from .experiments import (SWEEP_CSV_HEADER, SweepConfig, scaling_bench, sweep,
-                          sweep_row_csv, write_sweep_csv, write_sweep_json)
+from .experiments import (SweepConfig, scaling_bench, sweep, write_sweep_csv,
+                          write_sweep_json)
 from .failures import ConstructionError
 from .geometry import unit_disk_area, validate_p
 from .hamiltonian import full_construction, verify_cycle
 from .instance import (EpsilonAbove, EpsilonBelow, ExplicitRadius,
                        InstanceConfig, ThresholdMultiple, VertexSet,
-                       resolve_radius, sample_points, threshold_radius)
+                       open_output, resolve_radius, sample_points,
+                       threshold_radius)
 
 
-def _float_list(text: str) -> list[float]:
-    try:
-        return [float(x) for x in text.split(",") if x.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a comma separated float list: {text!r}")
-
-
-def _int_list(text: str) -> list[int]:
-    try:
-        return [int(x) for x in text.split(",") if x.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a comma separated int list: {text!r}")
+def _list_of(kind):
+    """An argparse type: a comma separated list of kind."""
+    def parse(text: str) -> list:
+        try:
+            return [kind(x) for x in text.split(",") if x.strip()]
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"not a comma separated {kind.__name__} list: {text!r}")
+    return parse
 
 
 def _add_radius_group(sub: argparse.ArgumentParser) -> None:
@@ -82,12 +80,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
     vs = sample_points(cfg)
     print(f"r = {r:.17g} (threshold {threshold_radius(args.n, args.p):.17g})",
           file=sys.stderr)
-    if args.out:
-        vs.to_csv(args.out)
-    else:
-        sys.stdout.write("x,y\n")
-        for x, y in vs.points:
-            sys.stdout.write(f"{x:.17g},{y:.17g}\n")
+    vs.to_csv(args.out or sys.stdout)
     return 0
 
 
@@ -112,17 +105,15 @@ def cmd_ham(args: argparse.Namespace) -> int:
         print(json.dumps({"outcome": "Failure", "n": len(vs), "r": r,
                           **exc.to_json()}))
         return exc.reason.exit_code
-    if args.out:
-        with open(args.out, "w", encoding="ascii") as fh:
+    if args.out or not args.json:
+        with open_output(args.out or sys.stdout) as fh:
             fh.write("\n".join(str(v) for v in out.cycle) + "\n")
     if args.json:
         payload = {"outcome": "CycleVerified", "n": len(vs), "r": r,
                    "cells_per_side": out.cells_per_side}
         if not args.out:
-            payload["cycle"] = [int(v) for v in out.cycle]
+            payload["cycle"] = out.cycle.tolist()
         print(json.dumps(payload))
-    elif not args.out:
-        sys.stdout.write("\n".join(str(v) for v in out.cycle) + "\n")
     return 0
 
 
@@ -154,9 +145,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                       multipliers=tuple(args.multipliers), trials=args.trials,
                       base_seed=args.seed, workers=args.workers)
     rows = sweep(cfg)
-    print(SWEEP_CSV_HEADER)
-    for row in rows:
-        print(sweep_row_csv(row))
+    write_sweep_csv(rows, sys.stdout)
     if args.csv:
         write_sweep_csv(rows, args.csv)
     if args.json_out:
@@ -221,9 +210,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(func=cmd_verify)
 
     sub = subs.add_parser("sweep", help="Monte Carlo success-rate grid")
-    sub.add_argument("--ns", type=_int_list, required=True)
+    sub.add_argument("--ns", type=_list_of(int), required=True)
     sub.add_argument("-p", "--p", dest="p", type=float, required=True)
-    sub.add_argument("--multipliers", type=_float_list, required=True)
+    sub.add_argument("--multipliers", type=_list_of(float), required=True)
     sub.add_argument("--trials", type=int, default=20)
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--workers", type=int, default=1)
@@ -232,7 +221,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(func=cmd_sweep)
 
     sub = subs.add_parser("bench", help="construction scaling benchmark")
-    sub.add_argument("--ns", type=_int_list, required=True)
+    sub.add_argument("--ns", type=_list_of(int), required=True)
     sub.add_argument("-p", "--p", dest="p", type=float, required=True)
     sub.add_argument("--multiplier", "--mult", type=float, default=2.0)
     sub.add_argument("--trials", type=int, default=3)

@@ -1,41 +1,32 @@
 """Monte Carlo trials, threshold sweeps, and the scaling benchmark.
 
-A trial samples an instance, times everything after sampling (the
-construction pipeline through the verified cycle or the typed failure,
-and any connectivity check of its own), and records either the verified
-cycle or the typed failure, and whether the graph is connected. Near the
-threshold no tessellation cell can hold the 48 points a dense cell needs;
-full_construction sees that from one count of the points per block of
-squares and goes straight to the serpentine fallback. A verified cycle
-certifies connectivity, and the fallback's failures carry their own
-verdict: Disconnected certifies the opposite (a vertex with no neighbour
-within r, or the connectivity check, union-find over the occupied cells of
-a sparse grid, see instance.py), and EdgeTooLong says connected: true. The
-fallback runs that check on the grid its repair already reads, so a trial
-buckets the points once for the fallback and, where it runs, once for the
-tessellation, each by instance.occupied_cells. The fallback tests for an
-isolated vertex before it repairs anything, so at and below the threshold,
-where almost every instance has one, a failed trial ends without the
-check. Where the check runs, it pairs farther points, searching only from
-the vertices outside the largest component, one row offset at a time. A
-sweep aggregates trials per (n, radius multiplier) pair into one summary
-row; trial seeds are assigned from a single base seed by global trial
-index so any trial can be reproduced in isolation.
+A trial samples an instance, times everything after sampling, and records
+the verified cycle or the typed failure, and whether the graph is
+connected; run_trial says where each connectivity verdict comes from. A
+sweep aggregates trials per (n, radius multiplier) cell into one summary
+row; the cells take turns, one trial each, and each trial's seed follows
+from the base seed, its cell and its index, so any trial can be
+reproduced in isolation. The scaling benchmark is a sweep at one
+multiplier, with the ratios of consecutive medians. Each record is
+serialized field by field (dataclasses.asdict), so a field added to it
+reaches its JSON, and for a sweep row its CSV column, with no second list.
 """
 
 from __future__ import annotations
 
 import json
+import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from .failures import ConstructionError, FailureReason
 from .hamiltonian import full_construction
 from .instance import (ExplicitRadius, InstanceConfig, ThresholdMultiple,
-                       build_spatial_index, is_connected, resolve_radius,
-                       sample_points)
+                       build_spatial_index, is_connected, open_output,
+                       resolve_radius, sample_points)
 
 OUTCOME_CYCLE = "CycleVerified"
 OUTCOME_FAILURE = "Failure"
@@ -58,10 +49,7 @@ class TrialResult:
     cells_per_side: int | None
 
     def to_json(self) -> dict:
-        return {"n": self.n, "p": self.p, "r": self.r, "seed": self.seed,
-                "outcome": self.outcome, "failure_reason": self.failure_reason,
-                "connected": self.connected, "wall_ms": self.wall_ms,
-                "cells_per_side": self.cells_per_side}
+        return asdict(self)
 
 
 def run_trial(n: int, p: float, r: float, seed: int) -> TrialResult:
@@ -82,8 +70,6 @@ def run_trial(n: int, p: float, r: float, seed: int) -> TrialResult:
     r, which at such radii almost never happens. wall_ms is the whole wait
     after sampling, that check included.
     """
-    import time
-
     cfg = InstanceConfig(n=n, p=p, radius=ExplicitRadius(r), seed=seed)
     vs = sample_points(cfg)
     t0 = time.perf_counter()
@@ -138,16 +124,13 @@ class SweepRow:
     p90_ms: float
 
     def to_json(self) -> dict:
-        return {"n": self.n, "p": self.p, "multiplier": self.multiplier,
-                "r": self.r, "trials": self.trials,
-                "cycle_verified": self.cycle_verified,
-                "connected": self.connected,
-                "failures_by_reason": dict(self.failures_by_reason),
-                "median_ms": self.median_ms, "p90_ms": self.p90_ms}
+        return asdict(self)
 
 
-SWEEP_CSV_HEADER = ("n,p,multiplier,r,trials,cycle_verified,connected,"
-                    "failures_by_reason,median_ms,p90_ms")
+SWEEP_CSV_HEADER = ",".join(f.name for f in fields(SweepRow))
+# the CSV format of each SweepRow field that str() does not print as wanted
+_CSV_FORMATS = {"p": "g", "multiplier": "g", "r": ".17g",
+                "median_ms": ".3f", "p90_ms": ".3f"}
 
 
 def _encode_failures(failures: dict) -> str:
@@ -156,12 +139,11 @@ def _encode_failures(failures: dict) -> str:
 
 
 def sweep_row_csv(row: SweepRow) -> str:
-    return ",".join([
-        str(row.n), f"{row.p:g}", f"{row.multiplier:g}", f"{row.r:.17g}",
-        str(row.trials), str(row.cycle_verified), str(row.connected),
-        _encode_failures(row.failures_by_reason),
-        f"{row.median_ms:.3f}", f"{row.p90_ms:.3f}",
-    ])
+    """One column per SweepRow field, in SWEEP_CSV_HEADER's order."""
+    cols = asdict(row)
+    cols["failures_by_reason"] = _encode_failures(row.failures_by_reason)
+    return ",".join(format(v, _CSV_FORMATS.get(k, ""))
+                    for k, v in cols.items())
 
 
 def _trial_task(args: tuple) -> TrialResult:
@@ -172,16 +154,16 @@ def _trial_task(args: tuple) -> TrialResult:
 def sweep(cfg: SweepConfig) -> list[SweepRow]:
     """Full grid of (n, multiplier) cells, trials per cell, aggregated rows.
 
-    Seeds run base_seed, base_seed + 1, ... in (n, multiplier, trial)
-    lexicographic order, so the global index of a trial pins its seed.
+    The cells take turns, one trial each, so a spell of slower machine moves
+    every cell alike instead of one cell's median. Trial t of the c-th cell
+    in (n, multiplier) lexicographic order gets seed
+    base_seed + c * trials + t: the seeds run base_seed, base_seed + 1, ...
+    cell by cell.
     """
-    tasks = []
-    for n in cfg.ns:
-        for mult in cfg.multipliers:
-            r = resolve_radius(n, cfg.p, ThresholdMultiple(mult))
-            for t in range(cfg.trials):
-                seed = cfg.base_seed + len(tasks)
-                tasks.append((n, cfg.p, r, seed))
+    cells = [(n, mult, resolve_radius(n, cfg.p, ThresholdMultiple(mult)))
+             for n in cfg.ns for mult in cfg.multipliers]
+    tasks = [(n, cfg.p, r, cfg.base_seed + c * cfg.trials + t)
+             for t in range(cfg.trials) for c, (n, _, r) in enumerate(cells)]
 
     # a fork pool starts all its processes at once: no more than tasks
     workers = min(cfg.workers, len(tasks))
@@ -192,29 +174,24 @@ def sweep(cfg: SweepConfig) -> list[SweepRow]:
         results = [_trial_task(t) for t in tasks]
 
     rows = []
-    idx = 0
-    for n in cfg.ns:
-        for mult in cfg.multipliers:
-            chunk = results[idx:idx + cfg.trials]
-            idx += cfg.trials
-            walls = np.array([t.wall_ms for t in chunk])
-            failures: dict[str, int] = {}
-            for t in chunk:
-                if t.failure_reason is not None:
-                    failures[t.failure_reason] = failures.get(t.failure_reason, 0) + 1
-            rows.append(SweepRow(
-                n=n, p=cfg.p, multiplier=mult, r=chunk[0].r, trials=cfg.trials,
-                cycle_verified=sum(t.outcome == OUTCOME_CYCLE for t in chunk),
-                connected=sum(t.connected for t in chunk),
-                failures_by_reason=failures,
-                median_ms=float(np.median(walls)),
-                p90_ms=float(np.percentile(walls, 90)),
-            ))
+    for c, (n, mult, r) in enumerate(cells):
+        chunk = results[c::len(cells)]
+        walls = [t.wall_ms for t in chunk]
+        rows.append(SweepRow(
+            n=n, p=cfg.p, multiplier=mult, r=r, trials=cfg.trials,
+            cycle_verified=sum(t.outcome == OUTCOME_CYCLE for t in chunk),
+            connected=sum(t.connected for t in chunk),
+            failures_by_reason=dict(Counter(
+                t.failure_reason for t in chunk if t.failure_reason)),
+            median_ms=float(np.median(walls)),
+            p90_ms=float(np.percentile(walls, 90)),
+        ))
     return rows
 
 
 def write_sweep_csv(rows: list[SweepRow], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    """The header and one line per row, to a path or an open text stream."""
+    with open_output(path) as fh:
         fh.write(SWEEP_CSV_HEADER + "\n")
         for row in rows:
             fh.write(sweep_row_csv(row) + "\n")
@@ -238,38 +215,25 @@ class BenchRow:
     ratio: float | None  # median / previous median, None on the first row
 
     def to_json(self) -> dict:
-        return {"n": self.n, "r": self.r, "median_ms": self.median_ms,
-                "ratio": self.ratio}
+        return asdict(self)
 
 
 def scaling_bench(ns: list[int], p: float, multiplier: float = 2.0,
                   trials: int = 3, base_seed: int = 0) -> list[BenchRow]:
-    """Median construction wall time per n, with consecutive-size ratios.
+    """Median trial wall time per n, with consecutive-size ratios.
 
     Sizes must be ascending and at least 1000 so per-trial noise does not
-    swamp the medians. Timing covers the construction pipeline only, the
-    fallback's connectivity check included where it gives up. The
-    sizes take turns, one trial each, so a spell of slower machine moves
-    every size alike instead of one size's median; trial i of the j-th size
-    gets seed base_seed + j * trials + i.
+    swamp the medians. The rows are those of a sweep over the sizes at one
+    multiplier: each median is of run_trial's wall_ms, the sizes take turns,
+    and trial i of the j-th size gets seed base_seed + j * trials + i.
     """
     if list(ns) != sorted(set(ns)):
         raise ValueError("bench sizes must be strictly ascending")
     if any(n < 1000 for n in ns):
         raise ValueError("bench sizes below 1000 are all noise")
-    if trials < 1:
-        raise ValueError("bench needs at least one trial per size")
-    radii = [resolve_radius(n, p, ThresholdMultiple(multiplier)) for n in ns]
-    walls: list[list[float]] = [[] for _ in ns]
-    for i in range(trials):
-        for j, (n, r) in enumerate(zip(ns, radii)):
-            seed = base_seed + j * trials + i
-            walls[j].append(run_trial(n, p, r, seed).wall_ms)
-    rows: list[BenchRow] = []
-    prev = None
-    for n, r, w in zip(ns, radii, walls):
-        med = float(np.median(w))
-        rows.append(BenchRow(n=n, r=r, median_ms=med,
-                             ratio=None if prev is None else med / prev))
-        prev = med
-    return rows
+    rows = sweep(SweepConfig(ns=tuple(ns), p=p, multipliers=(multiplier,),
+                             trials=trials, base_seed=base_seed))
+    return [BenchRow(n=row.n, r=row.r, median_ms=row.median_ms,
+                     ratio=None if prev is None
+                     else row.median_ms / prev.median_ms)
+            for prev, row in zip([None] + rows, rows)]

@@ -72,11 +72,12 @@ from .auxgraphs import (AugmentedGraph, GroupKey, Node, attach_sparse_groups,
 from .failures import ConstructionError, FailureReason
 from .geometry import _lp_from_abs, lp_norms, unit_disk_area, validate_p
 from .instance import (VertexSet, _grid, _isolated_vertex, gather_runs,
-                       is_connected, neighbour_lists, validate_points)
+                       is_connected, neighbour_lists, point_array,
+                       validate_points)
 from .tessellation import (DENSE_THRESHOLD, CellClassification,
                            Tessellation, build_tessellation,
                            choose_cells_per_side, classify_cells,
-                           tessellation_fits)
+                           tessellation_fits, validate_cells_per_square)
 
 
 # --------------------------------------------------------------------------
@@ -352,8 +353,12 @@ def verify_cycle(points: np.ndarray, r: float, p: float,
     they always did. The report is the one lp_norms over every hop gives.
 
     Raises ValueError unless r > 0 and tolerance >= 0. NaN fails both; no
-    hop is longer than a NaN bound, so it would pass any permutation.
+    hop is longer than a NaN bound, so it would pass any permutation. Also
+    raises it for p outside [1, inf] (the screen needs l_p <= l_1) and for
+    points that are not an (n, 2) array; coordinates may lie anywhere.
     """
+    p = validate_p(p)
+    points = point_array(points)
     if not (r > 0.0 and tolerance >= 0.0):
         raise ValueError(f"need radius > 0 and tolerance >= 0, "
                          f"got {r} and {tolerance}")
@@ -664,10 +669,13 @@ def full_construction(points: np.ndarray, p: float, r: float,
     below about 3e-9), the fallback answers alone. So it does where no cell
     can hold 48 points (_may_hold_dense_cell, near the threshold at any n
     this code can hold), and gives what it would give after the attempt's
-    HookMissing. Raises ValueError for fewer than 3 points, points outside
-    [0, 1]^2, and radii that are not positive.
+    HookMissing. Raises ValueError for points that are not an (n, 2) array,
+    fewer than 3 points, points outside [0, 1]^2, radii that are not
+    positive, and cells_per_square outside [2, 64], whether or not a
+    tessellation fits.
     """
     p = validate_p(p)
+    points = point_array(points)
     n = len(points)
     if n < 3:
         raise ValueError(f"a cycle needs at least 3 vertices, got {n}")
@@ -681,6 +689,7 @@ def full_construction(points: np.ndarray, p: float, r: float,
             cells_per_square, _ = choose_cells_per_side(p, eps)
         else:
             cells_per_square = 4
+    validate_cells_per_square(cells_per_square)
     t = (build_tessellation(p, r, cells_per_square)
          if tessellation_fits(r, cells_per_square) else None)
     # with no dense cell the attempt can only end at HookMissing

@@ -18,6 +18,7 @@ x then y per vertex, vertices in index order.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Union
@@ -118,6 +119,25 @@ class InstanceConfig:
 # vertex sets
 # --------------------------------------------------------------------------
 
+def point_array(points) -> np.ndarray:
+    """points as a float64 array; ValueError unless its shape is (n, 2)."""
+    pts = np.asarray(points, dtype=np.float64)
+    if pts.ndim != 2 or pts.shape[1] != 2:
+        raise ValueError(f"points must have shape (n, 2), got {pts.shape}")
+    return pts
+
+
+@contextmanager
+def open_output(target):
+    """target itself if it is an open text stream (stdout, say), else the
+    file at path target, opened for writing: one writer serves both."""
+    if hasattr(target, "write"):
+        yield target
+    else:
+        with open(target, "w", encoding="utf-8") as fh:
+            yield fh
+
+
 @dataclass(frozen=True)
 class VertexSet:
     """Immutable ordered point set; points is an (n, 2) float64 array."""
@@ -126,16 +146,14 @@ class VertexSet:
     seed: int | None = None
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=np.float64)
-        if pts.ndim != 2 or pts.shape[1] != 2:
-            raise ValueError(f"points must have shape (n, 2), got {pts.shape}")
-        object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "points", point_array(self.points))
 
     def __len__(self) -> int:
         return self.points.shape[0]
 
     def to_csv(self, path) -> None:
-        with open(path, "w", encoding="ascii") as fh:
+        """Header x,y and one line per point, to a path or a text stream."""
+        with open_output(path) as fh:
             fh.write("x,y\n")
             for x, y in self.points:
                 fh.write(f"{x:.17g},{y:.17g}\n")

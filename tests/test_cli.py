@@ -165,6 +165,17 @@ def test_ham_cells_per_square_past_the_search_is_usage_error(triangle, capsys):
     assert "k <= 64" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("k", ["0", "65"])
+@pytest.mark.parametrize("radius", ["1.5", "1e-10"])
+def test_ham_cells_per_square_is_usage_error_at_any_radius(triangle, capsys,
+                                                           k, radius):
+    # no tessellation fits at these radii, and k used to be ignored (exit 0)
+    assert main(["ham", "--points", str(triangle), "-p", "2",
+                 "--radius", radius, "--cells-per-square", k]) == 2
+    cap = capsys.readouterr()
+    assert cap.out == "" and "k <= 64" in cap.err
+
+
 def test_ham_missing_points_file(tmp_path, capsys):
     missing = tmp_path / "nope.csv"
     assert main(["ham", "--points", str(missing), "-p", "2",

@@ -163,6 +163,23 @@ def test_sweep_seeds_follow_global_trial_index():
     assert rows[3].failures_by_reason == failures
 
 
+def test_sweep_cells_take_turns(monkeypatch):
+    calls = []
+    real = experiments.run_trial
+
+    def spy(n, p, r, seed):
+        calls.append((n, r, seed))
+        return real(n, p, r, seed)
+
+    monkeypatch.setattr(experiments, "run_trial", spy)
+    rows = sweep(small_cfg(multipliers=(0.5, 2.0), trials=2, base_seed=10))
+    r = [row.r for row in rows]
+    # trial t of cell c keeps seed 10 + 2c + t; one trial of each cell a turn
+    assert calls == [(300, r[0], 10), (300, r[1], 12), (500, r[2], 14),
+                     (500, r[3], 16), (300, r[0], 11), (300, r[1], 13),
+                     (500, r[2], 15), (500, r[3], 17)]
+
+
 def test_sweep_parallel_matches_serial():
     strip = lambda r: dataclasses.replace(r, median_ms=0.0, p90_ms=0.0)
     serial = sweep(small_cfg(workers=1))
@@ -228,6 +245,16 @@ def test_sweep_csv_row_format():
     assert _encode_failures({}) == ""
     assert SWEEP_CSV_HEADER == ("n,p,multiplier,r,trials,cycle_verified,"
                                 "connected,failures_by_reason,median_ms,p90_ms")
+
+
+def test_sweep_csv_has_one_column_per_field():
+    row = SweepRow(n=100, p=2.0, multiplier=1.5, r=0.25, trials=4,
+                   cycle_verified=1, connected=3,
+                   failures_by_reason={"HookMissing": 2, "Disconnected": 1},
+                   median_ms=12.34567, p90_ms=20.0)
+    names = [f.name for f in dataclasses.fields(SweepRow)]
+    assert SWEEP_CSV_HEADER.split(",") == names
+    assert len(sweep_row_csv(row).split(",")) == len(names)
 
 
 def test_sweep_file_writers(tmp_path):

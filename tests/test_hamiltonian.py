@@ -1202,6 +1202,43 @@ def test_full_construction_rejects_points_outside_the_square(bad, r):
         full_construction(pts, 2.0, r)
 
 
+@pytest.mark.parametrize("p", [math.nan, 0.0, 0.5, -1.0])
+def test_verify_cycle_rejects_an_exponent_below_1(p):
+    # at NaN a random permutation of 1,000 points used to pass at r = 0.01;
+    # at 0 the norm divided by zero; below 1 the l_1 screen is unsound
+    pts = rand_points(1000, 0)
+    cyc = np.random.default_rng(0).permutation(1000)
+    with pytest.raises(ValueError, match="p >= 1"):
+        verify_cycle(pts, 0.01, p, cyc)
+
+
+@pytest.mark.parametrize("shape", [(50,), (50, 1), (50, 3)])
+def test_point_arrays_must_have_two_columns(shape):
+    # (50,) and (50, 1) used to raise IndexError; (50, 3) got a cycle at
+    # r = 0.5 and 1.5 from its first two columns, and a ValueError at 0.05
+    pts = np.random.default_rng(0).random(shape)
+    for r in (0.05, 0.5, 1.5):
+        with pytest.raises(ValueError, match=r"shape \(n, 2\)"):
+            full_construction(pts, 2.0, r)
+    with pytest.raises(ValueError, match=r"shape \(n, 2\)"):
+        verify_cycle(pts, 0.5, 2.0, np.arange(50))
+
+
+def test_verify_cycle_takes_points_outside_the_square():
+    pts = np.array([[-1.0, 0.0], [2.0, 0.0], [0.5, 3.0]])
+    assert verify_cycle(pts, 4.0, 2.0, np.array([0, 1, 2])).valid
+
+
+@pytest.mark.parametrize("k", [0, 1, 65])
+@pytest.mark.parametrize("r", [1.5, 1e-10])
+def test_cells_per_square_is_checked_where_no_tessellation_fits(k, r):
+    # the fallback answers alone at these radii; k was only checked by
+    # build_tessellation, so it used to be ignored here
+    assert not tessellation_fits(r, 4)
+    with pytest.raises(ValueError, match="k <= 64"):
+        full_construction(rand_points(50, 0), 2.0, r, cells_per_square=k)
+
+
 @pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
 @pytest.mark.parametrize("r", [1e-9, 2e-9, 1e-200, 5e-324])
 def test_tiny_radius_is_a_value_error(p, r):
