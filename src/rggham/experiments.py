@@ -60,15 +60,16 @@ def run_trial(n: int, p: float, r: float, seed: int) -> TrialResult:
     failure whose context says connected: true. full_construction raises
     Disconnected only from its fallback, which certifies it: a vertex with
     no neighbour within r among n >= 3 vertices, or is_connected's answer
-    on its grid. Before it gives up at EdgeTooLong the fallback runs that
-    check, and says connected: true, so the trial builds no grid of its
-    own. It does build one, for is_connected, after a failure with no
-    verdict: LedgerExhausted and the fallback's self check, both logic
-    errors, and EdgeTooLong below about 6.6e-10 (p = 2), where the
-    fallback's grid does not resolve r. There build_spatial_index raises
-    ValueError; sampled points only get that far with two of them within
-    r, which at such radii almost never happens. wall_ms is the whole wait
-    after sampling, that check included.
+    on its grid, which it hands its tour. Before it gives up at EdgeTooLong
+    the fallback runs that check, and says connected: true, so the trial
+    builds no grid of its own. It does build one, for is_connected with no
+    tour, after a failure with no verdict: LedgerExhausted and the
+    fallback's self check, both logic errors, and EdgeTooLong below about
+    6.6e-10 (p = 2), where the fallback's grid does not resolve r. There
+    build_spatial_index raises ValueError; sampled points only get that
+    far with two of them within r, which at such radii almost never
+    happens. wall_ms is the whole wait after sampling, that check
+    included.
     """
     cfg = InstanceConfig(n=n, p=p, radius=ExplicitRadius(r), seed=seed)
     vs = sample_points(cfg)

@@ -489,16 +489,42 @@ def _isolated_vertex(idx: SpatialIndex, u: np.ndarray) -> Optional[int]:
     return None
 
 
-def is_connected(idx: SpatialIndex) -> bool:
-    """Union-find over the occupied cells of the grid, in three phases.
+def _hook_tour(idx: SpatialIndex, parent: np.ndarray, slot: np.ndarray,
+               tour: np.ndarray) -> None:
+    """Union the cells of each two consecutive vertices of tour, cyclically,
+    that lie in different components and pass the far phase's own test,
+    lp_norms(...) <= r; longer hops are ignored. The hops go in chunks of
+    at most _PAIR_CHUNK, and only those that join two components are
+    measured."""
+    n = len(tour)
+    for lo in range(0, n, _PAIR_CHUNK):
+        ends = tour[lo:lo + _PAIR_CHUNK + 1]
+        if lo + _PAIR_CHUNK >= n:
+            ends = np.append(ends, tour[:1])
+        cell = slot[ends]
+        root = parent[cell]
+        at = np.flatnonzero(root[1:] != root[:-1])
+        d = idx.points[ends[at]] - idx.points[ends[at + 1]]
+        close = at[lp_norms(idx.p, d[:, 0], d[:, 1]) <= idx.r]
+        _hook(parent, cell[close], cell[close + 1])
+
+
+def is_connected(idx: SpatialIndex, tour=None) -> bool:
+    """Union-find over the occupied cells of the grid, in four phases.
 
     The grid resolves r (SpatialIndex.resolves; ValueError otherwise), so
     each point is within r of every point of its own cell and of the 8
     cells that touch it, and touching occupied cells are joined outright;
     they are read off the sorted keys with one search per cell
-    (_near_pairs). If more than one component is left, a
-    vertex with no other point within r answers False at once: the graph
-    then has at least two vertices and one of them is isolated. Near the
+    (_near_pairs). tour, a sequence of vertices, is optional: the cells of
+    each two consecutive vertices of it, cyclically, whose distance passes
+    the far phase's own test are joined next (_hook_tour), and longer hops
+    are ignored, so no tour can make the verdict wrong. A Hamiltonian tour
+    whose hops are almost all within r, as the fallback's is, leaves few
+    components after this step; if one is left, the answer is True at once.
+    If more than one component is left, a vertex with no other point
+    within r answers False at once: the graph then has at least two
+    vertices and one of them is isolated. Near the
     connectivity threshold this is how disconnection almost always shows
     (the threshold is where the last isolated vertex disappears), and only
     one-point cells with no occupied cell around them need testing, by
@@ -506,9 +532,9 @@ def is_connected(idx: SpatialIndex) -> bool:
     vertex. Otherwise the cells reach allows are searched a row offset at
     a time, nearest rows first as in _isolated_vertex, by _pairs_within
     from every vertex outside the component that holds the largest one the
-    near joins left (it grows, so it is read again at each row); the cells
-    of each pair found are joined, and the search stops as soon as one
-    component is left. Every edge between two components has an end
+    joins so far left (it grows, so it is read again at each row); the
+    cells of each pair found are joined, and the search stops as soon as
+    one component is left. Every edge between two components has an end
     outside that component, so no such edge is missed.
     """
     if not idx.resolves:
@@ -519,17 +545,21 @@ def is_connected(idx: SpatialIndex) -> bool:
         _hook(parent, a, b)
     if not parent.any():
         return True
+    # own: the cell slot of each vertex in idx.order; slot: the cell slot
+    # of each vertex by index
+    own = np.repeat(np.arange(len(cells)), np.diff(idx.starts))
+    slot = np.empty_like(own)
+    slot[idx.order] = own
+    if tour is not None:
+        _hook_tour(idx, parent, slot, np.asarray(tour))
+        if not parent.any():
+            return True
     size = np.bincount(parent, minlength=len(parent))
     # parent holds roots, so a root counted once is a component of one cell
     lone = np.flatnonzero(size == 1)
     lone = lone[idx.starts[lone + 1] - idx.starts[lone] == 1]
     if _isolated_vertex(idx, idx.order[idx.starts[lone]]) is not None:
         return False
-    # own and key: the cell slot and key of each vertex in idx.order;
-    # slot: the cell slot of each vertex by index
-    own = np.repeat(np.arange(len(cells)), np.diff(idx.starts))
-    slot = np.empty_like(own)
-    slot[idx.order] = own
     key, big = cells[own], size.argmax()
     for dr in sorted(range(1 - len(idx.reach), len(idx.reach)), key=abs):
         at = np.flatnonzero(parent[own] != parent[big])

@@ -4,10 +4,14 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import grid_of_side, window_reach
 from rggham import instance
+from rggham.failures import ConstructionError, FailureReason
 from rggham.geometry import lp_distance, lp_norms
+from rggham.hamiltonian import full_construction
 from rggham.instance import (EpsilonAbove, EpsilonBelow, ExplicitRadius,
                              InstanceConfig, ThresholdMultiple, VertexSet,
                              build_spatial_index, find_slots,
@@ -326,24 +330,29 @@ def test_is_connected_matches_brute_force():
         assert answers == {True, False}
 
 
+def _kd_tree_connected(pts, r, p):
+    """Whether the graph is connected, from cKDTree's pairs within r."""
+    sparse = pytest.importorskip("scipy.sparse")
+    spatial = pytest.importorskip("scipy.spatial")
+    from scipy.sparse.csgraph import connected_components
+    n = len(pts)
+    pairs = spatial.cKDTree(pts).query_pairs(r, p=p, output_type="ndarray")
+    graph = sparse.coo_matrix((np.ones(len(pairs), dtype=bool),
+                               (pairs[:, 0], pairs[:, 1])), shape=(n, n))
+    return connected_components(graph, directed=False)[0] == 1
+
+
 @pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
 def test_is_connected_matches_a_kd_tree_at_n_5e4(p):
     # the size threshold_sweep runs, where brute force takes seconds: 1.0x
     # is disconnected, 1.2x and 1.5x are connected and reach the far phase,
     # and at p = 1, 1.2x the near joins leave no giant component
-    sparse = pytest.importorskip("scipy.sparse")
-    spatial = pytest.importorskip("scipy.spatial")
-    from scipy.sparse.csgraph import connected_components
     n = 50_000
     pts = np.random.default_rng(17).random((n, 2))
-    tree = spatial.cKDTree(pts)
     answers = []
     for mult in (1.0, 1.2, 1.5):
         r = mult * threshold_radius(n, p)
-        pairs = tree.query_pairs(r, p=p, output_type="ndarray")
-        graph = sparse.coo_matrix((np.ones(len(pairs), dtype=bool),
-                                   (pairs[:, 0], pairs[:, 1])), shape=(n, n))
-        truth = connected_components(graph, directed=False)[0] == 1
+        truth = _kd_tree_connected(pts, r, p)
         assert is_connected(build_spatial_index(VertexSet(pts), r, p)) == truth
         answers.append(truth)
     assert answers == [False, True, True]
@@ -490,6 +499,94 @@ def test_far_phase_searches_outside_the_largest_component(monkeypatch, p,
     # later one from some of the vertices before, as that component grows
     assert np.array_equal(np.sort(searched[0]), np.flatnonzero(outside[slot]))
     assert all(np.isin(b, a).all() for a, b in zip(searched, searched[1:]))
+
+
+@settings(max_examples=150)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 400),
+       mult=st.floats(0.5, 2.5), p=st.sampled_from([1.0, 2.0, math.inf]))
+def test_a_tour_never_changes_the_verdict(seed, n, mult, p):
+    # random permutations, most of whose hops are longer than r, and a tour
+    # sorted by x, many of whose hops are within r: is_connected joins only
+    # the hops within r, so the verdict is the one without a tour
+    rng = np.random.default_rng(seed)
+    pts = rng.random((n, 2))
+    r = mult * threshold_radius(n, p)
+    idx = build_spatial_index(VertexSet(pts), r, p)
+    want = _kd_tree_connected(pts, r, p)
+    assert is_connected(idx) == want
+    for tour in (rng.permutation(n), rng.permutation(n),
+                 np.argsort(pts[:, 0], kind="stable")):
+        assert is_connected(idx, tour) == want
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
+@pytest.mark.parametrize("chunk", [3, 1 << 16])
+def test_a_tour_between_two_clusters_stays_disconnected(monkeypatch, p, chunk):
+    # two clusters 0.6 apart at r = 0.05; every hop of the tours below
+    # jumps between them, or every other one does, and none is an edge
+    monkeypatch.setattr(instance, "_PAIR_CHUNK", chunk)
+    rng = np.random.default_rng(7)
+    a = 0.1 + 0.2 * rng.random((150, 2))
+    b = 0.7 + 0.2 * rng.random((150, 2))
+    pts = np.vstack([a, b])
+    r = 0.05
+    idx = build_spatial_index(VertexSet(pts), r, p)
+    assert not _kd_tree_connected(pts, r, p)
+    jumps = np.column_stack([np.arange(150), 150 + np.arange(150)]).ravel()
+    pairs = np.column_stack([np.arange(0, 150, 2), np.arange(1, 150, 2),
+                             150 + np.arange(0, 150, 2),
+                             150 + np.arange(1, 150, 2)]).ravel()
+    for tour in (jumps, pairs, rng.permutation(300)):
+        assert not is_connected(idx, tour)
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
+@pytest.mark.parametrize("chunk", [3, 4, 1 << 16])
+def test_a_tour_of_edges_needs_no_far_search(monkeypatch, p, chunk):
+    # a path of 40 points along a line, each s cells from the next, s the
+    # most cells r spans: every hop is a bridge in cells that do not touch,
+    # so only the tour joins them. The tour runs the path from point k,
+    # jumps from its far end back to 0 and reaches k - 1, so that its
+    # closing hop (k - 1, k) is the only one that joins those two points
+    monkeypatch.setattr(instance, "_PAIR_CHUNK", chunk)
+    r = 0.02
+    side = instance._grid_side(r, p)
+    s = math.floor(r * side * (1.0 - 1e-6))
+    pts = np.column_stack([(5 + s * np.arange(40) + 0.5) / side,
+                           np.full(40, 0.5)])
+    d = np.diff(pts[:, 0])
+    assert s >= 2 and (d <= r).all() and (d[1:] + d[:-1] > r).all()
+    idx = build_spatial_index(VertexSet(pts), r, p)
+    assert idx.side == side and len(idx.cells) == 40
+    exits, searched = _far_searches(monkeypatch)
+    for k in range(1, 40):
+        tour = np.roll(np.arange(40), -k)
+        assert is_connected(idx, tour)
+        assert not exits and not searched, k
+        # without point k - 1 the tour leaves it alone, to the far phase
+        assert is_connected(idx, tour[:-1])
+        assert exits == [None] and searched, k
+        exits.clear()
+        searched.clear()
+
+
+def test_the_fallback_check_searches_from_few_vertices(monkeypatch):
+    # seed 0 at n = 5e4, p = 1, 1.0x (test_fallback_failures_match_a_kd_tree)
+    # is disconnected with no isolated vertex, so the fallback's verdict
+    # comes from is_connected's far phase. Handed the fallback's tour, it
+    # starts from fewer than 2,500 vertices; without it, from over 49,000
+    n, p = 50_000, 1.0
+    pts = np.random.Generator(np.random.PCG64(0)).random((n, 2))
+    r = threshold_radius(n, p)
+    exits, searched = _far_searches(monkeypatch)
+    with pytest.raises(ConstructionError) as err:
+        full_construction(pts, p, r)
+    assert err.value.reason is FailureReason.DISCONNECTED
+    assert exits == [None] and len(searched[0]) < 2500
+    exits.clear()
+    searched.clear()
+    assert not is_connected(build_spatial_index(VertexSet(pts), r, p))
+    assert exits == [None] and len(searched[0]) > 49_000
 
 
 @pytest.mark.parametrize("bound", [1, 2**16 - 1, 2**16, 2**16 + 1, 2**32,
