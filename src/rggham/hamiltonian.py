@@ -40,9 +40,13 @@ a serpentine tour: every vertex in rows of clique cells, sorted along each
 row, with a return lane that closes the tour. The few hops longer than r,
 at gaps in a row, are repaired locally with 2-opt moves and single-vertex
 moves that use only edges within r (after Posa's rotations), each made of
-segment reversals. The fallback buckets the points once, on the grid
-build_spatial_index builds (instance._grid), and its neighbour lists, its
-isolated-vertex screen and its connectivity check all read it, through
+segment reversals. A hop that no one move mends gets a second chance: a
+2-opt from either of its ends that leaves one new long hop, which one move
+then mends. These tries are judged through a position map of the reversed
+tour without being made, a block of them in one array pass, and only the
+first that passes is made. The fallback buckets the points once, on the
+grid build_spatial_index builds (instance._grid), and its neighbour lists,
+its isolated-vertex screen and its connectivity check all read it, through
 SpatialIndex.reach.
 Its failures are certificates where they can be. Before any repair, every
 vertex whose two tour hops are both longer than r is tested exactly, and
@@ -71,10 +75,11 @@ import numpy as np
 from .auxgraphs import (AugmentedGraph, GroupKey, Node, attach_sparse_groups,
                         build_density_graph, euler_traversal, spanning_tree)
 from .failures import ConstructionError, FailureReason
-from .geometry import _lp_from_abs, lp_norms, unit_disk_area, validate_p
-from .instance import (VertexSet, _grid, _isolated_vertex, gather_runs,
-                       is_connected, neighbour_lists, point_array,
-                       validate_points)
+from .geometry import (_lp_from_abs, lp_norms, lp_within, unit_disk_area,
+                       validate_p)
+from .instance import (_PAIR_CHUNK, VertexSet, _grid, _isolated_vertex,
+                       gather_runs, is_connected, neighbour_lists,
+                       point_array, validate_points)
 from .tessellation import (DENSE_THRESHOLD, CellClassification,
                            Tessellation, build_tessellation,
                            choose_cells_per_side, classify_cells,
@@ -441,6 +446,13 @@ def _serpentine_tour(points: np.ndarray, p: float, r: float) -> np.ndarray:
     return order
 
 
+def _reversed_at(lo, hi, q):
+    """The position that position q reads from once tour[lo..hi] is
+    reversed: lo + hi - q on [lo, hi], q elsewhere; elementwise. The map is
+    its own inverse, so it also takes a vertex's position to its new one."""
+    return np.where((lo <= q) & (q <= hi), lo + hi - q, q)
+
+
 class _TourRepair:
     """A closed tour as a position array, mended one long hop at a time.
 
@@ -448,7 +460,9 @@ class _TourRepair:
     tour[0], is kept within r, so no move has to wrap around the array.
     Every move is made of segment reversals (_reverse, the only writer of
     tour and pos after __init__) and creates only hops within r: a long
-    hop, once taken out, never comes back.
+    hop, once taken out, never comes back. repair's tries are read through
+    _reversed_at by _passes, which writes nothing; only the try that
+    passes is made.
     """
 
     def __init__(self, points: np.ndarray, p: float, r: float,
@@ -474,16 +488,17 @@ class _TourRepair:
         new = list(set(np.ravel(vertices).tolist()) - self._near.keys())
         if new:
             at, got = neighbour_lists(self.grid, np.array(new, dtype=np.int64))
-            cut = np.searchsorted(at, np.arange(1, len(new)))
-            self._near.update(zip(new, np.split(got, cut)))
+            cut = np.searchsorted(at, np.arange(len(new) + 1)).tolist()
+            self._near.update((v, got[lo:hi])
+                              for v, lo, hi in zip(new, cut, cut[1:]))
 
     def _within(self, a, b) -> np.ndarray:
         pts = self.points
-        return lp_norms(self.p, pts[a, 0] - pts[b, 0],
-                        pts[a, 1] - pts[b, 1]) <= self.r
+        return lp_within(self.p, pts[a, 0] - pts[b, 0],
+                         pts[a, 1] - pts[b, 1], self.r)
 
     def _reverse(self, lo: int, hi: int) -> None:
-        """Reverse tour[lo..hi]: a 2-opt move, and its own undo."""
+        """Reverse tour[lo..hi]: a 2-opt move."""
         seg = self.tour[lo:hi + 1][::-1].copy()
         self.tour[lo:hi + 1] = seg
         self.pos[seg] = np.arange(lo, hi + 1)
@@ -525,34 +540,75 @@ class _TourRepair:
     def _mend(self, i: int) -> bool:
         return self._two_opt(i) or self._move_vertex(i)
 
+    def _passes(self, lo: np.ndarray, hi: np.ndarray,
+                exposed: np.ndarray) -> np.ndarray:
+        """For each try k, whether _mend(exposed[k]) would succeed after
+        _reverse(lo[k], hi[k]), judged without making either: the reversed
+        tour is read through _reversed_at, as tour[_reversed_at(q)] at
+        position q and _reversed_at(pos[v]) for vertex v. Hop exposed[k]
+        is (x, y); both moves pick their candidates v from near(x), the
+        2-opt where v's successor is within r of y, the vertex move where v
+        is, but y, and v's two tour neighbours are within r of each other.
+        near(y) is not needed: the pair test is exact and symmetric, so the
+        common neighbours of x and y are the v of near(x), but y, that are
+        within r of y."""
+        tour, n = self.tour, self.n
+        x = tour[_reversed_at(lo, hi, exposed)]
+        y = tour[_reversed_at(lo, hi, exposed + 1)]
+        lists = [self.near(u) for u in x.tolist()]
+        k = np.repeat(np.arange(len(x)), [len(v) for v in lists])
+        v, y, lo, hi = np.concatenate(lists), y[k], lo[k], hi[k]
+        at = _reversed_at(lo, hi, self.pos[v])
+        after = tour[_reversed_at(lo, hi, (at + 1) % n)]
+        hit = self._within(after, y)
+        # a vertex move is tried only where no 2-opt has passed
+        common = np.flatnonzero(~hit)
+        common = common[(v[common] != y[common])
+                        & self._within(v[common], y[common])]
+        before = tour[_reversed_at(lo[common], hi[common], (at[common] - 1) % n)]
+        hit[common] = self._within(before, after[common])
+        passed = np.zeros(len(x), dtype=bool)
+        passed[k[hit]] = True
+        return passed
+
     def repair(self, i: int) -> bool:
-        """Mend hop i by one move. Failing that, make a 2-opt from either
-        end that leaves one new long hop, and mend that by one move."""
+        """Mend hop i by one move. Failing that, try every 2-opt from
+        either end that leaves one new long hop, mendable by one move:
+        shortest reversal first, in blocks of at most _PAIR_CHUNK near-list
+        entries (and at least one try) that _passes tests without making
+        them. Only the first try that passes is made."""
         if self._mend(i):
             return True
         tour, pos, n = self.tour, self.pos, self.n
-        a, b = int(tour[i]), int(tour[i + 1])
-        # the far ends of every hop the tries below can expose
-        self.look_up(np.concatenate((tour[(pos[self.near(a)] + 1) % n],
-                                     tour[pos[self.near(b)] - 1])))
-        tries = []      # (lo, hi) to reverse, and the long hop it exposes
-        for j in pos[self.near(a)].tolist():
-            # a gets its neighbour c = tour[j]; (b, succ c) is exposed
-            if i < j < n - 1:
-                tries.append((i + 1, j, j))
-            elif j < i:
-                tries.append((j + 1, i, i))
-        for j in ((pos[self.near(b)] - 1) % n).tolist():
-            # b gets its neighbour succ c; (a, c = tour[j]) is exposed
-            tries.append((i + 1, j, i) if j > i else (j + 1, i, j))
-        tries.sort(key=lambda t: (t[1] - t[0], t))
-        for lo, hi, exposed in tries:
-            if lo == hi:
-                continue    # c or d is already next to a or b
-            self._reverse(lo, hi)
-            if self._mend(exposed):
+        # reversing tour[lo..hi] gives a its neighbour c = tour[j] and
+        # exposes (b, succ c), the hop out of the segment's high end; or it
+        # gives b its neighbour succ c = tour[j + 1] and exposes (a, c), the
+        # hop into its low end
+        j = pos[self.near(int(tour[i]))]
+        j_a = j[j < n - 1]
+        j_b = (pos[self.near(int(tour[i + 1]))] - 1) % n
+        j = np.concatenate((j_a, j_b))
+        lo, hi = np.minimum(i, j) + 1, np.maximum(i, j)
+        exposed = np.where(np.arange(len(j)) < len(j_a), hi, lo - 1)
+        by = np.lexsort((exposed, hi, lo, hi - lo))
+        by = by[lo[by] != hi[by]]   # c or d is already next to a or b
+        lo, hi, exposed = lo[by], hi[by], exposed[by]
+        x = tour[_reversed_at(lo, hi, exposed)].tolist()
+        self.look_up(x)
+        ends = np.cumsum([len(self.near(u)) for u in x])
+        start = 0
+        while start < len(x):
+            cap = (ends[start - 1] if start else 0) + _PAIR_CHUNK
+            stop = max(int(np.searchsorted(ends, cap, "right")), start + 1)
+            passed = self._passes(lo[start:stop], hi[start:stop],
+                                  exposed[start:stop])
+            if passed.any():
+                k = start + int(passed.argmax())
+                self._reverse(int(lo[k]), int(hi[k]))
+                mended = self._mend(int(exposed[k]))
+                assert mended, "a try that passes _passes is mended"
                 return True
-            self._reverse(lo, hi)
+            start = stop
         return False
 
     def failure(self, i: int) -> ConstructionError:

@@ -25,8 +25,8 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .geometry import (_lp_from_abs, _offset_norms, lp_norms, unit_disk_area,
-                       validate_p)
+from .geometry import (_lp_from_abs, _offset_norms, lp_within,
+                       unit_disk_area, validate_p)
 
 
 # --------------------------------------------------------------------------
@@ -447,7 +447,7 @@ def _pairs_within(idx: SpatialIndex, u: np.ndarray, key: np.ndarray,
         # np.take gathers whole rows, much faster than fancy indexing here
         d = np.take(idx.points, us, axis=0)
         d -= np.take(idx.points, v, axis=0)
-        close = (lp_norms(idx.p, d[:, 0], d[:, 1]) <= idx.r) & (v != us)
+        close = lp_within(idx.p, d[:, 0], d[:, 1], idx.r) & (v != us)
         yield src[close], v[close]
 
 
@@ -493,7 +493,7 @@ def _hook_tour(idx: SpatialIndex, parent: np.ndarray, slot: np.ndarray,
                tour: np.ndarray) -> None:
     """Union the cells of each two consecutive vertices of tour, cyclically,
     that lie in different components and pass the far phase's own test,
-    lp_norms(...) <= r; longer hops are ignored. The hops go in chunks of
+    lp_within(...); longer hops are ignored. The hops go in chunks of
     at most _PAIR_CHUNK, and only those that join two components are
     measured."""
     n = len(tour)
@@ -505,7 +505,7 @@ def _hook_tour(idx: SpatialIndex, parent: np.ndarray, slot: np.ndarray,
         root = parent[cell]
         at = np.flatnonzero(root[1:] != root[:-1])
         d = idx.points[ends[at]] - idx.points[ends[at + 1]]
-        close = at[lp_norms(idx.p, d[:, 0], d[:, 1]) <= idx.r]
+        close = at[lp_within(idx.p, d[:, 0], d[:, 1], idx.r)]
         _hook(parent, cell[close], cell[close + 1])
 
 

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from rggham.geometry import (Box, lp_distance, lp_norms, max_box_distance,
-                             unit_disk_area, validate_p)
+from rggham import geometry
+from rggham.geometry import (Box, lp_distance, lp_norms, lp_within,
+                             max_box_distance, unit_disk_area, validate_p)
 
 NORMS = [1.0, 1.5, 2.0, 3.0, 10.0, math.inf]
 
@@ -102,6 +103,74 @@ def test_lp_norms_matches_scalar_path():
 def test_lp_norms_zero_vectors():
     out = lp_norms(3.0, np.zeros(4), np.zeros(4))
     assert np.all(out == 0.0)
+
+
+WITHIN_NORMS = [1.0, 2.0, 3.0, math.inf]
+# both guards of lp_within's p = 2 screen, an ulp either side, and radii
+# well inside them
+GUARD_RADII = [r for edge in geometry._SQUARE_RADII
+               for r in (np.nextafter(edge, 0.0), edge, np.nextafter(edge, math.inf))]
+WITHIN_RADII = GUARD_RADII + [1e-300, 1e-160, 1e-9, 0.0171, 0.05, 1.0, 1e140, 1e300]
+# subnormal, tiny, huge, infinite and NaN differences
+ODD_DIFFERENCES = [0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-200,
+                   1e-151, 1e-150, 1e149, 1e150, 1e200, 1e300, 1.7e308,
+                   math.inf, math.nan]
+
+
+def assert_same_verdicts(p, dx, dy, r):
+    dx, dy = np.asarray(dx, dtype=float), np.asarray(dy, dtype=float)
+    want = lp_norms(p, dx, dy) <= r
+    assert np.array_equal(lp_within(p, dx, dy, r), want), (p, r)
+
+
+any_difference = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(min_value=-1e-300, max_value=1e-300),
+    st.floats(min_value=-2.0, max_value=2.0))
+
+
+# huge differences overflow in the norms, as in lp_norms
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@given(pairs=st.lists(st.tuples(any_difference, any_difference), min_size=1,
+                      max_size=40),
+       r=st.one_of(st.sampled_from(WITHIN_RADII),
+                   st.floats(min_value=1e-320, max_value=1e308)),
+       p=st.sampled_from(WITHIN_NORMS))
+def test_lp_within_is_the_norm_test(pairs, r, p):
+    dx, dy = np.array(pairs).T
+    assert_same_verdicts(p, dx, dy, r)
+    # the pairs at exactly their own length, and those lengths an ulp off
+    h = lp_norms(p, dx[:1], dy[:1])[0]
+    if 0.0 < h < math.inf:
+        for edge in (np.nextafter(h, 0.0), h, np.nextafter(h, math.inf)):
+            assert_same_verdicts(p, dx, dy, edge)
+
+
+@pytest.mark.parametrize("r", WITHIN_RADII)
+def test_lp_within_at_a_few_ulps_from_r(r):
+    # pairs whose np.hypot is r, and r +- 1 to 4 ulps, at every angle
+    rng = np.random.default_rng(5)
+    angle = rng.uniform(0.0, 2.0 * math.pi, 2000)
+    step = np.repeat(np.arange(-6, 7), len(angle) // 13 + 1)[:len(angle)]
+    length = r + step * math.ulp(r)
+    dx, dy = length * np.cos(angle), length * np.sin(angle)
+    off = np.round((np.hypot(dx, dy) - r) / math.ulp(r))
+    for k in range(1, 5):
+        assert (off == k).any() and (off == -k).any() and (off == 0).any()
+    for p in WITHIN_NORMS:
+        assert_same_verdicts(p, dx, dy, r)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.parametrize("r", WITHIN_RADII)
+def test_lp_within_on_odd_differences(r):
+    # subnormal, huge, infinite and NaN differences, with each other and
+    # with differences at r; a NaN fails, whatever the other one is
+    odd = ODD_DIFFERENCES + [-d for d in ODD_DIFFERENCES] + [r, -r, r / 2]
+    dx, dy = (np.array(v) for v in zip(*[(a, b) for a in odd for b in odd]))
+    for p in WITHIN_NORMS:
+        assert_same_verdicts(p, dx, dy, r)
+        assert not lp_within(p, dx, dy, r)[np.isnan(dx) | np.isnan(dy)].any()
 
 
 def test_unit_disk_area_exact_constants():

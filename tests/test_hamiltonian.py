@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import math
 import os
@@ -990,6 +991,180 @@ def test_move_vertex_is_the_list_move(place):
     assert mend._move_vertex(tour.index(a))
     assert mend.tour.tolist() == want
     assert mend.pos.tolist() == [want.index(u) for u in range(len(want))]
+
+
+def _make_each_try(mend, i):
+    """repair's tries, after its direct mend of hop i failed, as they
+    stood when each was made, mended and undone in turn rather than tested
+    through _passes: the reference for the tested path."""
+    tour, pos, n = mend.tour, mend.pos, mend.n
+    a, b = int(tour[i]), int(tour[i + 1])
+    tries = []
+    for j in pos[mend.near(a)].tolist():
+        if i < j < n - 1:
+            tries.append((i + 1, j, j))
+        elif j < i:
+            tries.append((j + 1, i, i))
+    for j in ((pos[mend.near(b)] - 1) % n).tolist():
+        tries.append((i + 1, j, i) if j > i else (j + 1, i, j))
+    tries.sort(key=lambda t: (t[1] - t[0], t))
+    for lo, hi, exposed in tries:
+        if lo == hi:
+            continue
+        mend._reverse(lo, hi)
+        if mend._mend(exposed):
+            return True
+        mend._reverse(lo, hi)
+    return False
+
+
+def test_tested_tries_make_the_moves_made_tries_make(monkeypatch):
+    # every repair that falls through to its tries, on a copy of the tour
+    # with each try made and undone, and on the tour itself through
+    # _passes: the same answer, the same tour and the same positions
+    repair = hamiltonian._TourRepair.repair
+    compared = []
+
+    def both(self, i):
+        twin = copy.copy(self)
+        twin.tour, twin.pos = self.tour.copy(), self.pos.copy()
+        twin._near = dict(self._near)
+        fell = not twin._mend(i)
+        want = _make_each_try(twin, i) if fell else True
+        got = repair(self, i)
+        assert got == want
+        assert np.array_equal(self.tour, twin.tour)
+        assert np.array_equal(self.pos, twin.pos)
+        if fell:
+            compared.append(got)
+        return got
+
+    monkeypatch.setattr(hamiltonian._TourRepair, "repair", both)
+    n = 10 ** 4
+    for p in (1.0, 2.0, math.inf):
+        for mult in (1.2, 1.5):
+            r = mult * threshold_radius(n, p)
+            for seed in range(5):
+                try:
+                    full_construction(rand_points(n, seed), p, r)
+                except ConstructionError:
+                    pass
+    assert len(compared) >= 50
+    assert True in compared and False in compared
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
+def test_passes_is_the_mend_after_the_reversal(p):
+    # any block of tries, on random tours whose hops are long and short
+    # alike: _passes says True exactly where reversing, then _mend, on a
+    # copy of the tour succeeds
+    rng = np.random.default_rng(3)
+    for n, r in ((40, 0.3), (80, 0.2), (200, 0.12)):
+        mend = hamiltonian._TourRepair(rng.random((n, 2)), p, r, rng.permutation(n))
+        lo = rng.integers(0, n, 400)
+        hi = np.minimum(lo + rng.integers(0, n // 2, 400), n - 1)
+        exposed = rng.integers(0, n - 1, 400)
+        want = []
+        for t in zip(lo.tolist(), hi.tolist(), exposed.tolist()):
+            twin = copy.copy(mend)
+            twin.tour, twin.pos = mend.tour.copy(), mend.pos.copy()
+            twin._reverse(t[0], t[1])
+            want.append(twin._mend(t[2]))
+        assert mend._passes(lo, hi, exposed).tolist() == want
+        assert 0 < sum(want) < len(want)
+
+
+def _tries_spy(monkeypatch):
+    """Record the first vertex of the hop of each repair, the repairs (by
+    call number) that reach their tries, and every block of tries, as
+    (tries, near-list entries)."""
+    repair, passes = hamiltonian._TourRepair.repair, hamiltonian._TourRepair._passes
+    seen = {"hops": [], "tried": set(), "blocks": []}
+
+    def repair_spy(self, i):
+        seen["hops"].append(int(self.tour[i]))
+        return repair(self, i)
+
+    def passes_spy(self, lo, hi, exposed):
+        seen["tried"].add(len(seen["hops"]) - 1)
+        x = self.tour[hamiltonian._reversed_at(lo, hi, exposed)]
+        seen["blocks"].append((len(lo), sum(len(self.near(u)) for u in x.tolist())))
+        return passes(self, lo, hi, exposed)
+
+    monkeypatch.setattr(hamiltonian._TourRepair, "repair", repair_spy)
+    monkeypatch.setattr(hamiltonian._TourRepair, "_passes", passes_spy)
+    return seen
+
+
+# cycles whose repairs fall through to their tries (p = 2, 1.5x): n, seed,
+# the repairs that reach them, and sha256 of the cycle
+TRIED_CYCLES = [
+    (10 ** 4, 37, 22,
+     "a9380bca14348182c92c5872179efa2c78fa7830bd786f44fda83c022ead2062"),
+    (2 * 10 ** 4, 7, 25,
+     "baf6e1c829aa443b90432f719e110c4a81f9ec3bee3940360e4bd243005d4d39"),
+]
+
+
+@pytest.mark.parametrize("n, seed, repairs, digest", TRIED_CYCLES)
+def test_cycles_built_through_the_tries_are_pinned(monkeypatch, n, seed,
+                                                   repairs, digest):
+    seen = _tries_spy(monkeypatch)
+    out = full_construction(rand_points(n, seed), 2.0,
+                            1.5 * threshold_radius(n, 2.0))
+    assert out.cells_per_side is None
+    assert hashlib.sha256(out.cycle.tobytes()).hexdigest() == digest
+    assert len(seen["tried"]) == repairs
+
+
+# EdgeTooLong at n = 1e4, 1.5x, after a repair that tried every move it
+# had: seed -> (position, vertices, degrees), per p
+TRIED_FAILURES = {
+    2.0: {0: (3870, [7157, 8838], [16, 15]), 3: (5536, [5896, 9435], [10, 13]),
+          4: (7, [3534, 6292], [11, 9]), 5: (3781, [6321, 5821], [14, 17])},
+    1.0: {0: (414, [4286, 4930], [18, 17]), 3: (2260, [4113, 5625], [8, 18]),
+          4: (5934, [3476, 5975], [14, 19]), 5: (7519, [4045, 4711], [17, 12])},
+    math.inf: {0: (3763, [8838, 7157], [13, 15]), 3: (8023, [5896, 5481], [8, 12]),
+               4: (6519, [2105, 9684], [10, 16]), 5: (2215, [9430, 2130], [9, 11])},
+}
+
+
+@pytest.mark.parametrize("p", [2.0, 1.0, math.inf])
+@pytest.mark.parametrize("seed", [0, 3, 4, 5])
+def test_failures_after_the_tries_are_pinned(monkeypatch, p, seed):
+    seen = _tries_spy(monkeypatch)
+    n = 10 ** 4
+    with pytest.raises(ConstructionError) as err:
+        full_construction(rand_points(n, seed), p, 1.5 * threshold_radius(n, p))
+    ctx = err.value.context
+    assert err.value.reason is FailureReason.EDGE_TOO_LONG
+    assert (ctx["position"], ctx["vertices"], ctx["degrees"]) == TRIED_FAILURES[p][seed]
+    assert ctx["connected"] is True
+    # the hop that failed went through its tries
+    last = len(seen["hops"]) - 1
+    assert last in seen["tried"] and seen["hops"][last] == ctx["vertices"][0]
+
+
+@pytest.mark.parametrize("chunk", [None, 64])
+def test_tries_go_in_blocks_of_at_most_pair_chunk_entries(monkeypatch, chunk):
+    # two clusters 0.01 wide, 0.8 apart at r = 0.05: every vertex has about
+    # n/2 neighbours, no try can mend the hop between the clusters, and
+    # every block is tested before the answer, Disconnected
+    if chunk is not None:
+        monkeypatch.setattr(instance, "_PAIR_CHUNK", chunk)
+        monkeypatch.setattr(hamiltonian, "_PAIR_CHUNK", chunk)
+    cap = hamiltonian._PAIR_CHUNK
+    seen = _tries_spy(monkeypatch)
+    n = 2000
+    rng = np.random.default_rng(11)
+    pts = np.vstack([0.1 + 0.01 * rng.random((n // 2, 2)),
+                     0.9 + 0.01 * rng.random((n // 2, 2))])
+    with pytest.raises(ConstructionError) as err:
+        full_construction(pts, 2.0, 0.05)
+    assert err.value.reason is FailureReason.DISCONNECTED
+    assert sum(tries for tries, _ in seen["blocks"]) > n // 2
+    assert len(seen["blocks"]) > 1
+    assert all(tries == 1 or entries <= cap for tries, entries in seen["blocks"])
 
 
 @pytest.mark.parametrize("first", [1, 2, 3, 256])
