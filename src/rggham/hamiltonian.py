@@ -448,8 +448,11 @@ def _serpentine_tour(points: np.ndarray, p: float, r: float) -> np.ndarray:
 
 def _reversed_at(lo, hi, q):
     """The position that position q reads from once tour[lo..hi] is
-    reversed: lo + hi - q on [lo, hi], q elsewhere; elementwise. The map is
-    its own inverse, so it also takes a vertex's position to its new one."""
+    reversed: lo + hi - q on [lo, hi], q elsewhere; elementwise, and q
+    itself where lo is None (no reversal). The map is its own inverse, so
+    it also takes a vertex's position to its new one."""
+    if lo is None:
+        return q
     return np.where((lo <= q) & (q <= hi), lo + hi - q, q)
 
 
@@ -460,9 +463,10 @@ class _TourRepair:
     tour[0], is kept within r, so no move has to wrap around the array.
     Every move is made of segment reversals (_reverse, the only writer of
     tour and pos after __init__) and creates only hops within r: a long
-    hop, once taken out, never comes back. repair's tries are read through
-    _reversed_at by _passes, which writes nothing; only the try that
-    passes is made.
+    hop, once taken out, never comes back. Each move has one test,
+    _two_opt_fits or _move_fits, which reads the tour as it is for a direct
+    move, or through _reversed_at for repair's tries (_passes); the tests
+    write nothing, and only the try that passes is made.
     """
 
     def __init__(self, points: np.ndarray, p: float, r: float,
@@ -503,15 +507,40 @@ class _TourRepair:
         self.tour[lo:hi + 1] = seg
         self.pos[seg] = np.arange(lo, hi + 1)
 
+    def _two_opt_fits(self, lo, hi, at, y):
+        """Where the 2-opt that trades hop (x, y) and (v, w), v one of
+        near(x) at position at and w its successor, for (x, v) and (y, w)
+        leaves no long hop: where w is within r of y. The tour is read as
+        _reverse(lo, hi) would leave it, through _reversed_at, without
+        writing it, with lo and hi one entry per candidate, or None to read
+        it as it is."""
+        w = self.tour[_reversed_at(lo, hi, (at + 1) % self.n)]
+        return self._within(w, y)
+
+    def _move_fits(self, lo, hi, v, at, y):
+        """Where moving v, one of near(x) at position at, in between hop
+        (x, y) leaves no long hop: where v is, but y, within r of y, and
+        v's two tour neighbours are within r of each other. Read as
+        _two_opt_fits reads. The common neighbours of x and y are so found
+        from near(x) alone: the pair test is exact and symmetric."""
+        tour, n = self.tour, self.n
+        fits = (v != y) & self._within(v, y)
+        c = np.flatnonzero(fits)
+        q = at[c]
+        if lo is not None:
+            lo, hi = lo[c], hi[c]
+        fits[c] = self._within(tour[_reversed_at(lo, hi, (q - 1) % n)],
+                               tour[_reversed_at(lo, hi, (q + 1) % n)])
+        return fits
+
     def _two_opt(self, i: int) -> bool:
         """Trade hop i = (a, b) and a hop (c, d) for (a, c) and (b, d)."""
-        tour = self.tour
-        at = self.pos[self.near(int(tour[i]))]
-        at = at[self._within(tour[(at + 1) % self.n], tour[i + 1])]
-        if not at.size:
+        at = self.pos[self.near(int(self.tour[i]))]
+        fits = self._two_opt_fits(None, None, at, self.tour[i + 1])
+        if not fits.any():
             return False
         # of two positions equally near i, the lower
-        at.sort()
+        at = np.sort(at[fits])
         j = int(at[np.argmin(np.abs(at - i))])
         self._reverse(*((i + 1, j) if j > i else (j + 1, i)))
         return True
@@ -519,15 +548,14 @@ class _TourRepair:
     def _move_vertex(self, i: int) -> bool:
         """Move a common neighbour v of hop i's ends in between them, from
         a place whose two tour neighbours are within r of each other."""
-        tour, n = self.tour, self.n
-        # near lists never repeat a vertex
-        at = self.pos[np.intersect1d(self.near(int(tour[i])),
-                                     self.near(int(tour[i + 1])),
-                                     assume_unique=True)]
-        at = at[self._within(tour[at - 1], tour[(at + 1) % n])]
-        if not at.size:
+        v = self.near(int(self.tour[i]))
+        at = self.pos[v]
+        fits = self._move_fits(None, None, v, at, self.tour[i + 1])
+        if not fits.any():
             return False
-        k = int(at[np.argmin(np.abs(at - i))])
+        # of two candidates equally near i, the lower index
+        at, v = at[fits], v[fits]
+        k = int(at[np.lexsort((v, np.abs(at - i)))[0]])
         # v next to the hop, then the rest of the span back in order
         if k > i:
             self._reverse(i + 1, k)
@@ -543,30 +571,17 @@ class _TourRepair:
     def _passes(self, lo: np.ndarray, hi: np.ndarray,
                 exposed: np.ndarray) -> np.ndarray:
         """For each try k, whether _mend(exposed[k]) would succeed after
-        _reverse(lo[k], hi[k]), judged without making either: the reversed
-        tour is read through _reversed_at, as tour[_reversed_at(q)] at
-        position q and _reversed_at(pos[v]) for vertex v. Hop exposed[k]
-        is (x, y); both moves pick their candidates v from near(x), the
-        2-opt where v's successor is within r of y, the vertex move where v
-        is, but y, and v's two tour neighbours are within r of each other.
-        near(y) is not needed: the pair test is exact and symmetric, so the
-        common neighbours of x and y are the v of near(x), but y, that are
-        within r of y."""
-        tour, n = self.tour, self.n
-        x = tour[_reversed_at(lo, hi, exposed)]
-        y = tour[_reversed_at(lo, hi, exposed + 1)]
+        _reverse(lo[k], hi[k]), judged by _mend's two tests without making
+        either: the candidates of hop exposed[k] = (x, y), read through the
+        reversal, are the entries of near(x)."""
+        x = self.tour[_reversed_at(lo, hi, exposed)]
+        y = self.tour[_reversed_at(lo, hi, exposed + 1)]
         lists = [self.near(u) for u in x.tolist()]
         k = np.repeat(np.arange(len(x)), [len(v) for v in lists])
         v, y, lo, hi = np.concatenate(lists), y[k], lo[k], hi[k]
         at = _reversed_at(lo, hi, self.pos[v])
-        after = tour[_reversed_at(lo, hi, (at + 1) % n)]
-        hit = self._within(after, y)
-        # a vertex move is tried only where no 2-opt has passed
-        common = np.flatnonzero(~hit)
-        common = common[(v[common] != y[common])
-                        & self._within(v[common], y[common])]
-        before = tour[_reversed_at(lo[common], hi[common], (at[common] - 1) % n)]
-        hit[common] = self._within(before, after[common])
+        hit = (self._two_opt_fits(lo, hi, at, y)
+               | self._move_fits(lo, hi, v, at, y))
         passed = np.zeros(len(x), dtype=bool)
         passed[k[hit]] = True
         return passed

@@ -1074,6 +1074,57 @@ def test_passes_is_the_mend_after_the_reversal(p):
         assert 0 < sum(want) < len(want)
 
 
+def _move_vertex_from_both_lists(mend, i):
+    """The vertex move as it read both near lists: the common neighbours
+    from intersect1d, by index, the first of those equally near i taken;
+    the reference for _move_fits' read of near(x) alone."""
+    tour, n = mend.tour, mend.n
+    at = mend.pos[np.intersect1d(mend.near(int(tour[i])),
+                                 mend.near(int(tour[i + 1])))]
+    at = at[mend._within(tour[at - 1], tour[(at + 1) % n])]
+    if not at.size:
+        return False
+    k = int(at[np.argmin(np.abs(at - i))])
+    if k > i:
+        mend._reverse(i + 1, k)
+        mend._reverse(i + 2, k)
+    else:
+        mend._reverse(k, i)
+        mend._reverse(k, i - 1)
+    return True
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
+def test_move_vertex_reads_the_common_neighbours_from_one_list(p):
+    # every hop of tours along rows with a few vertices swapped, long and
+    # short hops alike: the vertex move through _move_fits makes the move
+    # that intersecting both near lists makes, ties to the lower index
+    # included
+    rng = np.random.default_rng(8)
+    moved = ties = 0
+    for n, r in ((40, 0.3), (80, 0.2), (200, 0.12)):
+        pts = rng.random((n, 2))
+        tour = np.lexsort((pts[:, 0], np.floor(pts[:, 1] / r)))
+        for j, k in rng.integers(0, n, (n // 10, 2)):
+            tour[[j, k]] = tour[[k, j]]
+        mend = hamiltonian._TourRepair(pts, p, r, tour)
+        for i in range(n - 1):
+            twin = copy.copy(mend)
+            twin.tour, twin.pos = mend.tour.copy(), mend.pos.copy()
+            want = _move_vertex_from_both_lists(twin, i)
+            got = copy.copy(mend)
+            got.tour, got.pos = mend.tour.copy(), mend.pos.copy()
+            assert got._move_vertex(i) == want
+            assert np.array_equal(got.tour, twin.tour)
+            assert np.array_equal(got.pos, twin.pos)
+            moved += want
+            at = mend.pos[np.intersect1d(mend.near(int(mend.tour[i])),
+                                         mend.near(int(mend.tour[i + 1])))]
+            gap = np.abs(at - i)
+            ties += bool(want) and (gap == gap.min()).sum() > 1
+    assert moved > 50 and ties > 0
+
+
 def _tries_spy(monkeypatch):
     """Record the first vertex of the hop of each repair, the repairs (by
     call number) that reach their tries, and every block of tries, as
