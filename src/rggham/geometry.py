@@ -89,35 +89,6 @@ def lp_norms(p: float, dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
     return hi * (1.0 + t**p) ** (1.0 / p)
 
 
-# where lp_within settles a p = 2 pair by its squared length: the relative
-# margin is thousands of times the rounding of dx^2 + dy^2, r^2 and np.hypot
-# (a few ulps each), and the radius guards keep r^2 and its margin normal
-# and finite, so that underflow in dx^2 + dy^2 moves it by far less
-_SQUARE_REL = 1e-12
-_SQUARE_RADII = (1e-150, 1e150)
-
-
-def lp_within(p: float, dx: np.ndarray, dy: np.ndarray, r: float) -> np.ndarray:
-    """The verdict lp_norms(p, dx, dy) <= r, pair by pair. At p = 2 the
-    squared length settles every pair outside r^2 * (1 -+ _SQUARE_REL)
-    without np.hypot, which costs about twice as much; only the pairs
-    between those bounds get the norm. A NaN difference fails, as it does
-    there."""
-    if p != 2.0 or not _SQUARE_RADII[0] < r < _SQUARE_RADII[1]:
-        return lp_norms(p, dx, dy) <= r
-    s = dx * dx
-    s += dy * dy
-    r2 = r * r
-    out = s <= r2 * (1.0 - _SQUARE_REL)
-    # NaN passes neither bound, and its norm would fail anyway
-    near = s <= r2 * (1.0 + _SQUARE_REL)
-    near ^= out
-    if near.any():
-        mid = np.flatnonzero(near)
-        out[mid] = lp_norms(p, dx[mid], dy[mid]) <= r
-    return out
-
-
 def unit_disk_area(p: float) -> float:
     """Area of the unit l_p disk in the plane.
 

@@ -47,7 +47,8 @@ tour without being made, a block of them in one array pass, and only the
 first that passes is made. The fallback buckets the points once, on the
 grid build_spatial_index builds (instance._grid), and its neighbour lists,
 its isolated-vertex screen and its connectivity check all read it, through
-SpatialIndex.reach.
+SpatialIndex.reach, and every pair test of the repair and the check is
+SpatialIndex.within.
 Its failures are certificates where they can be. Before any repair, every
 vertex whose two tour hops are both longer than r is tested exactly, and
 the first one with no neighbour within r is reported as Disconnected:
@@ -75,8 +76,7 @@ import numpy as np
 from .auxgraphs import (AugmentedGraph, GroupKey, Node, attach_sparse_groups,
                         build_density_graph, euler_traversal, spanning_tree)
 from .failures import ConstructionError, FailureReason
-from .geometry import (_lp_from_abs, lp_norms, lp_within, unit_disk_area,
-                       validate_p)
+from .geometry import _lp_from_abs, lp_norms, unit_disk_area, validate_p
 from .instance import (_PAIR_CHUNK, VertexSet, _grid, _isolated_vertex,
                        gather_runs, is_connected, neighbour_lists,
                        point_array, validate_points)
@@ -465,8 +465,9 @@ class _TourRepair:
     tour and pos after __init__) and creates only hops within r: a long
     hop, once taken out, never comes back. Each move has one test,
     _two_opt_fits or _move_fits, which reads the tour as it is for a direct
-    move, or through _reversed_at for repair's tries (_passes); the tests
-    write nothing, and only the try that passes is made.
+    move, or through _reversed_at for repair's tries (_passes), and judges
+    its pairs with grid.within; the tests write nothing, and only the try
+    that passes is made.
     """
 
     def __init__(self, points: np.ndarray, p: float, r: float,
@@ -496,11 +497,6 @@ class _TourRepair:
             self._near.update((v, got[lo:hi])
                               for v, lo, hi in zip(new, cut, cut[1:]))
 
-    def _within(self, a, b) -> np.ndarray:
-        pts = self.points
-        return lp_within(self.p, pts[a, 0] - pts[b, 0],
-                         pts[a, 1] - pts[b, 1], self.r)
-
     def _reverse(self, lo: int, hi: int) -> None:
         """Reverse tour[lo..hi]: a 2-opt move."""
         seg = self.tour[lo:hi + 1][::-1].copy()
@@ -515,7 +511,7 @@ class _TourRepair:
         writing it, with lo and hi one entry per candidate, or None to read
         it as it is."""
         w = self.tour[_reversed_at(lo, hi, (at + 1) % self.n)]
-        return self._within(w, y)
+        return self.grid.within(w, y)
 
     def _move_fits(self, lo, hi, v, at, y):
         """Where moving v, one of near(x) at position at, in between hop
@@ -524,13 +520,13 @@ class _TourRepair:
         _two_opt_fits reads. The common neighbours of x and y are so found
         from near(x) alone: the pair test is exact and symmetric."""
         tour, n = self.tour, self.n
-        fits = (v != y) & self._within(v, y)
+        fits = (v != y) & self.grid.within(v, y)
         c = np.flatnonzero(fits)
         q = at[c]
         if lo is not None:
             lo, hi = lo[c], hi[c]
-        fits[c] = self._within(tour[_reversed_at(lo, hi, (q - 1) % n)],
-                               tour[_reversed_at(lo, hi, (q + 1) % n)])
+        fits[c] = self.grid.within(tour[_reversed_at(lo, hi, (q - 1) % n)],
+                                   tour[_reversed_at(lo, hi, (q + 1) % n)])
         return fits
 
     def _two_opt(self, i: int) -> bool:
@@ -737,7 +733,8 @@ def full_construction(points: np.ndarray, p: float, r: float,
 
     cells_per_square overrides the subdivision; otherwise it is chosen from
     the slack between r and the connectivity threshold (falling back to the
-    minimum when r sits at or below threshold). When the tessellation path
+    minimum when r sits at or below threshold, or so far above it that the
+    slack rounds to the whole disk area). When the tessellation path
     gives up, at HookMissing, because the augmented graph splits (which the
     point graph need not), or at an overlong hop of its own cycle (at p = 1
     a square's diameter 2/m can exceed r), the serpentine fallback builds
@@ -761,9 +758,12 @@ def full_construction(points: np.ndarray, p: float, r: float,
     if not r > 0.0:
         raise ValueError(f"radius must be positive, got {r}")
     if cells_per_square is None:
-        # divided twice, not by r * r, which is 0 below about 1e-162
-        eps = unit_disk_area(p) - math.log(n) / (r * n) / r
-        if eps > 0.0:
+        # divided twice, not by r * r, which is 0 below about 1e-162; at
+        # huge r the quotient vanishes below an ulp of area, where no
+        # tessellation fits anyway
+        area = unit_disk_area(p)
+        eps = area - math.log(n) / (r * n) / r
+        if 0.0 < eps < area:
             cells_per_square, _ = choose_cells_per_side(p, eps)
         else:
             cells_per_square = 4

@@ -25,8 +25,8 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .geometry import (_lp_from_abs, _offset_norms, lp_within,
-                       unit_disk_area, validate_p)
+from .geometry import (_lp_from_abs, _offset_norms, lp_norms, unit_disk_area,
+                       validate_p)
 
 
 # --------------------------------------------------------------------------
@@ -107,7 +107,10 @@ class InstanceConfig:
     seed: int
 
     def __post_init__(self):
-        if int(self.n) < 3:
+        # a float n, even a whole one, fails later inside numpy's sampler
+        if not isinstance(self.n, (int, np.integer)):
+            raise ValueError(f"n must be an integer, got {self.n!r}")
+        if self.n < 3:
             raise ValueError(f"need n >= 3, got {self.n}")
         validate_p(self.p)
 
@@ -308,6 +311,14 @@ class SpatialIndex:
         r. (A 3x3 block is no clique: its corners can be 1.5 r apart.)"""
         return self.side >= _cells_to_resolve(self.r, self.p)
 
+    def within(self, a, b) -> np.ndarray:
+        """The only pair test, lp_norms(...) <= r: whether each vertex a[i]
+        is within r of b[i], or of b where b is one vertex."""
+        # np.take gathers whole rows, much faster than fancy indexing here
+        d = np.take(self.points, a, axis=0)
+        d -= np.take(self.points, b, axis=0)
+        return lp_norms(self.p, d[:, 0], d[:, 1]) <= self.r
+
     @cached_property
     def reach(self) -> np.ndarray:
         """The only rule for which cells can hold a neighbour: reach[dr] is
@@ -423,11 +434,12 @@ def _pairs_within(idx: SpatialIndex, u: np.ndarray, key: np.ndarray,
                   at: np.ndarray, dr: np.ndarray):
     """Yield, in slabs of at most max(_PAIR_CHUNK, n) point pairs, the pairs
     (at[k], v), k ascending, of each vertex u[at[k]], in cell key[at[k]],
-    and every other vertex v within r of it in the cells that reach allows at
-    row offset dr[k], by ascending cell key, then index. Those cells are a run
-    of columns, which two searches find. Keys stay in uint64, which numpy
-    1.x would mix with signed ints into float64, rounding keys above 2^53;
-    a negative dr wraps modulo 2^64, so row + dr is huge below the grid."""
+    and every other vertex v within r of it (SpatialIndex.within) in the
+    cells that reach allows at row offset dr[k], by ascending cell key, then
+    index. Those cells are a run of columns, which two searches find. Keys
+    stay in uint64, which numpy 1.x would mix with signed ints into float64,
+    rounding keys above 2^53; a negative dr wraps modulo 2^64, so row + dr
+    is huge below the grid."""
     side = np.uint64(idx.side)
     row, col = np.divmod(key[at], side)
     to = row + dr.astype(np.uint64)
@@ -444,10 +456,7 @@ def _pairs_within(idx: SpatialIndex, u: np.ndarray, key: np.ndarray,
         c = cnt[lo:lo + step]
         src = np.repeat(at[lo:lo + step], c)
         v, us = gather_runs(idx.order, first[lo:lo + step], c), u[src]
-        # np.take gathers whole rows, much faster than fancy indexing here
-        d = np.take(idx.points, us, axis=0)
-        d -= np.take(idx.points, v, axis=0)
-        close = lp_within(idx.p, d[:, 0], d[:, 1], idx.r) & (v != us)
+        close = idx.within(us, v) & (v != us)
         yield src[close], v[close]
 
 
@@ -493,7 +502,7 @@ def _hook_tour(idx: SpatialIndex, parent: np.ndarray, slot: np.ndarray,
                tour: np.ndarray) -> None:
     """Union the cells of each two consecutive vertices of tour, cyclically,
     that lie in different components and pass the far phase's own test,
-    lp_within(...); longer hops are ignored. The hops go in chunks of
+    idx.within; longer hops are ignored. The hops go in chunks of
     at most _PAIR_CHUNK, and only those that join two components are
     measured."""
     n = len(tour)
@@ -504,8 +513,7 @@ def _hook_tour(idx: SpatialIndex, parent: np.ndarray, slot: np.ndarray,
         cell = slot[ends]
         root = parent[cell]
         at = np.flatnonzero(root[1:] != root[:-1])
-        d = idx.points[ends[at]] - idx.points[ends[at + 1]]
-        close = at[lp_within(idx.p, d[:, 0], d[:, 1], idx.r)]
+        close = at[idx.within(ends[at], ends[at + 1])]
         _hook(parent, cell[close], cell[close + 1])
 
 

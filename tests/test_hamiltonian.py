@@ -617,6 +617,19 @@ def test_degenerate_radius_uses_the_fallback():
     assert verify_cycle(pts, 1.5, 2.0, out.cycle).valid
 
 
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0, math.inf])
+@pytest.mark.parametrize("n", [3, 100])
+@pytest.mark.parametrize("r", [1e8, 1e200, math.inf])
+def test_huge_radius_uses_the_fallback(p, n, r):
+    # ln n / (r n) / r vanishes below half an ulp of the disk area here, so
+    # the slack eps equals the area, which choose_cells_per_side refuses;
+    # no tessellation fits at r > 1, and the fallback answers
+    pts = rand_points(n, 3)
+    out = full_construction(pts, p, r)
+    assert out.cells_per_side is None
+    assert verify_cycle(pts, r, p, out.cycle).valid
+
+
 def test_degenerate_radius_failure_is_typed():
     # two clusters in opposite corners: the graph is disconnected, and the
     # fallback, which no repair gets across the gap, says so
@@ -1081,7 +1094,7 @@ def _move_vertex_from_both_lists(mend, i):
     tour, n = mend.tour, mend.n
     at = mend.pos[np.intersect1d(mend.near(int(tour[i])),
                                  mend.near(int(tour[i + 1])))]
-    at = at[mend._within(tour[at - 1], tour[(at + 1) % n])]
+    at = at[mend.grid.within(tour[at - 1], tour[(at + 1) % n])]
     if not at.size:
         return False
     k = int(at[np.argmin(np.abs(at - i))])

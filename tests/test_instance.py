@@ -85,8 +85,17 @@ def test_instance_config_validation():
         InstanceConfig(n=2, p=2.0, radius=ExplicitRadius(0.1), seed=0)
     with pytest.raises(ValueError):
         InstanceConfig(n=100, p=0.5, radius=ExplicitRadius(0.1), seed=0)
+    # an n that is not an integer, even a whole float, is refused before
+    # numpy's sampler sees it
+    for n in (1000.5, 1000.0, np.float64(1000.0), "1000"):
+        with pytest.raises(ValueError, match="integer"):
+            InstanceConfig(n=n, p=2.0, radius=ExplicitRadius(0.1), seed=0)
     cfg = InstanceConfig(n=100, p=2.0, radius=ThresholdMultiple(2.0), seed=0)
     assert cfg.resolved_radius() == 2.0 * threshold_radius(100, 2.0)
+    # numpy integers are integers
+    for n in (np.int64(100), np.int32(100), np.uint16(100)):
+        cfg = InstanceConfig(n=n, p=2.0, radius=ExplicitRadius(0.1), seed=0)
+        assert len(sample_points(cfg)) == 100
 
 
 def test_sampling_is_bit_reproducible():
@@ -328,6 +337,39 @@ def test_is_connected_matches_brute_force():
             answers.add(truth)
         # each kind of case reaches both answers, so none of them is idle
         assert answers == {True, False}
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0, math.inf])
+@pytest.mark.parametrize("r", [1e-6, 0.05, 0.3])
+def test_pairs_a_few_ulps_from_r_get_the_norm_test(p, r):
+    # a centre at (1.01 r, 1.01 r), then 260 points around it at l_p length
+    # r and r -+ 1 to 6 ulps of r, at random angles. Most coordinates lie in
+    # r's binade or below, so their differences resolve an ulp of r
+    angle = np.random.default_rng(5).uniform(0.0, 2.0 * math.pi, 260)
+    ux, uy = np.cos(angle), np.sin(angle)
+    step = np.resize(np.arange(-6, 7), len(angle))
+    length = (r + step * math.ulp(r)) / lp_norms(p, ux, uy)
+    c = 1.01 * r
+    pts = np.vstack([[c, c], np.column_stack((c + length * ux, c + length * uy))])
+    off = np.round((lp_norms(p, pts[1:, 0] - c, pts[1:, 1] - c) - r) / math.ulp(r))
+    for k in range(-4, 5):
+        assert (off == k).any(), k
+    near = lp_norms(p, pts[:, None, 0] - pts[None, :, 0],
+                    pts[:, None, 1] - pts[None, :, 1]) <= r
+    np.fill_diagonal(near, False)
+    assert near[0].any() and not near[0, 1:].all()
+    # the fallback's grid, and within with one vertex for b
+    idx = instance._grid(pts, r, p)
+    at, v = instance.neighbour_lists(idx, np.arange(len(pts)))
+    got = np.zeros_like(near)
+    got[at, v] = True
+    assert np.array_equal(got, near)
+    assert np.array_equal(idx.within(np.arange(1, len(pts)), 0), near[1:, 0])
+    # two points at a time: the isolated-vertex exit, and the tour's hops
+    for i in range(1, len(pts)):
+        pair = build_spatial_index(VertexSet(pts[[0, i]]), r, p)
+        assert is_connected(pair) == near[0, i]
+        assert is_connected(pair, [0, 1]) == near[0, i]
 
 
 def _kd_tree_connected(pts, r, p):
