@@ -67,9 +67,12 @@ def _load_cycle(path: str):
             if not line:
                 continue
             try:
-                values.append(int(line))
+                v = int(line)
             except ValueError:
                 raise ValueError(f"cycle file line {lineno}: not an integer: {line!r}")
+            # an entry past int64 is outside [0, n) too: -1 keeps the
+            # NotPermutation verdict at its position
+            values.append(v if -2**63 <= v < 2**63 else -1)
     return np.array(values, dtype=np.int64)
 
 
@@ -89,8 +92,9 @@ def cmd_ham(args: argparse.Namespace) -> int:
 
     With --json, success prints {"outcome": "CycleVerified", "n", "r",
     "cells_per_side"} plus "cycle" when no -o file takes it; cells_per_side
-    is null whenever the cycle came from the serpentine fallback (which
-    alone answers r > 1). A failure always prints {"outcome":
+    is the subdivision full_construction derived from n, p and r, and null
+    whenever the cycle came from the serpentine fallback (which alone
+    answers r > 1). A failure always prints {"outcome":
     "Failure", "n", "r", "reason", "context"} and exits 10 + the reason's
     position in FailureReason.
     """
@@ -98,8 +102,7 @@ def cmd_ham(args: argparse.Namespace) -> int:
     validate_p(args.p)
     r = resolve_radius(len(vs), args.p, _radius_spec(args))
     try:
-        out = full_construction(vs.points, args.p, r,
-                                cells_per_square=args.cells_per_square)
+        out = full_construction(vs.points, args.p, r)
     except ConstructionError as exc:
         # failures are machine-readable regardless of --json
         print(json.dumps({"outcome": "Failure", "n": len(vs), "r": r,
@@ -194,7 +197,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--points", required=True, help="points CSV")
     sub.add_argument("-p", "--p", dest="p", type=float, required=True)
     _add_radius_group(sub)
-    sub.add_argument("--cells-per-square", type=int, default=None)
     sub.add_argument("-o", "--out", help="cycle file path (default stdout)")
     sub.add_argument("--json", action="store_true")
     sub.set_defaults(func=cmd_ham)

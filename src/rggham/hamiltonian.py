@@ -80,10 +80,10 @@ from .geometry import _lp_from_abs, lp_norms, unit_disk_area, validate_p
 from .instance import (_PAIR_CHUNK, VertexSet, _grid, _isolated_vertex,
                        gather_runs, is_connected, neighbour_lists,
                        point_array, validate_points)
-from .tessellation import (DENSE_THRESHOLD, CellClassification,
-                           Tessellation, build_tessellation,
-                           choose_cells_per_side, classify_cells,
-                           tessellation_fits, validate_cells_per_square)
+from .tessellation import (DENSE_THRESHOLD, MIN_CELLS_PER_SIDE,
+                           CellClassification, Tessellation,
+                           build_tessellation, choose_cells_per_side,
+                           classify_cells, tessellation_fits)
 
 
 # --------------------------------------------------------------------------
@@ -727,14 +727,14 @@ class ConstructionOutcome(NamedTuple):
     cells_per_side: Optional[int]
 
 
-def full_construction(points: np.ndarray, p: float, r: float,
-                      cells_per_square: Optional[int] = None) -> ConstructionOutcome:
+def full_construction(points: np.ndarray, p: float,
+                      r: float) -> ConstructionOutcome:
     """Tessellate, classify, build the graphs, and construct the cycle.
 
-    cells_per_square overrides the subdivision; otherwise it is chosen from
-    the slack between r and the connectivity threshold (falling back to the
-    minimum when r sits at or below threshold, or so far above it that the
-    slack rounds to the whole disk area). When the tessellation path
+    The subdivision k is chosen from the slack eps between r and the
+    connectivity threshold (choose_cells_per_side), and is the minimum,
+    MIN_CELLS_PER_SIDE, when r sits at or below threshold, or so far above
+    it that the slack rounds to the whole disk area. When the tessellation path
     gives up, at HookMissing, because the augmented graph splits (which the
     point graph need not), or at an overlong hop of its own cycle (at p = 1
     a square's diameter 2/m can exceed r), the serpentine fallback builds
@@ -745,9 +745,8 @@ def full_construction(points: np.ndarray, p: float, r: float,
     can hold 48 points (_may_hold_dense_cell, near the threshold at any n
     this code can hold), and gives what it would give after the attempt's
     HookMissing. Raises ValueError for points that are not an (n, 2) array,
-    fewer than 3 points, points outside [0, 1]^2, radii that are not
-    positive, and cells_per_square outside [2, 64], whether or not a
-    tessellation fits.
+    fewer than 3 points, points outside [0, 1]^2, and radii that are not
+    positive.
     """
     p = validate_p(p)
     points = point_array(points)
@@ -757,19 +756,14 @@ def full_construction(points: np.ndarray, p: float, r: float,
     validate_points(points)
     if not r > 0.0:
         raise ValueError(f"radius must be positive, got {r}")
-    if cells_per_square is None:
-        # divided twice, not by r * r, which is 0 below about 1e-162; at
-        # huge r the quotient vanishes below an ulp of area, where no
-        # tessellation fits anyway
-        area = unit_disk_area(p)
-        eps = area - math.log(n) / (r * n) / r
-        if 0.0 < eps < area:
-            cells_per_square, _ = choose_cells_per_side(p, eps)
-        else:
-            cells_per_square = 4
-    validate_cells_per_square(cells_per_square)
-    t = (build_tessellation(p, r, cells_per_square)
-         if tessellation_fits(r, cells_per_square) else None)
+    # divided twice, not by r * r, which is 0 below about 1e-162; at huge r
+    # the quotient vanishes below an ulp of area, where no tessellation
+    # fits anyway
+    area = unit_disk_area(p)
+    eps = area - math.log(n) / (r * n) / r
+    k = (choose_cells_per_side(p, eps)[0] if 0.0 < eps < area
+         else MIN_CELLS_PER_SIDE)
+    t = build_tessellation(p, r, k) if tessellation_fits(r, k) else None
     # with no dense cell the attempt can only end at HookMissing
     if t is not None and _may_hold_dense_cell(points, t):
         # held through the fallback, which then reuses the pages of the
@@ -786,7 +780,7 @@ def full_construction(points: np.ndarray, p: float, r: float,
                                   FailureReason.EDGE_TOO_LONG):
                 raise
         else:
-            return ConstructionOutcome(cycle, cells_per_square)
+            return ConstructionOutcome(cycle, k)
     return ConstructionOutcome(_repaired_tour_cycle(points, p, r), None)
 
 

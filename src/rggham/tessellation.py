@@ -23,7 +23,9 @@ k x k congruent cells of side y/k. Conventions used throughout:
 
 The density threshold 48 and the Chebyshev-2 friendship radius are load
 bearing (each square visit consumes two unused vertices of a dense cell and
-there are at most 24 visits); they are deliberately not configurable.
+there are at most 24 visits); they are deliberately not configurable. Nor is
+the subdivision k: full_construction derives it from the slack eps between r
+and the connectivity threshold (choose_cells_per_side), as the paper does.
 """
 
 from __future__ import annotations
@@ -114,14 +116,6 @@ class Tessellation:
         return Box(cell.col * s, (cell.col + 1) * s, cell.row * s, (cell.row + 1) * s)
 
 
-def validate_cells_per_square(k: int) -> None:
-    """Raise ValueError unless 2 <= k <= MAX_CELLS_PER_SIDE."""
-    if not 2 <= k <= MAX_CELLS_PER_SIDE:
-        # the offset tables hold (3k + 1)^2 scalar norms
-        raise ValueError(f"need 2 <= k <= {MAX_CELLS_PER_SIDE} cells per "
-                         f"square side, got {k}")
-
-
 def tessellation_fits(r: float, cells_per_square: int) -> bool:
     """Whether 0 < r <= 1 and all g^2 flat ids fit int64 (r above ~3e-9 at k = 4)."""
     return (0.0 < r <= 1.0 and math.isfinite(2.0 / r)
@@ -130,7 +124,10 @@ def tessellation_fits(r: float, cells_per_square: int) -> bool:
 
 def build_tessellation(p: float, r: float, cells_per_square: int) -> Tessellation:
     p = validate_p(p)
-    validate_cells_per_square(cells_per_square)
+    if not 2 <= cells_per_square <= MAX_CELLS_PER_SIDE:
+        # the offset tables hold (3k + 1)^2 scalar norms
+        raise ValueError(f"need 2 <= k <= {MAX_CELLS_PER_SIDE} cells per "
+                         f"square side, got {cells_per_square}")
     if not tessellation_fits(r, cells_per_square):
         raise ValueError(f"tessellation needs 0 < r <= 1 and int64 cell ids, got r = {r}")
     m = math.floor(2.0 / r)

@@ -159,23 +159,6 @@ def test_ham_too_few_points_is_usage_error(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_ham_cells_per_square_past_the_search_is_usage_error(triangle, capsys):
-    assert main(["ham", "--points", str(triangle), "-p", "2", "--radius", "0.2",
-                 "--cells-per-square", "65"]) == 2
-    assert "k <= 64" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("k", ["0", "65"])
-@pytest.mark.parametrize("radius", ["1.5", "1e-10"])
-def test_ham_cells_per_square_is_usage_error_at_any_radius(triangle, capsys,
-                                                           k, radius):
-    # no tessellation fits at these radii, and k used to be ignored (exit 0)
-    assert main(["ham", "--points", str(triangle), "-p", "2",
-                 "--radius", radius, "--cells-per-square", k]) == 2
-    cap = capsys.readouterr()
-    assert cap.out == "" and "k <= 64" in cap.err
-
-
 def test_ham_missing_points_file(tmp_path, capsys):
     missing = tmp_path / "nope.csv"
     assert main(["ham", "--points", str(missing), "-p", "2",
@@ -200,6 +183,23 @@ def test_verify_flags_duplicate_vertex(tmp_path, triangle, capsys):
                  "-p", "2", "--radius", "0.5"])
     assert code == 1
     assert "invalid: NotPermutation at position 2" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("entry", [10**20, -10**20, 2**63, -2**63 - 1])
+def test_verify_entry_past_int64_is_not_a_permutation(tmp_path, triangle,
+                                                      capsys, entry):
+    # such an entry is outside [0, n) like any other, not an OverflowError
+    cyc = write_cycle(tmp_path, [0, 1, entry])
+    base = ["verify", "--points", str(triangle), "--cycle", str(cyc),
+            "-p", "2", "--radius", "0.5"]
+    assert main(base) == 1
+    cap = capsys.readouterr()
+    assert cap.out == "invalid: NotPermutation at position 2\n"
+    assert cap.err == ""
+    assert main(base + ["--json"]) == 1
+    assert json.loads(capsys.readouterr().out) == {
+        "valid": False, "n": 3,
+        "violation": {"position": 2, "kind": "NotPermutation"}}
 
 
 def test_verify_wrong_length_is_malformed_not_judged(tmp_path, triangle, capsys):

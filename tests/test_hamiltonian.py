@@ -601,11 +601,16 @@ def test_full_construction_validates_arguments():
 
 
 def test_full_construction_k_override():
-    # finer cells need more points per cell to stay dense
+    # full_construction derives k = 4 here; a k = 6 tessellation built by
+    # hand also gives a verified cycle (finer cells need more points per
+    # cell to stay dense)
     pts = rand_points(40000, 2)
-    out = full_construction(pts, 2.0, WORKING["r"], cells_per_square=6)
-    assert out.cells_per_side == 6
+    out = full_construction(pts, 2.0, WORKING["r"])
+    assert out.cells_per_side == 4
     assert verify_cycle(pts, WORKING["r"], 2.0, out.cycle).valid
+    t = build_tessellation(2.0, WORKING["r"], 6)
+    cycle = _tessellation_cycle(pts, t, classify_cells(t, VertexSet(pts)))
+    assert verify_cycle(pts, WORKING["r"], 2.0, cycle).valid
 
 
 def test_degenerate_radius_uses_the_fallback():
@@ -1305,7 +1310,7 @@ def test_screen_skips_only_without_a_cell_of_48(monkeypatch, count):
     pts = cell_points(t, q * k + k - 1, q * k + k - 1, count)
     assert hamiltonian._may_hold_dense_cell(pts, t) is (count == DENSE_THRESHOLD)
     calls = spy_on_classify(monkeypatch)
-    out = full_construction(pts, 2.0, 0.02, cells_per_square=4)
+    out = full_construction(pts, 2.0, 0.02)
     # one dense cell and nothing else: the tessellation builds the cycle
     assert out.cells_per_side == (4 if count == DENSE_THRESHOLD else None)
     assert len(calls) == (count == DENSE_THRESHOLD)
@@ -1466,16 +1471,6 @@ def test_point_arrays_must_have_two_columns(shape):
 def test_verify_cycle_takes_points_outside_the_square():
     pts = np.array([[-1.0, 0.0], [2.0, 0.0], [0.5, 3.0]])
     assert verify_cycle(pts, 4.0, 2.0, np.array([0, 1, 2])).valid
-
-
-@pytest.mark.parametrize("k", [0, 1, 65])
-@pytest.mark.parametrize("r", [1.5, 1e-10])
-def test_cells_per_square_is_checked_where_no_tessellation_fits(k, r):
-    # the fallback answers alone at these radii; k was only checked by
-    # build_tessellation, so it used to be ignored here
-    assert not tessellation_fits(r, 4)
-    with pytest.raises(ValueError, match="k <= 64"):
-        full_construction(rand_points(50, 0), 2.0, r, cells_per_square=k)
 
 
 @pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
