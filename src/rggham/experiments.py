@@ -109,6 +109,8 @@ class SweepConfig:
             raise ValueError("sweep needs at least one trial per cell")
         if any(m <= 0 for m in self.multipliers):
             raise ValueError("radius multipliers must be positive")
+        if self.workers < 1:
+            raise ValueError("sweep needs at least one worker")
 
 
 @dataclass(frozen=True)

@@ -338,8 +338,6 @@ class VerificationReport:
 # times lp_norms' rounding error (a few ulps); the absolute one covers
 # subnormal lengths, which round by an absolute step.
 _SCREEN_REL, _SCREEN_ABS = 1e-12, 1e-300
-# hops checked at once, so that the check holds a few MB at any n
-_HOP_CHUNK = 1 << 16
 
 
 def verify_cycle(points: np.ndarray, r: float, p: float,
@@ -396,9 +394,10 @@ def _long_hops(points: np.ndarray, p: float, bound: float,
     is longer than bound, and their lp_norms, after verify_cycle's screen."""
     ends = np.append(cycle, cycle[:1])
     at, length = [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
-    for lo in range(0, len(cycle), _HOP_CHUNK):
+    # _PAIR_CHUNK hops at once, so that the check holds a few MB at any n
+    for lo in range(0, len(cycle), _PAIR_CHUNK):
         # np.take gathers whole rows, much faster than fancy indexing here
-        q = np.take(points, ends[lo:lo + _HOP_CHUNK + 1], axis=0)
+        q = np.take(points, ends[lo:lo + _PAIR_CHUNK + 1], axis=0)
         ax, ay = (np.abs(x, out=x) for x in (q[1:, 0] - q[:-1, 0], q[1:, 1] - q[:-1, 1]))
         far = np.flatnonzero(~(ax + ay <= bound * (1.0 - _SCREEN_REL) - _SCREEN_ABS))
         d = lp_norms(p, ax[far], ay[far])

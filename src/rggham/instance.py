@@ -146,7 +146,6 @@ class VertexSet:
     """Immutable ordered point set; points is an (n, 2) float64 array."""
 
     points: np.ndarray
-    seed: int | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "points", point_array(self.points))
@@ -190,7 +189,7 @@ class VertexSet:
 def sample_points(cfg: InstanceConfig) -> VertexSet:
     """Draw cfg.n uniform points; bit-reproducible for a given seed."""
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
-    return VertexSet(points=rng.random((cfg.n, 2)), seed=cfg.seed)
+    return VertexSet(points=rng.random((cfg.n, 2)))
 
 
 # --------------------------------------------------------------------------

@@ -8,8 +8,9 @@ k x k congruent cells of side y/k. Conventions used throughout:
     flat cell id = row * (m*k) + col, so ascending flat id is row-major order
     and the lexicographically smallest cell has the smallest flat id;
   * the square of a cell is (col // k, row // k); flat square id likewise;
-  * locate() is half-open on interior boundaries and points with coordinate
-    exactly 1.0 belong to the last cell;
+  * a point (x, y) files into cell (min(floor(x*g), g-1), min(floor(y*g), g-1))
+    for g = m*k, as occupied_cells applies it: half-open on interior
+    boundaries, and a coordinate exactly 1.0 belongs to the last cell;
   * a cell is Dense iff it holds at least 48 vertices, Sparse for 1..47,
     Empty otherwise; a square is dense iff it contains a dense cell;
   * squares are friends iff their index Chebyshev distance is at most 2,
@@ -31,9 +32,8 @@ and the connectivity threshold (choose_cells_per_side), as the paper does.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property, lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
@@ -47,11 +47,6 @@ MIN_CELLS_PER_SIDE = 4
 MAX_CELLS_PER_SIDE = 64
 
 
-class CellId(NamedTuple):
-    col: int
-    row: int
-
-
 @dataclass(frozen=True)
 class Tessellation:
     p: float
@@ -60,21 +55,13 @@ class Tessellation:
     cells_per_side: int
 
     @property
-    def square_side(self) -> float:
-        return 1.0 / self.squares_per_side
-
-    @property
     def cell_side(self) -> float:
-        return self.square_side / self.cells_per_side
+        return 1.0 / self.squares_per_side / self.cells_per_side
 
     @property
     def grid(self) -> int:
         """Cells per side of the whole unit square."""
         return self.squares_per_side * self.cells_per_side
-
-    def locate(self, x: float, y: float) -> CellId:
-        g = self.grid
-        return CellId(min(int(x * g), g - 1), min(int(y * g), g - 1))
 
     @cached_property
     def offset_norms(self) -> np.ndarray:
@@ -109,11 +96,6 @@ class Tessellation:
         offsets = np.column_stack((dcol, drow)).astype(np.int64) - (span - 1)
         offsets.flags.writeable = False
         return offsets
-
-    def cell_box(self, cell: CellId):
-        from .geometry import Box
-        s = self.cell_side
-        return Box(cell.col * s, (cell.col + 1) * s, cell.row * s, (cell.row + 1) * s)
 
 
 def tessellation_fits(r: float, cells_per_square: int) -> bool:
@@ -312,36 +294,28 @@ _VIOLATION_CAP = 32
 
 @dataclass(frozen=True)
 class DiagnosticsReport:
+    """Plain data, as to_json gives it. Each violations field is a dict:
+    total, the first _VIOLATION_CAP cells as [col, row] lists in row-major
+    order, and whether that list is truncated."""
+
     cells_per_side: int
     dense_threshold: int
     max_friends: int
     cell_counts: dict
     square_counts: dict
-    quadrant_count: int | None
-    corner_violations: list
-    corner_violation_total: int
-    hook_violations: list
-    hook_violation_total: int
+    quadrant_close_count: int | None
+    corner_violations: dict
+    hook_violations: dict
 
     def to_json(self) -> dict:
-        return {
-            "cells_per_side": self.cells_per_side,
-            "dense_threshold": self.dense_threshold,
-            "max_friends": self.max_friends,
-            "cell_counts": dict(self.cell_counts),
-            "square_counts": dict(self.square_counts),
-            "quadrant_close_count": self.quadrant_count,
-            "corner_violations": {
-                "total": self.corner_violation_total,
-                "first": [list(c) for c in self.corner_violations],
-                "truncated": self.corner_violation_total > len(self.corner_violations),
-            },
-            "hook_violations": {
-                "total": self.hook_violation_total,
-                "first": [list(c) for c in self.hook_violations],
-                "truncated": self.hook_violation_total > len(self.hook_violations),
-            },
-        }
+        return asdict(self)
+
+
+def _violations(bad: np.ndarray, g: int) -> dict:
+    """The violations dict of the flat cell ids bad, in the order given."""
+    return {"total": int(bad.size),
+            "first": [[c % g, c // g] for c in bad[:_VIOLATION_CAP].tolist()],
+            "truncated": bad.size > _VIOLATION_CAP}
 
 
 def density_diagnostics(t: Tessellation, cls: CellClassification) -> DiagnosticsReport:
@@ -354,47 +328,35 @@ def density_diagnostics(t: Tessellation, cls: CellClassification) -> Diagnostics
     """
     g, m, k = t.grid, t.squares_per_side, t.cells_per_side
     n_dense = int(cls.dense_mask.sum())
-    n_sparse = len(cls.cells) - n_dense
-    n_empty = g * g - len(cls.cells)
     sq_dense = int((cls.square_dense_count > 0).sum())
-    sq_sparse = len(cls.squares) - sq_dense
-    sq_empty = m * m - len(cls.squares)
 
     try:
         quadrant = quadrant_close_count(t)
     except ValueError:
         quadrant = None
 
-    # corner regions: cells with box distance < 4y to two sides, i.e. the
-    # four (4k x 4k) index corners of the grid
-    block = min(4 * k, g)
-    span = np.arange(block)
-    corner_bad: list[CellId] = []
-    corner_total = 0
-    for row0 in (0, g - block):
-        for col0 in (0, g - block):
-            flat = (row0 + span)[:, None] * g + (col0 + span)
-            bad = flat[~cls.dense(flat)]    # row-major
-            corner_total += bad.size
-            corner_bad += [CellId(int(c) % g, int(c) // g)
-                           for c in bad[:_VIOLATION_CAP - len(corner_bad)]]
+    # corner regions: cells with box distance < 4y to two sides, i.e. both
+    # indices in the band of the first or last 4k; the four corners overlap
+    # once g < 8k, so each cell is counted once
+    span = np.arange(g)
+    band = span[(span < 4 * k) | (span >= g - 4 * k)]
+    flat = (band[:, None] * g + band).ravel()   # row-major
+    corner_bad = flat[~cls.dense(flat)]
 
     # hook existence: a sparse cell must see a dense cell at some close
     # offset
     todo = cls.cells[~cls.dense_mask]
-    todo = todo[hook_cells(t, cls, todo) < 0]
-    hook_total = int(todo.size)
-    hook_bad = [CellId(int(c) % g, int(c) // g) for c in todo[:_VIOLATION_CAP]]
+    hook_bad = todo[hook_cells(t, cls, todo) < 0]
 
     return DiagnosticsReport(
         cells_per_side=k,
         dense_threshold=DENSE_THRESHOLD,
         max_friends=MAX_FRIENDS,
-        cell_counts={"dense": n_dense, "sparse": n_sparse, "empty": n_empty},
-        square_counts={"dense": sq_dense, "sparse": sq_sparse, "empty": sq_empty},
-        quadrant_count=quadrant,
-        corner_violations=corner_bad,
-        corner_violation_total=int(corner_total),
-        hook_violations=hook_bad,
-        hook_violation_total=hook_total,
+        cell_counts={"dense": n_dense, "sparse": len(cls.cells) - n_dense,
+                     "empty": g * g - len(cls.cells)},
+        square_counts={"dense": sq_dense, "sparse": len(cls.squares) - sq_dense,
+                       "empty": m * m - len(cls.squares)},
+        quadrant_close_count=quadrant,
+        corner_violations=_violations(corner_bad, g),
+        hook_violations=_violations(hook_bad, g),
     )

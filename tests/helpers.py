@@ -1,9 +1,29 @@
 """Crafted-instance builders and reference rules shared across test modules."""
 
+from typing import NamedTuple
+
 import numpy as np
 
-from rggham.geometry import _lp_from_abs
+from rggham.geometry import Box, _lp_from_abs
 from rggham.instance import _ABS_SLACK, _REL_SLACK, SpatialIndex, occupied_cells
+
+
+class CellId(NamedTuple):
+    col: int
+    row: int
+
+
+def locate(t, x, y):
+    """The cell of point (x, y), one point at a time: half-open on interior
+    boundaries, and a coordinate exactly 1.0 belongs to the last cell."""
+    g = t.grid
+    return CellId(min(int(x * g), g - 1), min(int(y * g), g - 1))
+
+
+def cell_box(t, cell):
+    """The closed box of a cell, as a geometry.Box."""
+    s = t.cell_side
+    return Box(cell.col * s, (cell.col + 1) * s, cell.row * s, (cell.row + 1) * s)
 
 
 def cell_points(t, col, row, count):

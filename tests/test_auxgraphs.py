@@ -4,7 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from helpers import cell_points, cells_close, filled_grid, grid_cells
+from helpers import CellId, cell_points, cells_close, filled_grid, grid_cells
 from rggham import tessellation
 from rggham.auxgraphs import (AugmentedGraph, DensityGraph, GroupKey,
                               SpanningTree, _close_cell_pairs,
@@ -12,7 +12,7 @@ from rggham.auxgraphs import (AugmentedGraph, DensityGraph, GroupKey,
                               euler_traversal, spanning_tree)
 from rggham.failures import ConstructionError, FailureReason
 from rggham.instance import VertexSet
-from rggham.tessellation import (DENSE_THRESHOLD, CellId, build_tessellation,
+from rggham.tessellation import (DENSE_THRESHOLD, build_tessellation,
                                  classify_cells, hook_cells)
 
 # p = 2, r = 0.5: m = 4, k = 4, g = 16; cells with index offsets (dc, dr)

@@ -6,6 +6,7 @@ import time
 import pytest
 
 from rggham import experiments
+from rggham.cli import main
 from rggham.experiments import (OUTCOME_CYCLE, OUTCOME_FAILURE,
                                 SWEEP_CSV_HEADER, SweepConfig, SweepRow,
                                 _encode_failures, run_trial, scaling_bench,
@@ -132,6 +133,17 @@ def test_sweep_config_validation():
         small_cfg(trials=0)
     with pytest.raises(ValueError):
         small_cfg(multipliers=(1.0, -2.0))
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+def test_sweep_rejects_fewer_than_one_worker(workers, capsys):
+    # a sweep asked for no workers is refused, not run serially
+    with pytest.raises(ValueError, match="worker"):
+        small_cfg(workers=workers)
+    assert main(["sweep", "--ns", "300", "-p", "2", "--multipliers", "2",
+                 "--trials", "1", "--workers", str(workers)]) == 2
+    cap = capsys.readouterr()
+    assert cap.out == "" and "worker" in cap.err
 
 
 def test_sweep_grid_order_and_accounting():

@@ -11,8 +11,8 @@ import time
 import numpy as np
 import pytest
 
-from helpers import (cell_points, cells_close, corner_clusters, grid_cells,
-                     grid_of_side)
+from helpers import (CellId, cell_points, cells_close, corner_clusters,
+                     grid_cells, grid_of_side, locate)
 from rggham import hamiltonian, instance
 from rggham.auxgraphs import (GroupKey, attach_sparse_groups,
                                build_density_graph, euler_traversal,
@@ -25,7 +25,7 @@ from rggham.hamiltonian import (_remainder_runs, _serpentine_orders,
                                 verify_cycle)
 from rggham.instance import (VertexSet, _isolated_vertex, build_spatial_index,
                              gather_runs, is_connected, threshold_radius)
-from rggham.tessellation import (DENSE_THRESHOLD, CellId, build_tessellation,
+from rggham.tessellation import (DENSE_THRESHOLD, build_tessellation,
                                  classify_cells, tessellation_fits)
 
 
@@ -303,7 +303,7 @@ def test_verify_matches_the_reference_on_odd_input(p):
 def test_long_hops_in_small_chunks(p, monkeypatch):
     # chunks of 3 hops: long hops fall on every chunk position, the closing
     # hop included, and every verdict and length is the reference's
-    monkeypatch.setattr(hamiltonian, "_HOP_CHUNK", 3)
+    monkeypatch.setattr(hamiltonian, "_PAIR_CHUNK", 3)
     rng = np.random.default_rng(11)
     pts = rng.random((20, 2))
     for r in (0.0, 0.2, 0.5, 2.0):
@@ -354,8 +354,8 @@ def test_construction_edge_locality():
     t = build_tessellation(2.0, r, out.cells_per_side)
     cyc = out.cycle
     for u, v in zip(cyc, np.roll(cyc, -1)):
-        cu = t.locate(pts[u, 0], pts[u, 1])
-        cv = t.locate(pts[v, 0], pts[v, 1])
+        cu = locate(t, pts[u, 0], pts[u, 1])
+        cv = locate(t, pts[v, 0], pts[v, 1])
         assert cells_close(t, cu, cv)
 
 
@@ -406,7 +406,7 @@ def test_construction_keeps_group_vertices_contiguous():
     # flanked by hook withdrawals from the dense cell (3,0)
     g = t.grid
     hook_cell = {int(v) for v in range(len(pts))
-                 if t.locate(pts[v, 0], pts[v, 1]) == (3, 0)}
+                 if locate(t, pts[v, 0], pts[v, 1]) == (3, 0)}
     assert cyc[min(at) - 1] in hook_cell
     assert cyc[(max(at) + 1) % len(cyc)] in hook_cell
 
@@ -512,8 +512,8 @@ def reference_cycle(points, t, cls, ag, order):
             i += 1
         first = cycle[0]
         cycle.extend(reference_sweep(t, ledger, order[-1], prev,
-                                     t.locate(points[first, 0],
-                                              points[first, 1])))
+                                     locate(t, points[first, 0],
+                                            points[first, 1])))
     cycle = np.array(cycle, dtype=np.int64)
     report = verify_cycle(points, t.radius, t.p, cycle)
     if not report.valid:

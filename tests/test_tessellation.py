@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,13 +6,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import cell_points, cells_close, filled_grid, grid_cells
+from helpers import (CellId, cell_box, cell_points, cells_close, filled_grid,
+                     grid_cells, locate)
 from rggham import tessellation
 from rggham.auxgraphs import build_density_graph
 from rggham.geometry import _lp_from_abs, max_box_distance, unit_disk_area
 from rggham.instance import VertexSet, find_slots
 from rggham.tessellation import (DENSE_THRESHOLD, FRIEND_CHEBYSHEV,
-                                 MAX_CELLS_PER_SIDE, MAX_FRIENDS, CellId,
+                                 MAX_CELLS_PER_SIDE, MAX_FRIENDS,
                                  _scale_free_quadrant_count,
                                  build_tessellation, choose_cells_per_side,
                                  classify_cells, density_diagnostics,
@@ -22,7 +24,8 @@ from rggham.tessellation import (DENSE_THRESHOLD, FRIEND_CHEBYSHEV,
 def test_squares_per_side_is_floor_two_over_r(r, m):
     t = build_tessellation(2.0, r, 4)
     assert t.squares_per_side == m
-    assert t.square_side == pytest.approx(1.0 / m)
+    # bit for bit the side offset_norms and every closeness test read
+    assert t.cell_side == 1.0 / m / 4
     assert t.cell_side == pytest.approx(1.0 / (4 * m))
     assert t.grid == 4 * m
 
@@ -46,16 +49,25 @@ def test_build_bounds_k_by_the_search():
     assert t.close_table.shape == (3 * MAX_CELLS_PER_SIDE,) * 2
 
 
-def test_locate_boundaries():
+def filed_cells(t, points):
+    """The CellId classify_cells files each point into, in point order."""
+    cls = classify_cells(t, VertexSet(np.array(points)))
+    flat = np.empty(len(points), dtype=np.int64)
+    flat[cls.order] = np.repeat(cls.cells, cls.counts)
+    return [CellId(c % t.grid, c // t.grid) for c in flat.tolist()]
+
+
+def test_classification_boundaries():
     t = build_tessellation(2.0, 0.5, 4)
-    g = t.grid
-    assert t.locate(0.0, 0.0) == CellId(0, 0)
-    # right/top edges fold into the last cell, never index g
-    assert t.locate(1.0, 1.0) == CellId(g - 1, g - 1)
-    assert t.locate(1.0, 0.0) == CellId(g - 1, 0)
-    s = t.cell_side
-    assert t.locate(s, s) == CellId(1, 1)          # shared boundary goes up
-    assert t.locate(s - 1e-12, s - 1e-12) == CellId(0, 0)
+    g, s = t.grid, t.cell_side
+    assert filed_cells(t, [(0.0, 0.0),
+                           # right/top edges fold into the last cell, never
+                           # index g
+                           (1.0, 1.0), (1.0, 0.0),
+                           (s, s),                      # shared boundary goes up
+                           (s - 1e-12, s - 1e-12)]) == [
+        CellId(0, 0), CellId(g - 1, g - 1), CellId(g - 1, 0), CellId(1, 1),
+        CellId(0, 0)]
 
 
 @given(st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
@@ -67,16 +79,7 @@ def test_classification_cells_match_scalar_locate(pairs):
     for i, flat in enumerate(cls.cells.tolist()):
         for v in cls.order[cls.starts[i]:cls.starts[i + 1]].tolist():
             x, y = pairs[v]
-            assert CellId(flat % t.grid, flat // t.grid) == t.locate(x, y)
-
-
-def test_cell_box():
-    t = build_tessellation(2.0, 0.5, 4)
-    box = t.cell_box(CellId(2, 5))
-    s = t.cell_side
-    assert box.x_hi - box.x_lo == pytest.approx(s)
-    assert t.locate((box.x_lo + box.x_hi) / 2, (box.y_lo + box.y_hi) / 2) \
-        == CellId(2, 5)
+            assert CellId(flat % t.grid, flat // t.grid) == locate(t, x, y)
 
 
 def test_cells_close_same_cell_and_symmetry():
@@ -95,7 +98,7 @@ def test_cells_close_agrees_with_box_sup_distance():
         for dc in range(0, 5):
             for dr in range(0, 5):
                 a, b = CellId(2, 2), CellId(2 + dc, 2 + dr)
-                d = max_box_distance(p, t.cell_box(a), t.cell_box(b))
+                d = max_box_distance(p, cell_box(t, a), cell_box(t, b))
                 if abs(d - t.radius) > 1e-9:
                     assert cells_close(t, a, b) == (d <= t.radius), (p, dc, dr)
                 assert t.close_table[dr, dc] == cells_close(t, a, b)
@@ -260,7 +263,7 @@ def test_classify_members_grouped_and_ascending():
         assert len(mem) == cls.counts[i] == counts[flat]
         assert np.all(np.diff(mem) > 0) or len(mem) <= 1
         for v in mem:
-            c = t.locate(pts[v, 0], pts[v, 1])
+            c = locate(t, pts[v, 0], pts[v, 1])
             assert c.row * g + c.col == flat
         seen.extend(mem.tolist())
     assert sorted(seen) == list(range(500))
@@ -348,9 +351,9 @@ def test_diagnostics_clean_on_saturated_grid():
     g = t.grid
     assert rep.cell_counts == {"dense": g * g, "sparse": 0, "empty": 0}
     assert rep.square_counts["dense"] == t.squares_per_side ** 2
-    assert rep.corner_violation_total == 0
-    assert rep.hook_violation_total == 0
-    assert rep.corner_violations == [] and rep.hook_violations == []
+    none = {"total": 0, "first": [], "truncated": False}
+    assert rep.corner_violations == none
+    assert rep.hook_violations == none
 
 
 def test_diagnostics_flags_sparse_grid():
@@ -360,10 +363,37 @@ def test_diagnostics_flags_sparse_grid():
     g = t.grid
     assert rep.cell_counts == {"dense": 0, "sparse": g * g, "empty": 0}
     # no dense cell anywhere: every sparse cell lacks a hook
-    assert rep.hook_violation_total == g * g
-    assert len(rep.hook_violations) == 32    # capped
-    assert rep.corner_violation_total > 0
-    assert len(rep.corner_violations) <= 32
+    assert rep.hook_violations["total"] == g * g
+    assert len(rep.hook_violations["first"]) == 32    # capped
+    # m = 4: the corner regions cover the grid, each cell counted once
+    assert rep.corner_violations["total"] == g * g
+    assert len(rep.corner_violations["first"]) == 32
+    assert rep.corner_violations["truncated"] is True
+
+
+def corner_union(t):
+    """The cells of the four 4k x 4k corner blocks, one set member each."""
+    g, block = t.grid, 4 * t.cells_per_side
+    return {(c, r) for r0 in (0, g - block) for c0 in (0, g - block)
+            for r in range(r0, r0 + block) for c in range(c0, c0 + block)}
+
+
+@pytest.mark.parametrize("n, r", [(3000, 0.45), (8000, 0.3), (8000, 0.2)])
+def test_diagnostics_corner_cells_counted_once(n, r):
+    # m = 4 and 6: the corner blocks overlap, m = 10: they do not; a few
+    # dense cells inside and outside the corners
+    t = build_tessellation(2.0, r, 4)
+    g = t.grid
+    pts = np.vstack([np.random.default_rng(0).random((n, 2))]
+                    + [cell_points(t, col, row, DENSE_THRESHOLD) for col, row
+                       in ((0, 0), (g - 1, 5), (7, 7), (g // 2, g // 2))])
+    rep = density_diagnostics(t, classify_cells(t, VertexSet(pts)))
+    counts, _, _ = grid_cells(t, pts)
+    bad = sorted((row, col) for col, row in corner_union(t)
+                 if counts[row * g + col] < DENSE_THRESHOLD)
+    assert rep.corner_violations == {
+        "total": len(bad), "first": [[col, row] for row, col in bad[:32]],
+        "truncated": len(bad) > 32}
 
 
 def test_diagnostics_hook_reachability_is_exact():
@@ -376,14 +406,18 @@ def test_diagnostics_hook_reachability_is_exact():
         cell_points(t, t.grid - 1, t.grid - 1, 1),  # far corner, uncovered
     ])
     rep = density_diagnostics(t, classify_cells(t, VertexSet(pts)))
-    assert rep.hook_violation_total == 1
-    assert rep.hook_violations == [CellId(t.grid - 1, t.grid - 1)]
+    assert rep.hook_violations == {
+        "total": 1, "first": [[t.grid - 1, t.grid - 1]], "truncated": False}
 
 
 def test_diagnostics_json_shape():
     t = build_tessellation(2.0, 0.5, 4)
     rep = density_diagnostics(t, classify_cells(t, VertexSet(filled_grid(t, 1))))
     d = rep.to_json()
+    assert json.loads(json.dumps(d)) == d
+    assert list(d) == ["cells_per_side", "dense_threshold", "max_friends",
+                       "cell_counts", "square_counts", "quadrant_close_count",
+                       "corner_violations", "hook_violations"]
     assert d["cells_per_side"] == 4
     assert d["dense_threshold"] == DENSE_THRESHOLD
     assert d["max_friends"] == MAX_FRIENDS
@@ -392,5 +426,6 @@ def test_diagnostics_json_shape():
     assert d["hook_violations"]["total"] == t.grid ** 2
     assert d["hook_violations"]["truncated"] is True
     assert len(d["hook_violations"]["first"]) == 32
-    assert all(isinstance(c, list) and len(c) == 2
-               for c in d["hook_violations"]["first"])
+    for key in ("corner_violations", "hook_violations"):
+        assert all(isinstance(c, list) and len(c) == 2
+                   for c in d[key]["first"])
