@@ -31,9 +31,12 @@ and each withdrawal's vertex is found from its rank alone.
 The tessellation path needs dense cells of 48 points, which near the
 connectivity threshold only exist once log n is in the thousands. Without
 one, the first occupied cell finds no hook and the path stops at
-HookMissing, so full_construction first counts the points per block of
-whole squares (_may_hold_dense_cell) and, where no block holds 48, skips
-the attempt. The path also gives up when its augmented graph splits, which
+HookMissing, so full_construction skips the attempt where no cell can be
+dense (_may_hold_dense_cell). Unless n >= 48 m^2 settles it, the screen
+reads the fallback's grid, built first: each cell lies within 2 x 2 of its
+wider cells, so where none of those holds 12 points no cell holds 48. Only
+where that bound does not decide are the points counted per block of whole
+squares. The path also gives up when its augmented graph splits, which
 the point graph need not do, and when its cycle has a hop longer than r (at
 p = 1 a square can be wider than r). full_construction then falls back to
 a serpentine tour: every vertex in rows of clique cells, sorted along each
@@ -44,11 +47,12 @@ segment reversals. A hop that no one move mends gets a second chance: a
 2-opt from either of its ends that leaves one new long hop, which one move
 then mends. These tries are judged through a position map of the reversed
 tour without being made, a block of them in one array pass, and only the
-first that passes is made. The fallback buckets the points once, on the
-grid build_spatial_index builds (instance._grid), and its neighbour lists,
-its isolated-vertex screen and its connectivity check all read it, through
-SpatialIndex.reach, and every pair test of the repair and the check is
-SpatialIndex.within.
+first that passes is made. Past the serpentine keys, a trial that skips
+the attempt buckets the points once, on the grid build_spatial_index
+builds (instance._grid): the dense-cell screen, the fallback's neighbour
+lists, its isolated-vertex screen and its connectivity check all read it,
+through SpatialIndex.reach, and every pair test of the repair and the
+check is SpatialIndex.within.
 Its failures are certificates where they can be. Before any repair, every
 vertex whose two tour hops are both longer than r is tested exactly, and
 the first one with no neighbour within r is reported as Disconnected:
@@ -77,9 +81,9 @@ from .auxgraphs import (AugmentedGraph, GroupKey, Node, attach_sparse_groups,
                         build_density_graph, euler_traversal, spanning_tree)
 from .failures import ConstructionError, FailureReason
 from .geometry import _lp_from_abs, lp_norms, unit_disk_area, validate_p
-from .instance import (_PAIR_CHUNK, VertexSet, _grid, _isolated_vertex,
-                       gather_runs, is_connected, neighbour_lists,
-                       point_array, validate_points)
+from .instance import (_PAIR_CHUNK, SpatialIndex, VertexSet, _grid,
+                       _isolated_vertex, gather_runs, is_connected,
+                       neighbour_lists, point_array, validate_points)
 from .tessellation import (DENSE_THRESHOLD, MIN_CELLS_PER_SIDE,
                            CellClassification, Tessellation,
                            build_tessellation, choose_cells_per_side,
@@ -388,16 +392,25 @@ def verify_cycle(points: np.ndarray, r: float, p: float,
     return VerificationReport(True, n, None)
 
 
+# hops _long_hops measures at once. A chunk's temporaries, about 0.6 MB,
+# are reused by the next; at 2^16 hops (2.4 MB) malloc gave them back to
+# the system after each call and faulted them in again, which made
+# _long_hops 2-2.7x slower at n = 5e4
+_HOP_CHUNK = 1 << 14
+
+
 def _long_hops(points: np.ndarray, p: float, bound: float,
                cycle: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Ascending positions i whose hop cycle[i] -> cycle[i + 1], cyclically,
     is longer than bound, and their lp_norms, after verify_cycle's screen."""
-    ends = np.append(cycle, cycle[:1])
+    n = len(cycle)
     at, length = [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
-    # _PAIR_CHUNK hops at once, so that the check holds a few MB at any n
-    for lo in range(0, len(cycle), _PAIR_CHUNK):
+    for lo in range(0, n, _HOP_CHUNK):
+        ends = cycle[lo:lo + _HOP_CHUNK + 1]
+        if lo + _HOP_CHUNK >= n:
+            ends = np.append(ends, cycle[:1])   # the closing hop
         # np.take gathers whole rows, much faster than fancy indexing here
-        q = np.take(points, ends[lo:lo + _PAIR_CHUNK + 1], axis=0)
+        q = np.take(points, ends, axis=0)
         ax, ay = (np.abs(x, out=x) for x in (q[1:, 0] - q[:-1, 0], q[1:, 1] - q[:-1, 1]))
         far = np.flatnonzero(~(ax + ay <= bound * (1.0 - _SCREEN_REL) - _SCREEN_ABS))
         d = lp_norms(p, ax[far], ay[far])
@@ -411,7 +424,19 @@ def _long_hops(points: np.ndarray, p: float, bound: float,
 # --------------------------------------------------------------------------
 
 def _serpentine_tour(points: np.ndarray, p: float, r: float) -> np.ndarray:
-    """Every vertex once, along rows of the square with a return lane.
+    """Every vertex once, by ascending _serpentine_keys; ties, of
+    coincident points, by index."""
+    key = _serpentine_keys(points, p, r)
+    # the faster default sort is the stable one where no two keys are equal
+    order = np.argsort(key)
+    ranked = key[order]
+    if (ranked[1:] == ranked[:-1]).any():
+        order = np.argsort(key, kind="stable")
+    return order
+
+
+def _serpentine_keys(points: np.ndarray, p: float, r: float) -> np.ndarray:
+    """Each vertex's place along rows of the square with a return lane.
 
     The square is cut into g x g cells of side 1/g <= r / ||(1, 1)||_p, so
     each cell is a clique. Rows of columns 1..g-1 are swept alternately
@@ -432,17 +457,15 @@ def _serpentine_tour(points: np.ndarray, p: float, r: float) -> np.ndarray:
     # each row's keys lie in (row * g, row * g + g]; the lane's come last.
     # In place, as floats: rows are whole numbers far below 2^53
     np.minimum(np.floor(key, out=key), g - 1, out=key)
-    np.subtract(g + 1, gx, out=gx, where=key.astype(np.int64) % 2 == 1)
+    # odd rows run right to left. In place: np.where's two more n-sized
+    # temporaries cost more in page faults than its faster loop saves
+    np.subtract(g + 1, gx, out=gx,
+                where=(key.astype(np.int64) & 1).astype(bool))
     key *= g
     key += gx
     del gx
     key[lane] = lane_key
-    # the faster default sort is the stable one where no two keys are equal
-    order = np.argsort(key)
-    ranked = key[order]
-    if (ranked[1:] == ranked[:-1]).any():
-        order = np.argsort(key, kind="stable")
-    return order
+    return key
 
 
 def _reversed_at(lo, hi, q):
@@ -469,14 +492,13 @@ class _TourRepair:
     that passes is made.
     """
 
-    def __init__(self, points: np.ndarray, p: float, r: float,
-                 tour: np.ndarray):
-        self.points, self.p, self.r = points, p, r
+    def __init__(self, grid: SpatialIndex, tour: np.ndarray):
+        self.grid = grid
+        self.points, self.p, self.r = grid.points, grid.p, grid.r
         self.tour = tour
         self.n = len(tour)
         self.pos = np.empty(self.n, dtype=np.int64)
         self.pos[tour] = np.arange(self.n)
-        self.grid = _grid(points, r, p)
         self._near: dict[int, np.ndarray] = {}
 
     def near(self, v: int) -> np.ndarray:
@@ -649,8 +671,9 @@ class _TourRepair:
         return ConstructionError(FailureReason.EDGE_TOO_LONG, context)
 
 
-def _repaired_tour_cycle(points: np.ndarray, p: float, r: float) -> np.ndarray:
-    """Serpentine tour, then a local repair of every hop longer than r.
+def _repaired_tour_cycle(grid: SpatialIndex) -> np.ndarray:
+    """Serpentine tour of grid's points, then a local repair of every hop
+    longer than r; grid (instance._grid) is the one grid of the repair.
 
     Before any repair, the vertices whose two tour hops are both longer
     than r, the only ones that can have no neighbour within r, are tested
@@ -664,23 +687,24 @@ def _repaired_tour_cycle(points: np.ndarray, p: float, r: float) -> np.ndarray:
     each move goes to the candidate nearest in the tour, the lower
     position or index on a tie.
     """
+    points, p, r = grid.points, grid.p, grid.r
     tour = _serpentine_tour(points, p, r)
     at, length = _long_hops(points, p, r, tour)
     n = len(tour)
     # tour[at[k]] has both hops long when hop at[k] - 1 is long too; the
     # closing hop, n - 1, comes before hop 0
     alone = tour[at[np.diff(at, prepend=at[-1:] - n) == 1]]
-    # rotate so that the first short hop (first i with at[i] != i) closes it
-    shift = int(np.argmax(np.append(at, n) != np.arange(len(at) + 1))) + 1
-    if len(at) < n:
-        tour = np.roll(tour, -shift)
-    mend = _TourRepair(points, p, r, tour)
-    isolated = _isolated_vertex(mend.grid, alone)
+    isolated = _isolated_vertex(grid, alone)
     if isolated is not None:
         raise ConstructionError(
             FailureReason.DISCONNECTED,
             {"detail": "a vertex has no neighbour within r",
              "vertex": isolated, "radius": r})
+    # rotate so that the first short hop (first i with at[i] != i) closes it
+    shift = int(np.argmax(np.append(at, n) != np.arange(len(at) + 1))) + 1
+    if len(at) < n:
+        tour = np.roll(tour, -shift)
+    mend = _TourRepair(grid, tour)
     if len(at) == n:
         raise mend.failure(0)
     at = (at - shift) % n
@@ -743,7 +767,9 @@ def full_construction(points: np.ndarray, p: float,
     below about 3e-9), the fallback answers alone. So it does where no cell
     can hold 48 points (_may_hold_dense_cell, near the threshold at any n
     this code can hold), and gives what it would give after the attempt's
-    HookMissing. Raises ValueError for points that are not an (n, 2) array,
+    HookMissing. Unless n >= 48 m^2 (m squares a side), that screen reads
+    the fallback's grid, built before the attempt, which the fallback then
+    reuses. Raises ValueError for points that are not an (n, 2) array,
     fewer than 3 points, points outside [0, 1]^2, and radii that are not
     positive.
     """
@@ -763,8 +789,12 @@ def full_construction(points: np.ndarray, p: float,
     k = (choose_cells_per_side(p, eps)[0] if 0.0 < eps < area
          else MIN_CELLS_PER_SIDE)
     t = build_tessellation(p, r, k) if tessellation_fits(r, k) else None
+    # where n >= 48 m^2 some square holds 48 points, and the attempt runs
+    # unscreened; elsewhere the screen reads the fallback's grid, built first
+    grid = (_grid(points, r, p) if t is not None
+            and n < DENSE_THRESHOLD * t.squares_per_side ** 2 else None)
     # with no dense cell the attempt can only end at HookMissing
-    if t is not None and _may_hold_dense_cell(points, t):
+    if t is not None and (grid is None or _may_hold_dense_cell(t, grid)):
         # held through the fallback, which then reuses the pages of the
         # classification's temporaries instead of faulting in fresh ones
         cls = classify_cells(t, VertexSet(points))
@@ -780,27 +810,43 @@ def full_construction(points: np.ndarray, p: float,
                 raise
         else:
             return ConstructionOutcome(cycle, k)
-    return ConstructionOutcome(_repaired_tour_cycle(points, p, r), None)
+    if grid is None:
+        grid = _grid(points, r, p)
+    return ConstructionOutcome(_repaired_tour_cycle(grid), None)
 
 
-def _may_hold_dense_cell(points: np.ndarray, t: Tessellation) -> bool:
-    """Whether some cell of t can hold DENSE_THRESHOLD points; exact.
+def _may_hold_dense_cell(t: Tessellation, grid: SpatialIndex) -> bool:
+    """Whether some cell of t can hold DENSE_THRESHOLD of the points that
+    grid (instance._grid) buckets; exact.
 
-    Counts the points per block of whole squares, s x s blocks with
+    First by the grid, which the fallback reads too. Where its side is at
+    most 7/8 of t's, as _grid_side's always is at r <= 1 and k >= 4 (7/8
+    at p = 1 and r an ulp above 2/3), its cells are wider than t's, and
+    both file a point by truncating each coordinate times their side, which
+    is monotone in it. So every cell of t lies within 2 x 2 cells of the
+    grid, and where four times the grid's fullest cell is below the
+    threshold, no cell of t reaches it. Only where that bound does not
+    decide are the points counted per block of whole squares
+    (_densest_block).
+    """
+    fullest = int(np.diff(grid.starts).max())
+    if 8 * grid.side <= 7 * t.grid and 4 * fullest < DENSE_THRESHOLD:
+        return False
+    return _densest_block(grid.points, t) >= DENSE_THRESHOLD
+
+
+def _densest_block(points: np.ndarray, t: Tessellation) -> int:
+    """The most points in one s x s block of whole squares of t, with
     s = min(m, isqrt(n)), so at most n bins. A point's square comes from
     its cell as occupied_cells files it (truncate x * g, clamp to g - 1),
     so every cell lies in one block, whatever the rounding, and a block
-    below the threshold holds no dense cell. Where n >= 48 s^2 some block
-    reaches it, and nothing is counted.
-    """
+    below the threshold holds no dense cell."""
     n = len(points)
     m, k, g = t.squares_per_side, t.cells_per_side, t.grid
     s = min(m, math.isqrt(n))
-    if n >= DENSE_THRESHOLD * s * s:
-        return True
     col, row = (np.minimum((points[:, i] * g).astype(np.int64), g - 1)
                 // k * s // m for i in (0, 1))
-    return int(np.bincount(row * s + col).max()) >= DENSE_THRESHOLD
+    return int(np.bincount(row * s + col).max())
 
 
 def _tessellation_cycle(points: np.ndarray, t: Tessellation,

@@ -211,35 +211,32 @@ _FIRST_BATCH = 256
 
 def radix_sort(key: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
     """np.argsort(key, kind="stable") for integer keys in [0, bound), and the
-    keys in that order (uint16 below 2^16).
+    keys in that order: uint32 where a key's bits and an index's fit in 32,
+    else in key's dtype.
 
-    Below 2^16, one stable argsort of the keys as uint16, which numpy
-    radix-sorts in O(n). Above, where each key shifted left by the bits of
-    an index still fits in 64, one sort of those uint64 values with each
-    key's index in the low bits: no two are equal, so any sort is stable,
-    and the index and key are read back off the sorted values, with fewer
-    n-sized temporaries than a stable radix pass per 16-bit digit would
-    take. Only keys too wide for that, from grids far finer than any
-    radius near the threshold needs, take numpy's stable argsort itself.
+    Each key is shifted left by the bits of an index, which fill the low
+    bits, and the packed values, uint32 where they fit and uint64 else, get
+    one sort: no two are equal, so any sort is stable, and the index and
+    key are read back off the sorted values, with fewer n-sized temporaries
+    than a stable radix pass per 16-bit digit would take. Only keys too
+    wide for 64 bits, from grids far finer than any radius near the
+    threshold needs, take numpy's stable argsort itself.
     """
-    if bound <= 1 << 16:
-        digit = key.astype(np.uint16)
-        del key     # occupied_cells hands over its only reference
-        order = np.argsort(digit, kind="stable")
-        return order, digit[order]
     bits = max(len(key) - 1, 1).bit_length()
-    if (bound - 1) >> (64 - bits):
+    width = (bound - 1).bit_length() + bits
+    if width > 64:
         order = np.argsort(key, kind="stable")
         return order, key[order]
-    dtype = key.dtype
-    packed = np.left_shift(key, np.uint64(bits), dtype=np.uint64,
-                           casting="unsafe")
-    del key
-    packed |= np.arange(len(packed), dtype=np.uint64)
+    dtype, out = ((np.uint32, np.uint32) if width <= 32
+                  else (np.uint64, key.dtype))
+    shift = dtype(bits)
+    packed = np.left_shift(key, shift, dtype=dtype, casting="unsafe")
+    del key     # occupied_cells hands over its only reference
+    packed |= np.arange(len(packed), dtype=dtype)
     packed.sort()
-    order = (packed & np.uint64((1 << bits) - 1)).astype(np.int64)
-    packed >>= np.uint64(bits)
-    return order, packed.astype(dtype, copy=False)
+    order = (packed & dtype((1 << bits) - 1)).astype(np.int64)
+    packed >>= shift
+    return order, packed.astype(out, copy=False)
 
 
 def sorted_runs(ranked: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -285,7 +282,8 @@ def validate_points(points: np.ndarray) -> None:
     Every grid over the unit square files points by their coordinates, so
     this is checked where points enter the library.
     """
-    if not ((points >= 0.0) & (points <= 1.0)).all():
+    # NaN fails both comparisons, as np.min and np.max propagate it
+    if points.size and not (points.min() >= 0.0 and points.max() <= 1.0):
         raise ValueError("points must lie in [0, 1]^2")
 
 

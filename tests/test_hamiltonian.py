@@ -13,7 +13,7 @@ import pytest
 
 from helpers import (CellId, cell_points, cells_close, corner_clusters,
                      grid_cells, grid_of_side, locate)
-from rggham import hamiltonian, instance
+from rggham import hamiltonian, instance, tessellation
 from rggham.auxgraphs import (GroupKey, attach_sparse_groups,
                                build_density_graph, euler_traversal,
                                spanning_tree)
@@ -31,6 +31,11 @@ from rggham.tessellation import (DENSE_THRESHOLD, build_tessellation,
 
 def rand_points(n, seed):
     return np.random.Generator(np.random.PCG64(seed)).random((n, 2))
+
+
+def tour_repair(pts, p, r, tour):
+    """The fallback's repair of tour, on the fallback's grid."""
+    return hamiltonian._TourRepair(instance._grid(pts, r, p), tour)
 
 
 # --------------------------------------------------------------------------
@@ -303,7 +308,7 @@ def test_verify_matches_the_reference_on_odd_input(p):
 def test_long_hops_in_small_chunks(p, monkeypatch):
     # chunks of 3 hops: long hops fall on every chunk position, the closing
     # hop included, and every verdict and length is the reference's
-    monkeypatch.setattr(hamiltonian, "_PAIR_CHUNK", 3)
+    monkeypatch.setattr(hamiltonian, "_HOP_CHUNK", 3)
     rng = np.random.default_rng(11)
     pts = rng.random((20, 2))
     for r in (0.0, 0.2, 0.5, 2.0):
@@ -681,6 +686,43 @@ def test_midrange_fuzz_returns_cycle_or_typed_failure():
 # the serpentine fallback, where the tessellation finds no hook
 # --------------------------------------------------------------------------
 
+def masked_serpentine_keys(points, p, r):
+    """The serpentine keys as a masked subtract flipped the odd rows, the
+    reference for _serpentine_keys."""
+    g = math.ceil(min(_lp_from_abs(p, 1.0, 1.0) / r, 2.0 ** 32))
+    g += g % 2
+    gx = points[:, 0] * g
+    key = points[:, 1] * g
+    lane = gx < 1.0
+    lane_key = g * g + g - key[lane]
+    np.minimum(np.floor(key, out=key), g - 1, out=key)
+    np.subtract(g + 1, gx, out=gx, where=key.astype(np.int64) % 2 == 1)
+    key *= g
+    key += gx
+    key[lane] = lane_key
+    return key
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
+@pytest.mark.parametrize("r", [0.3, 0.02, 1e-9])
+def test_serpentine_keys_match_the_masked_row_flip(p, r):
+    # random points, the same points repeated (ties, which the stable sort
+    # breaks by index) and points in the return lane, x < 1 / g
+    rng = np.random.default_rng(5)
+    g = math.ceil(_lp_from_abs(p, 1.0, 1.0) / r)
+    cases = [rng.random((3000, 2)),
+             np.repeat(rng.random((40, 2)), 6, axis=0)[rng.permutation(240)],
+             np.column_stack((rng.random(300) / g, rng.random(300))),
+             np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 1.0], [1.0, 0.0],
+                       [0.5, 1.0], [1.0, 0.5]] * 3)]
+    for pts in cases:
+        want = masked_serpentine_keys(pts, p, r)
+        got = hamiltonian._serpentine_keys(pts, p, r)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert np.array_equal(hamiltonian._serpentine_tour(pts, p, r),
+                              np.argsort(want, kind="stable"))
+
+
 @pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
 @pytest.mark.parametrize("seed", [0, 1])
 def test_threshold_scale_gets_verified_cycle(p, seed):
@@ -807,7 +849,7 @@ def test_isolated_vertex_keys_beyond_float_precision():
     assert [math.floor(v * side) for v in y] == [k - 1, k]
     assert [math.floor(v * side) for v in x] == [c - 1, c]
     assert math.floor(y[1] * g) - math.floor(y[0] * g) == 1
-    mend = hamiltonian._TourRepair(pts, 2.0, r, np.arange(3))
+    mend = tour_repair(pts, 2.0, r, np.arange(3))
     grid = mend.grid
     assert grid.side == side and grid.resolves
     assert grid.cells.dtype == np.uint64 and int(grid.cells[1]) > 2 ** 53
@@ -828,7 +870,7 @@ def test_isolated_vertex_keys_beyond_float_precision():
                     [(101 - w + 0.9) / side, (k + 0.1) / side]])
     assert _lp_from_abs(2.0, *np.abs(pts[1] - pts[0])) <= r
     assert float(k * side) + (101 - w) > k * side + 101 - w
-    mend = hamiltonian._TourRepair(pts, 2.0, r, np.arange(2))
+    mend = tour_repair(pts, 2.0, r, np.arange(2))
     assert mend.grid.cells.tolist() == [(k - 1) * side + 101, k * side + 101 - w]
     assert _isolated_vertex(mend.grid, np.array([0, 1])) is None
     assert [mend.near(v).tolist() for v in range(2)] == [[1], [0]]
@@ -863,7 +905,7 @@ def test_fallback_certifies_no_vertex_whose_neighbour_rounds_far():
     pts = np.array([[np.nextafter(0.2, 0.0), 0.5], [0.3, 0.5], [0.29, 0.56],
                     [0.08, 0.5], [0.1, 0.59], [0.19, 0.62], [0.25, 0.63]])
     assert is_connected(build_spatial_index(VertexSet(pts), r, 2.0))
-    assert hamiltonian._TourRepair(pts, 2.0, r, np.arange(7)).near(0).tolist() == [1]
+    assert tour_repair(pts, 2.0, r, np.arange(7)).near(0).tolist() == [1]
     with pytest.raises(ConstructionError) as err:
         full_construction(pts, 2.0, r)
     assert err.value.reason is FailureReason.EDGE_TOO_LONG
@@ -902,10 +944,10 @@ def test_near_is_the_brute_force_list(p):
         np.fill_diagonal(within, False)
         want = [sorted(np.flatnonzero(within[v]).tolist(),
                        key=lambda u: (bucket[u], u)) for v in range(n)]
-        batched = hamiltonian._TourRepair(pts, p, r, np.arange(n))
+        batched = tour_repair(pts, p, r, np.arange(n))
         batched.look_up(rng.permutation(n))
         assert [batched.near(v).tolist() for v in range(n)] == want
-        single = hamiltonian._TourRepair(pts, p, r, np.arange(n))
+        single = tour_repair(pts, p, r, np.arange(n))
         for v in rng.permutation(n)[:40].tolist():
             assert single.near(v).tolist() == want[v]
 
@@ -920,7 +962,7 @@ def test_fallback_failure_degrees_are_the_oracle_degrees(p):
     for seed in range(4):
         pts = rand_points(n, seed)
         try:
-            hamiltonian._repaired_tour_cycle(pts, p, r)
+            hamiltonian._repaired_tour_cycle(instance._grid(pts, r, p))
         except ConstructionError as err:
             if err.reason is FailureReason.EDGE_TOO_LONG:
                 ctx = err.context
@@ -982,7 +1024,7 @@ def test_fallback_cycle_does_not_depend_on_the_grid_side(monkeypatch, p, scale):
     assert all(out.cells_per_side is None for out in want)
     side = int(instance._grid_side(r, p) * scale)
     monkeypatch.setattr(instance, "_grid_side", lambda r, p: side)
-    grid = hamiltonian._TourRepair(pts[0], p, r, np.arange(n)).grid
+    grid = instance._grid(pts[0], r, p)
     assert grid.side == side and grid.resolves is (scale > 1.0)
     for q, out in zip(pts, want):
         assert np.array_equal(full_construction(q, p, r).cycle, out.cycle)
@@ -1005,7 +1047,7 @@ def test_move_vertex_is_the_list_move(place):
             "i + 2": left + [a, b, v] + right}[place]
     want = [u for u in tour if u != v]
     want.insert(want.index(a) + 1, v)
-    mend = hamiltonian._TourRepair(pts, 2.0, 0.1, np.array(tour))
+    mend = tour_repair(pts, 2.0, 0.1, np.array(tour))
     assert mend._move_vertex(tour.index(a))
     assert mend.tour.tolist() == want
     assert mend.pos.tolist() == [want.index(u) for u in range(len(want))]
@@ -1078,7 +1120,7 @@ def test_passes_is_the_mend_after_the_reversal(p):
     # copy of the tour succeeds
     rng = np.random.default_rng(3)
     for n, r in ((40, 0.3), (80, 0.2), (200, 0.12)):
-        mend = hamiltonian._TourRepair(rng.random((n, 2)), p, r, rng.permutation(n))
+        mend = tour_repair(rng.random((n, 2)), p, r, rng.permutation(n))
         lo = rng.integers(0, n, 400)
         hi = np.minimum(lo + rng.integers(0, n // 2, 400), n - 1)
         exposed = rng.integers(0, n - 1, 400)
@@ -1125,7 +1167,7 @@ def test_move_vertex_reads_the_common_neighbours_from_one_list(p):
         tour = np.lexsort((pts[:, 0], np.floor(pts[:, 1] / r)))
         for j, k in rng.integers(0, n, (n // 10, 2)):
             tour[[j, k]] = tour[[k, j]]
-        mend = hamiltonian._TourRepair(pts, p, r, tour)
+        mend = tour_repair(pts, p, r, tour)
         for i in range(n - 1):
             twin = copy.copy(mend)
             twin.tour, twin.pos = mend.tour.copy(), mend.pos.copy()
@@ -1299,6 +1341,17 @@ def spy_on_classify(monkeypatch):
     return calls
 
 
+def screen(pts, t):
+    """_may_hold_dense_cell on the fallback's grid, as full_construction
+    builds it."""
+    return hamiltonian._may_hold_dense_cell(
+        t, instance._grid(pts, t.radius, t.p))
+
+
+def fullest_grid_cell(pts, t):
+    return int(np.diff(instance._grid(pts, t.radius, t.p).starts).max())
+
+
 @pytest.mark.parametrize("count", [DENSE_THRESHOLD - 1, DENSE_THRESHOLD])
 def test_screen_skips_only_without_a_cell_of_48(monkeypatch, count):
     # the cell at the top right corner of a square whose right and top
@@ -1308,7 +1361,8 @@ def test_screen_skips_only_without_a_cell_of_48(monkeypatch, count):
     assert count < DENSE_THRESHOLD * s * s     # the screen counts
     q = next(q for q in range(m - 1) if q * s // m != (q + 1) * s // m)
     pts = cell_points(t, q * k + k - 1, q * k + k - 1, count)
-    assert hamiltonian._may_hold_dense_cell(pts, t) is (count == DENSE_THRESHOLD)
+    assert 4 * fullest_grid_cell(pts, t) >= DENSE_THRESHOLD    # undecided
+    assert screen(pts, t) is (count == DENSE_THRESHOLD)
     calls = spy_on_classify(monkeypatch)
     out = full_construction(pts, 2.0, 0.02)
     # one dense cell and nothing else: the tessellation builds the cycle
@@ -1335,14 +1389,91 @@ def test_screen_files_edge_points_in_their_cells_square(r, k):
             mid = [(cell % g + 0.5) / g, (cell // g + 0.5) / g]
             pts = np.array([edge] + [mid] * (DENSE_THRESHOLD - 1))
             assert classify_cells(t, VertexSet(pts)).dense_mask.any()
-            assert hamiltonian._may_hold_dense_cell(pts, t), (x, edge)
+            assert screen(pts, t), (x, edge)
+
+
+def worst_radii():
+    """Radii r <= 1 either side of each jump of m = floor(2 / r): the
+    least r of each m, where the grid side is the largest against the
+    tessellation's, and the float below 2 / m."""
+    for m in range(2, 60):
+        low = np.nextafter(2.0 / (m + 1), 2.0)
+        while math.floor(2.0 / low) != m:
+            low = np.nextafter(low, 2.0)
+        high = np.nextafter(2.0 / m, 0.0)
+        yield from (float(low), float(high))
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, math.inf])
+def test_grid_cells_are_wider_than_tessellation_cells(p):
+    # the screen's grid bound needs the grid at most 7/8 as fine as the
+    # tessellation; 7/8 is reached at p = 1, r an ulp above 2/3, k = 4
+    worst = 0.0
+    for r in list(worst_radii()) + [1e-3, 1e-6, 3e-9]:
+        for k in (4, 5, 6, 8, 64):
+            if tessellation_fits(r, k):
+                t = build_tessellation(p, r, k)
+                worst = max(worst, instance._grid_side(r, p) / t.grid)
+    assert worst <= 7 / 8
+    assert (worst == 7 / 8) is (p == 1.0)
+
+
+def test_grid_bound_needs_the_coarser_grid(monkeypatch):
+    # on a grid 4 times as fine as the tessellation, 48 points of one cell
+    # spread over 16 grid cells, 3 or 4 each: the bound would skip the
+    # dense cell, so only the block count may answer there
+    t = build_tessellation(2.0, 0.02, 4)
+    pts = cell_points(t, 5, 5, DENSE_THRESHOLD)
+    monkeypatch.setattr(instance, "_grid_side", lambda r, p: 4 * t.grid)
+    assert 4 * fullest_grid_cell(pts, t) < DENSE_THRESHOLD
+    assert screen(pts, t)
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
+@pytest.mark.parametrize("k", [4, 6, 8])
+def test_grid_bound_keeps_a_dense_cell_at_the_worst_radii(p, k):
+    # 48 points in one cell of the tessellation: the cell (c, c) that holds
+    # the grid's first line 1 / side, and the last cell. They sit at the
+    # cell's centre and edges, on grid lines and at 1.0, and an ulp either
+    # side of each, wherever classify_cells files that in the cell. The
+    # grid bound must keep the attempt however they fall; with 12 points in
+    # each of the 2 x 2 grid cells a cell straddles, the bound is tight
+    straddled = 0
+    for r in list(worst_radii())[:12]:
+        if not tessellation_fits(r, k):
+            continue
+        t = build_tessellation(p, r, k)
+        g, side = t.grid, instance._grid_side(r, p)
+        for col in (g // side, g - 1):
+            lines = [col / g, (col + 0.5) / g, (col + 1) / g, 1 / side,
+                     (side - 1) / side, 1.0]
+            near = sorted({float(v) for x in lines for v in
+                           (np.nextafter(x, 0.0), x, np.nextafter(x, 1.0))
+                           if 0.0 <= v <= 1.0 and min(int(v * g), g - 1) == col})
+            spots = np.array([[x, y] for x in near for y in near])
+            pts = spots[np.arange(DENSE_THRESHOLD) % len(spots)]
+            assert classify_cells(t, VertexSet(pts)).cells.tolist() == [col * g + col]
+            assert screen(pts, t), (r, col)
+            # one coordinate per grid column the cell reaches: two at most
+            by_grid = {min(int(v * side), side - 1): v for v in near}
+            assert len(by_grid) <= 2
+            if len(by_grid) == 2:
+                pts = np.repeat([[x, y] for x in by_grid.values()
+                                 for y in by_grid.values()], 12, axis=0)
+                assert fullest_grid_cell(pts, t) == 12
+                assert classify_cells(t, VertexSet(pts)).dense_mask.any()
+                assert screen(pts, t), (r, col)
+                straddled += 1
+    assert straddled
 
 
 @pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
 def test_screen_never_skips_a_dense_cell(p):
-    # uniform points and up to 3 clusters of 30 to 70 about a cell wide
+    # uniform points and up to 3 clusters of 30 to 70 about a cell wide;
+    # the grid bound and the block count are each checked on their own
     rng = np.random.default_rng(11)
-    skipped = kept = 0
+    skipped = {"grid": 0, "blocks": 0}
+    kept = 0
     for _ in range(60):
         n = int(rng.integers(200, 3000))
         r = float(rng.uniform(0.005, 0.2))
@@ -1353,12 +1484,18 @@ def test_screen_never_skips_a_dense_cell(p):
             centre = rng.random(2)
             blob = centre + rng.normal(scale=t.cell_side / 4, size=(size, 2))
             pts = np.vstack((pts, np.clip(blob, 0.0, 1.0)))
-        if not hamiltonian._may_hold_dense_cell(pts, t):
-            assert not classify_cells(t, VertexSet(pts)).dense_mask.any()
-            skipped += 1
+        dense = classify_cells(t, VertexSet(pts)).dense_mask.any()
+        if 4 * fullest_grid_cell(pts, t) < DENSE_THRESHOLD:
+            assert not dense
+            skipped["grid"] += 1
+        if hamiltonian._densest_block(pts, t) < DENSE_THRESHOLD:
+            assert not dense
+            skipped["blocks"] += 1
+        if not screen(pts, t):
+            assert not dense
         else:
             kept += 1
-    assert skipped and kept
+    assert all(skipped.values()) and kept
 
 
 @pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
@@ -1377,7 +1514,7 @@ def test_skipping_the_tessellation_changes_only_speed(monkeypatch, p):
     screened = [answer(pts, r) for pts, r in cases]
     assert calls == []      # no cell can be dense: every attempt skipped
     monkeypatch.setattr(hamiltonian, "_may_hold_dense_cell",
-                        lambda points, t: True)
+                        lambda t, grid: True)
     assert [answer(pts, r) for pts, r in cases] == screened
     assert len(calls) == len(cases)
 
@@ -1391,6 +1528,36 @@ def test_no_classification_near_the_threshold(monkeypatch, mult):
     except ConstructionError:
         pass
     assert calls == []
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
+@pytest.mark.parametrize("mult", [0.7, 1.0, 1.5, 2.0])
+def test_one_bucketing_per_trial_near_the_threshold(monkeypatch, p, mult):
+    # the screen, the repair and the connectivity check all read one grid;
+    # at p = 2 the grid bound alone decides the screen
+    bucketed, counted = [], []
+    occupied, densest_block = instance.occupied_cells, hamiltonian._densest_block
+
+    def spy(points, side):
+        bucketed.append(side)
+        return occupied(points, side)
+
+    def densest(points, t):
+        counted.append(t)
+        return densest_block(points, t)
+
+    monkeypatch.setattr(instance, "occupied_cells", spy)
+    monkeypatch.setattr(tessellation, "occupied_cells", spy)
+    monkeypatch.setattr(hamiltonian, "_densest_block", densest)
+    n = 50000
+    r = mult * threshold_radius(n, p)
+    try:
+        full_construction(rand_points(n, 1), p, r)
+    except ConstructionError:
+        pass
+    assert bucketed == [instance._grid_side(r, p)]
+    if p == 2.0:
+        assert counted == []
 
 
 # --------------------------------------------------------------------------

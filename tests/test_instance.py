@@ -17,7 +17,7 @@ from rggham.instance import (EpsilonAbove, EpsilonBelow, ExplicitRadius,
                              build_spatial_index, find_slots,
                              is_connected, max_radius, occupied_cells,
                              radix_sort, resolve_radius, sample_points,
-                             threshold_radius)
+                             threshold_radius, validate_points)
 
 # frozen reference radii, checked against direct sqrt(log n / (area n))
 THRESHOLD_CASES = [
@@ -631,7 +631,10 @@ def test_the_fallback_check_searches_from_few_vertices(monkeypatch):
     assert exits == [None] and len(searched[0]) > 49_000
 
 
-@pytest.mark.parametrize("bound", [1, 2**16 - 1, 2**16, 2**16 + 1, 2**32,
+# 3,000 keys take 12 index bits: keys below 2^20 pack into 32 bits, wider
+# ones into 64, and below 2^52 at most; 2^62 takes the stable argsort
+@pytest.mark.parametrize("bound", [1, 2**16 - 1, 2**16, 2**16 + 1,
+                                   2**20 - 1, 2**20, 2**20 + 1, 2**32,
                                    2**40, 2**62])
 @pytest.mark.parametrize("dtype", [np.int64, np.uint64])
 def test_radix_argsort_is_the_stable_argsort(bound, dtype):
@@ -647,7 +650,9 @@ def test_radix_argsort_is_the_stable_argsort(bound, dtype):
         want = np.argsort(key, kind="stable")
         order, ranked = radix_sort(key, bound)
         assert np.array_equal(order, want)
-        assert ranked.dtype == (np.uint16 if bound <= 2**16 else key.dtype)
+        bits = max(len(key) - 1, 1).bit_length()
+        packed32 = (bound - 1).bit_length() + bits <= 32
+        assert ranked.dtype == (np.uint32 if packed32 else key.dtype)
         assert np.array_equal(ranked, key[want])
 
 
@@ -686,6 +691,20 @@ def test_occupied_cells_is_a_stable_sort_by_cell(side):
             probe = np.setdiff1d(np.array([0, 1, 2**63, 2**64 - 1],
                                           dtype=np.uint64), cells)
             assert not find_slots(cells, probe)[1].any(), name
+
+
+@pytest.mark.parametrize("bad", [(math.nan, 0.5), (0.5, math.nan),
+                                 (-5e-324, 0.5), (0.5, 1.0000000000000002),
+                                 (math.inf, 0.5), (0.5, -math.inf)])
+def test_validate_points_checks_every_coordinate(bad):
+    ok = np.array([[0.0, 1.0], [1.0, 0.0], [0.5, 0.5]])
+    validate_points(ok)
+    validate_points(np.zeros((0, 2)))
+    for at in range(len(ok)):
+        pts = ok.copy()
+        pts[at] = bad
+        with pytest.raises(ValueError, match=r"\[0, 1\]\^2"):
+            validate_points(pts)
 
 
 def test_build_spatial_index_rejects_unusable_input():
