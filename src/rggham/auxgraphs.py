@@ -159,11 +159,6 @@ class AugmentedGraph:
     groups: dict
     hooks: dict
 
-    def nodes(self) -> list[Node]:
-        out: list[Node] = [int(s) for s in self.density.square_ids]
-        out.extend(self.groups.keys())
-        return out
-
 
 def attach_sparse_groups(t: Tessellation, cls: CellClassification,
                          dg: DensityGraph) -> AugmentedGraph:

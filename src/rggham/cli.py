@@ -243,9 +243,6 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConstructionError as exc:
-        print(f"construction failed: {exc.reason.value}", file=sys.stderr)
-        return exc.reason.exit_code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -54,8 +54,9 @@ lists, its isolated-vertex screen and its connectivity check all read it,
 through SpatialIndex.reach, and every pair test of the repair and the
 check is SpatialIndex.within.
 Its failures are certificates where they can be. Before any repair, every
-vertex whose two tour hops are both longer than r is tested exactly, and
-the first one with no neighbour within r is reported as Disconnected:
+vertex whose two tour hops are both longer than r gets its neighbour list,
+as the repair's near lists are found, and the first one with none is
+reported as Disconnected:
 below the threshold almost every instance has such a vertex. Otherwise, at
 the first hop that no repair mends, is_connected runs once on the grid,
 handed the tour, whose hops within r it joins before it searches for
@@ -80,14 +81,12 @@ import numpy as np
 from .auxgraphs import (AugmentedGraph, GroupKey, Node, attach_sparse_groups,
                         build_density_graph, euler_traversal, spanning_tree)
 from .failures import ConstructionError, FailureReason
-from .geometry import _lp_from_abs, lp_norms, unit_disk_area, validate_p
+from .geometry import _lp_from_abs, lp_norms, validate_p
 from .instance import (_PAIR_CHUNK, SpatialIndex, VertexSet, _grid,
                        _isolated_vertex, gather_runs, is_connected,
                        neighbour_lists, point_array, validate_points)
-from .tessellation import (DENSE_THRESHOLD, MIN_CELLS_PER_SIDE,
-                           CellClassification, Tessellation,
-                           build_tessellation, choose_cells_per_side,
-                           classify_cells, tessellation_fits)
+from .tessellation import (DENSE_THRESHOLD, CellClassification, Tessellation,
+                           classify_cells, tessellation_for)
 
 
 # --------------------------------------------------------------------------
@@ -510,8 +509,11 @@ class _TourRepair:
         return self._near[v]
 
     def look_up(self, vertices) -> None:
-        """Find the near lists of vertices in one search of the grid."""
-        new = list(set(np.ravel(vertices).tolist()) - self._near.keys())
+        """Find the near lists of vertices in one search of the grid. The
+        new ones are picked by a membership test each: a set difference
+        with the cache's keys walks every cached key."""
+        new = [v for v in dict.fromkeys(np.ravel(vertices).tolist())
+               if v not in self._near]
         if new:
             at, got = neighbour_lists(self.grid, np.array(new, dtype=np.int64))
             cut = np.searchsorted(at, np.arange(len(new) + 1)).tolist()
@@ -676,8 +678,8 @@ def _repaired_tour_cycle(grid: SpatialIndex) -> np.ndarray:
     longer than r; grid (instance._grid) is the one grid of the repair.
 
     Before any repair, the vertices whose two tour hops are both longer
-    than r, the only ones that can have no neighbour within r, are tested
-    exactly on the grid, as far as their reach: the first without a
+    than r, the only ones that can have no neighbour within r, get their
+    neighbour lists on the grid (_isolated_vertex): the first without a
     neighbour ends the attempt with DISCONNECTED. Long hops are then
     mended longest first, so that a hop no repair can mend is met early,
     and the first such hop ends the attempt with _TourRepair.failure: the
@@ -754,24 +756,22 @@ def full_construction(points: np.ndarray, p: float,
                       r: float) -> ConstructionOutcome:
     """Tessellate, classify, build the graphs, and construct the cycle.
 
-    The subdivision k is chosen from the slack eps between r and the
-    connectivity threshold (choose_cells_per_side), and is the minimum,
-    MIN_CELLS_PER_SIDE, when r sits at or below threshold, or so far above
-    it that the slack rounds to the whole disk area. When the tessellation path
-    gives up, at HookMissing, because the augmented graph splits (which the
-    point graph need not), or at an overlong hop of its own cycle (at p = 1
-    a square's diameter 2/m can exceed r), the serpentine fallback builds
-    the cycle instead, or raises Disconnected or EdgeTooLong. Every other
-    failure of the tessellation path, LedgerExhausted included, is raised
-    as it is. Where no tessellation fits (tessellation_fits: r > 1, or r
-    below about 3e-9), the fallback answers alone. So it does where no cell
-    can hold 48 points (_may_hold_dense_cell, near the threshold at any n
-    this code can hold), and gives what it would give after the attempt's
-    HookMissing. Unless n >= 48 m^2 (m squares a side), that screen reads
-    the fallback's grid, built before the attempt, which the fallback then
-    reuses. Raises ValueError for points that are not an (n, 2) array,
-    fewer than 3 points, points outside [0, 1]^2, and radii that are not
-    positive.
+    The tessellation is tessellation_for's, whose subdivision k follows from
+    the slack between r and the connectivity threshold. When the
+    tessellation path gives up, at HookMissing, because the augmented graph
+    splits (which the point graph need not), or at an overlong hop of its
+    own cycle (at p = 1 a square's diameter 2/m can exceed r), the
+    serpentine fallback builds the cycle instead, or raises Disconnected or
+    EdgeTooLong. Every other failure of the tessellation path,
+    LedgerExhausted included, is raised as it is. Where no tessellation fits
+    (r > 1, or r below about 3e-9), the fallback answers alone. So it does
+    where no cell can hold 48 points (_may_hold_dense_cell, near the
+    threshold at any n this code can hold), and gives what it would give
+    after the attempt's HookMissing. Unless n >= 48 m^2 (m squares a side),
+    that screen reads the fallback's grid, built before the attempt, which
+    the fallback then reuses. Raises ValueError for points that are not an
+    (n, 2) array, fewer than 3 points, points outside [0, 1]^2, and radii
+    that are not positive.
     """
     p = validate_p(p)
     points = point_array(points)
@@ -781,14 +781,7 @@ def full_construction(points: np.ndarray, p: float,
     validate_points(points)
     if not r > 0.0:
         raise ValueError(f"radius must be positive, got {r}")
-    # divided twice, not by r * r, which is 0 below about 1e-162; at huge r
-    # the quotient vanishes below an ulp of area, where no tessellation
-    # fits anyway
-    area = unit_disk_area(p)
-    eps = area - math.log(n) / (r * n) / r
-    k = (choose_cells_per_side(p, eps)[0] if 0.0 < eps < area
-         else MIN_CELLS_PER_SIDE)
-    t = build_tessellation(p, r, k) if tessellation_fits(r, k) else None
+    t = tessellation_for(n, p, r)
     # where n >= 48 m^2 some square holds 48 points, and the attempt runs
     # unscreened; elsewhere the screen reads the fallback's grid, built first
     grid = (_grid(points, r, p) if t is not None
@@ -809,7 +802,7 @@ def full_construction(points: np.ndarray, p: float,
                                   FailureReason.EDGE_TOO_LONG):
                 raise
         else:
-            return ConstructionOutcome(cycle, k)
+            return ConstructionOutcome(cycle, t.cells_per_side)
     if grid is None:
         grid = _grid(points, r, p)
     return ConstructionOutcome(_repaired_tour_cycle(grid), None)

@@ -472,22 +472,15 @@ def neighbour_lists(idx: SpatialIndex,
 
 def _isolated_vertex(idx: SpatialIndex, u: np.ndarray) -> Optional[int]:
     """The first of the vertices u that has no other point within r, None
-    when each of them has one. The cells reach allows are searched a row
-    offset at a time, nearest rows first, and a vertex with a neighbour
-    drops out at once; the vertices go in batches that double from
-    _FIRST_BATCH, so that a set with many isolated vertices stops after a
-    few hundred."""
+    when each of them has one: a vertex neighbour_lists pairs with nothing.
+    The vertices go in batches that double from _FIRST_BATCH, one
+    neighbour_lists call each, so that a set with many isolated vertices
+    stops after a few hundred."""
     lo, size = 0, _FIRST_BATCH
     while lo < len(u):
         batch = u[lo:lo + size]
-        key = _cell_keys(idx.points[batch], idx.side)
         alone = np.ones(len(batch), dtype=bool)
-        for dr in sorted(range(1 - len(idx.reach), len(idx.reach)), key=abs):
-            at = np.flatnonzero(alone)
-            if not len(at):
-                break
-            for found, _ in _pairs_within(idx, batch, key, at, np.full(len(at), dr)):
-                alone[found] = False
+        alone[neighbour_lists(idx, batch)[0]] = False
         if alone.any():
             return int(batch[alone.argmax()])
         lo += size
@@ -533,11 +526,13 @@ def is_connected(idx: SpatialIndex, tour=None) -> bool:
     connectivity threshold this is how disconnection almost always shows
     (the threshold is where the last isolated vertex disappears), and only
     one-point cells with no occupied cell around them need testing, by
-    _isolated_vertex, which stops at the first batch that holds one such
-    vertex. Otherwise the cells reach allows are searched a row offset at
-    a time, nearest rows first as in _isolated_vertex, by _pairs_within
+    _isolated_vertex, whose neighbour_lists calls stop at the first batch
+    that holds one such vertex. Otherwise the cells reach allows are
+    searched a row offset at a time, nearest rows first, by _pairs_within
     from every vertex outside the component that holds the largest one the
-    joins so far left (it grows, so it is read again at each row); the
+    joins so far left (it grows, so it is read again at each row, and the
+    vertices it takes in skip the rows left: one search of every row at
+    once, as neighbour_lists makes, tests more pairs); the
     cells of each pair found are joined, and the search stops as soon as
     one component is left. Every edge between two components has an end
     outside that component, so no such edge is missed.

@@ -25,7 +25,7 @@ k x k congruent cells of side y/k. Conventions used throughout:
 The density threshold 48 and the Chebyshev-2 friendship radius are load
 bearing (each square visit consumes two unused vertices of a dense cell and
 there are at most 24 visits); they are deliberately not configurable. Nor is
-the subdivision k: full_construction derives it from the slack eps between r
+the subdivision k: tessellation_for derives it from the slack eps between r
 and the connectivity threshold (choose_cells_per_side), as the paper does.
 """
 
@@ -283,6 +283,23 @@ def choose_cells_per_side(p: float, eps: float) -> tuple[int, bool]:
         if _scale_free_quadrant_count(p, k) >= (area - eps / 2.0) * k * k:
             return k, True
     return MAX_CELLS_PER_SIDE, False
+
+
+def tessellation_for(n: int, p: float, r: float) -> Tessellation | None:
+    """The tessellation of n points at radius r, or None where none fits
+    (tessellation_fits: r > 1, or r below about 3e-9). Its k is chosen from
+    the slack eps between r and the connectivity threshold
+    (choose_cells_per_side), and is the minimum, MIN_CELLS_PER_SIDE, when r
+    sits at or below threshold, or so far above it that the slack rounds to
+    the whole disk area."""
+    # divided twice, not by r * r, which is 0 below about 1e-162; at huge r
+    # the quotient vanishes below an ulp of area, where no tessellation
+    # fits anyway
+    area = unit_disk_area(p)
+    eps = area - math.log(n) / (r * n) / r
+    k = (choose_cells_per_side(p, eps)[0] if 0.0 < eps < area
+         else MIN_CELLS_PER_SIDE)
+    return build_tessellation(p, r, k) if tessellation_fits(r, k) else None
 
 
 # --------------------------------------------------------------------------

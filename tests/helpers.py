@@ -97,6 +97,12 @@ def grid_of_side(points, p, r, side):
     return SpatialIndex(points, r, p, side, *occupied_cells(points, side))
 
 
+def augmented_nodes(ag):
+    """Every node of an AugmentedGraph: its old vertices ascending, then
+    its group nodes."""
+    return [int(s) for s in ag.density.square_ids] + list(ag.groups)
+
+
 def corner_clusters():
     """Five points near (0, 0) and five near (1, 1), about 1.4 apart."""
     rng = np.random.default_rng(4)

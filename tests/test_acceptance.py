@@ -15,6 +15,7 @@ from collections import Counter
 import numpy as np
 from scipy import integrate
 
+from helpers import augmented_nodes
 from rggham.auxgraphs import (attach_sparse_groups, build_density_graph,
                               euler_traversal, spanning_tree)
 from rggham.experiments import scaling_bench
@@ -24,9 +25,8 @@ from rggham.geometry import (Box, lp_distance, lp_norms, max_box_distance,
 from rggham.hamiltonian import construct_cycle, full_construction, verify_cycle
 from rggham.instance import (VertexSet, build_spatial_index, is_connected,
                              threshold_radius)
-from rggham.tessellation import (DENSE_THRESHOLD, MAX_FRIENDS,
-                                 build_tessellation, choose_cells_per_side,
-                                 classify_cells, quadrant_close_count)
+from rggham.tessellation import (DENSE_THRESHOLD, MAX_FRIENDS, classify_cells,
+                                 quadrant_close_count, tessellation_for)
 
 NORMS = (1.0, 2.0, math.inf)
 
@@ -188,9 +188,10 @@ def _invariant_violations(pts, p, r):
     """
     out = []
     n = len(pts)
+    t = tessellation_for(n, p, r)
+    k = t.cells_per_side
+    # the density bound that choose_cells_per_side picks k to meet
     eps = unit_disk_area(p) - math.log(n) / (r * r * n)
-    k, _ = choose_cells_per_side(p, eps) if eps > 0 else (4, False)
-    t = build_tessellation(p, r, k)
     try:
         if quadrant_close_count(t) < (unit_disk_area(p) - eps / 2.0) * k * k:
             out.append("quadrant count below the density bound")
@@ -213,7 +214,7 @@ def _invariant_violations(pts, p, r):
         tree = spanning_tree(ag)
     except ConstructionError as exc:
         return out, exc.reason
-    for node in ag.nodes():
+    for node in augmented_nodes(ag):
         deg = len(tree.children[node]) + (node != tree.root)
         if deg > MAX_FRIENDS:
             out.append("tree degree over 24")

@@ -4,7 +4,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from helpers import CellId, cell_points, cells_close, filled_grid, grid_cells
+from helpers import (CellId, augmented_nodes, cell_points, cells_close,
+                     grid_cells)
 from rggham import tessellation
 from rggham.auxgraphs import (AugmentedGraph, DensityGraph, GroupKey,
                               SpanningTree, _close_cell_pairs,
@@ -263,7 +264,7 @@ def test_attach_groups_row_major_membership(t):
     assert ag.hooks == {8: 3, g + 9: 3}
     assert ag.adjacency[0] == [key]
     assert ag.adjacency[key] == [0]
-    assert sorted(ag.nodes(), key=node_sort_key) == [0, key]
+    assert sorted(augmented_nodes(ag), key=node_sort_key) == [0, key]
     assert_node_order(ag)
     assert spanning_tree(ag).size() == 2
 
@@ -367,7 +368,7 @@ def test_spanning_tree_and_euler_on_chained_instance(t):
 
     # appearance count equals tree degree, plus one for the root
     appear = Counter(seq)
-    for node in ag.nodes():
+    for node in augmented_nodes(ag):
         deg = len(tree.children[node]) + (node != tree.root)
         assert appear[node] == deg + (node == tree.root)
 

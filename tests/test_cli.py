@@ -219,6 +219,17 @@ def test_verify_non_integer_cycle_line(tmp_path, triangle, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+def test_blank_lines_in_points_and_cycle_files_are_skipped(tmp_path, capsys):
+    pts = tmp_path / "gaps.csv"
+    pts.write_text("x,y\n0.1,0.5\n\n0.2,0.5\n  \n0.3,0.5\n\n")
+    cyc = tmp_path / "gaps.txt"
+    cyc.write_text("\n0\n1\n \n2\n\n")
+    code = main(["verify", "--points", str(pts), "--cycle", str(cyc),
+                 "-p", "2", "--radius", "0.5"])
+    assert code == 0
+    assert capsys.readouterr().out == "valid cycle over 3 vertices\n"
+
+
 def test_verify_rtol_slack(tmp_path, triangle, capsys):
     # wraparound edge is 0.2; fails at r=0.1, passes with 110% slack
     cyc = write_cycle(tmp_path, [0, 1, 2])
@@ -282,6 +293,13 @@ def test_sweep_prints_rows_and_writes_files(tmp_path, capsys):
     rows = json.loads(json_path.read_text())
     assert [r["multiplier"] for r in rows] == [0.5, 2.0]
     assert all(r["trials"] == 2 for r in rows)
+
+
+def test_sweep_rejects_a_malformed_size_list(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--ns", "1,x", "-p", "2", "--multipliers", "2"])
+    assert exc.value.code == 2
+    assert "not a comma separated int list: '1,x'" in capsys.readouterr().err
 
 
 def test_sweep_empty_multiplier_list(capsys):

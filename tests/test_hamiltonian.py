@@ -779,6 +779,31 @@ def test_fallback_isolated_vertex_is_disconnected():
     assert err.value.reason is FailureReason.DISCONNECTED
 
 
+def test_fallback_with_every_hop_long_asks_the_connectivity_check(monkeypatch):
+    # all 4 serpentine hops are longer than r, yet 0 and 2 are within r of
+    # each other, and so are 1 and 3: no vertex is isolated, no hop can be
+    # rotated to close the tour, and the check on the whole tour decides
+    r = 0.19787719060833087
+    pts = np.array([[0.322, 0.617], [0.846, 0.473], [0.279, 0.662],
+                    [0.944, 0.562]])
+    tour = hamiltonian._serpentine_tour(pts, 2.0, r)
+    at, _ = hamiltonian._long_hops(pts, 2.0, r, tour)
+    assert at.tolist() == [0, 1, 2, 3]
+    failures = []
+    failure = hamiltonian._TourRepair.failure
+
+    def spy(self, i):
+        failures.append(i)
+        return failure(self, i)
+
+    monkeypatch.setattr(hamiltonian._TourRepair, "failure", spy)
+    with pytest.raises(ConstructionError) as err:
+        full_construction(pts, 2.0, r)
+    assert err.value.reason is FailureReason.DISCONNECTED
+    assert err.value.context["detail"] == "the graph is disconnected"
+    assert failures == [0]
+
+
 def test_fallback_gives_up_at_a_pendant_vertex():
     # vertex 101 is within r of vertex 100 only: it has degree 1, so no
     # Hamiltonian cycle exists, and the failure names the degrees
@@ -950,6 +975,29 @@ def test_near_is_the_brute_force_list(p):
         single = tour_repair(pts, p, r, np.arange(n))
         for v in rng.permutation(n)[:40].tolist():
             assert single.near(v).tolist() == want[v]
+
+
+class _KeysForbidden(dict):
+    def keys(self):
+        raise AssertionError("look_up walked every cached key")
+
+
+def test_look_up_tests_each_vertex_not_every_cached_key():
+    # a set difference with _near.keys() costs a walk of the whole cache
+    # per call, which at tens of thousands of cached lists dominated trials
+    rng = np.random.default_rng(3)
+    pts = rng.random((400, 2))
+    r = 0.1
+    mend = tour_repair(pts, 2.0, r, np.arange(400))
+    mend.look_up(np.arange(0, 400, 2))
+    want = {v: mend.near(v).tolist() for v in range(0, 400, 2)}
+    mend._near = _KeysForbidden(mend._near)
+    mend.look_up(np.array([[5, 4], [5, 7]]))
+    assert set(mend._near) == set(want) | {5, 7}
+    assert all(mend.near(v).tolist() == near for v, near in want.items())
+    fresh = tour_repair(pts, 2.0, r, np.arange(400))
+    assert [mend.near(v).tolist() for v in (5, 7)] == [
+        fresh.near(v).tolist() for v in (5, 7)]
 
 
 @pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
@@ -1558,6 +1606,61 @@ def test_one_bucketing_per_trial_near_the_threshold(monkeypatch, p, mult):
     assert bucketed == [instance._grid_side(r, p)]
     if p == 2.0:
         assert counted == []
+
+
+def test_fallback_screen_names_the_isolated_vertex_at_threshold():
+    # seed 0 at n = 5e4, p = 2, 1.0x: the fallback's screen names the
+    # isolated vertex before any repair (also pinned in the CI smoke run)
+    n = 50000
+    with pytest.raises(ConstructionError) as err:
+        full_construction(rand_points(n, 0), 2.0, threshold_radius(n, 2.0))
+    ctx = err.value.context
+    assert err.value.reason is FailureReason.DISCONNECTED
+    assert (ctx["detail"], ctx["vertex"]) == (
+        "a vertex has no neighbour within r", 35628)
+
+
+# n = 2e4, 5x, seed 1, where the screen's grid bound does not decide (the
+# fullest grid cell holds 20 points at p = 2 and 18 at p = 1): p, the
+# densest block, whether the attempt runs, and sha256 of the int64 cycle
+# (also pinned in the CI smoke run)
+UNDECIDED_SCREENS = [
+    (2.0, 35, False,
+     "f64411a9c3b4ce511fe177bde1e473049b1c7960da5baaad6500fa7673d6291a"),
+    (1.0, 49, True,
+     "20a13e6b95872e29ccd61b8fcac0c2be63a03f2f9dc7fe8278b93ab9eaf06ff5"),
+]
+
+
+@pytest.mark.parametrize("p, block, attempted, digest", UNDECIDED_SCREENS)
+def test_cycles_past_an_undecided_screen_are_pinned(monkeypatch, p, block,
+                                                    attempted, digest):
+    # at p = 2 the block count skips the attempt; at p = 1 the attempt runs
+    # and fails, and the fallback reuses the screen's grid
+    bucketed, counted = [], []
+    occupied, densest_block = instance.occupied_cells, hamiltonian._densest_block
+
+    def spy(points, side):
+        bucketed.append(side)
+        return occupied(points, side)
+
+    def densest(points, t):
+        counted.append(densest_block(points, t))
+        return counted[-1]
+
+    monkeypatch.setattr(instance, "occupied_cells", spy)
+    monkeypatch.setattr(tessellation, "occupied_cells", spy)
+    monkeypatch.setattr(hamiltonian, "_densest_block", densest)
+    calls = spy_on_classify(monkeypatch)
+    n = 20000
+    r = 5 * threshold_radius(n, p)
+    out = full_construction(rand_points(n, 1), p, r)
+    assert out.cells_per_side is None
+    assert counted == [block]
+    assert len(calls) == attempted
+    assert bucketed == [instance._grid_side(r, p)] + [t.grid for t in calls]
+    assert out.cycle.dtype == np.int64
+    assert hashlib.sha256(out.cycle.tobytes()).hexdigest() == digest
 
 
 # --------------------------------------------------------------------------
