@@ -40,14 +40,16 @@ squares. The path also gives up when its augmented graph splits, which
 the point graph need not do, and when its cycle has a hop longer than r (at
 p = 1 a square can be wider than r). full_construction then falls back to
 a serpentine tour: every vertex in rows of clique cells, sorted along each
-row, with a return lane that closes the tour. The few hops longer than r,
+row, with a return lane that closes the tour. The tour is one radix_sort of
+integer keys, the row above the top bits of x, so ties go by index: points
+of a row whose x agree to those bits. The few hops longer than r,
 at gaps in a row, are repaired locally with 2-opt moves and single-vertex
 moves that use only edges within r (after Posa's rotations), each made of
 segment reversals. A hop that no one move mends gets a second chance: a
 2-opt from either of its ends that leaves one new long hop, which one move
 then mends. These tries are judged through a position map of the reversed
 tour without being made, a block of them in one array pass, and only the
-first that passes is made. Past the serpentine keys, a trial that skips
+first that passes is made. Past the serpentine sort, a trial that skips
 the attempt buckets the points once, on the grid build_spatial_index
 builds (instance._grid): the dense-cell screen, the fallback's neighbour
 lists, its isolated-vertex screen and its connectivity check all read it,
@@ -84,7 +86,8 @@ from .failures import ConstructionError, FailureReason
 from .geometry import _lp_from_abs, lp_norms, validate_p
 from .instance import (_PAIR_CHUNK, SpatialIndex, VertexSet, _grid,
                        _isolated_vertex, gather_runs, is_connected,
-                       neighbour_lists, point_array, validate_points)
+                       neighbour_lists, point_array, radix_sort,
+                       validate_points)
 from .tessellation import (DENSE_THRESHOLD, CellClassification, Tessellation,
                            classify_cells, tessellation_for)
 
@@ -423,19 +426,7 @@ def _long_hops(points: np.ndarray, p: float, bound: float,
 # --------------------------------------------------------------------------
 
 def _serpentine_tour(points: np.ndarray, p: float, r: float) -> np.ndarray:
-    """Every vertex once, by ascending _serpentine_keys; ties, of
-    coincident points, by index."""
-    key = _serpentine_keys(points, p, r)
-    # the faster default sort is the stable one where no two keys are equal
-    order = np.argsort(key)
-    ranked = key[order]
-    if (ranked[1:] == ranked[:-1]).any():
-        order = np.argsort(key, kind="stable")
-    return order
-
-
-def _serpentine_keys(points: np.ndarray, p: float, r: float) -> np.ndarray:
-    """Each vertex's place along rows of the square with a return lane.
+    """Every vertex once, along rows of the square with a return lane.
 
     The square is cut into g x g cells of side 1/g <= r / ||(1, 1)||_p, so
     each cell is a clique. Rows of columns 1..g-1 are swept alternately
@@ -444,26 +435,56 @@ def _serpentine_keys(points: np.ndarray, p: float, r: float) -> np.ndarray:
     closes. Two vertices of a row that are at most 1/g apart in x are
     within r, so hops longer than r mostly sit at gaps in a row. g is
     capped at 2^32, where ||(1, 1)||_p / r is beyond it (r below about
-    3e-10) or infinite: any tour still serves the repair, which at such
-    radii finds almost no pair within r.
+    3e-10): any tour still serves the repair, which at such radii finds
+    almost no pair within r. At r = inf, g is 0 and the tour is index
+    order.
+
+    The order is one radix_sort of the integer keys _serpentine_keys
+    gives, with b bits of x below the row, so that key and index fill 64
+    bits. Ties go by index: vertices of one row whose x agree to b bits,
+    and of the lane whose y do (b is 40 at n = 5e4, p = 2, 1.0x the
+    threshold).
     """
     g = math.ceil(min(_lp_from_abs(p, 1.0, 1.0) / r, 2.0 ** 32))
     g += g % 2
-    gx = points[:, 0] * g
-    key = points[:, 1] * g
-    lane = gx < 1.0
-    lane_key = g * g + g - key[lane]
-    # each row's keys lie in (row * g, row * g + g]; the lane's come last.
-    # In place, as floats: rows are whole numbers far below 2^53
-    np.minimum(np.floor(key, out=key), g - 1, out=key)
-    # odd rows run right to left. In place: np.where's two more n-sized
-    # temporaries cost more in page faults than its faster loop saves
-    np.subtract(g + 1, gx, out=gx,
-                where=(key.astype(np.int64) & 1).astype(bool))
-    key *= g
-    key += gx
-    del gx
-    key[lane] = lane_key
+    n = len(points)
+    if g == 0:
+        return np.arange(n)
+    b = max(64 - max(n - 1, 1).bit_length() - g.bit_length(), 0)
+    order, _ = radix_sort(_serpentine_keys(points, g, b), (g + 1) << b)
+    return order
+
+
+def _serpentine_keys(points: np.ndarray, g: int, b: int) -> np.ndarray:
+    """Each vertex's place along the serpentine of g rows, as the uint64
+    (row << b) | xq: row = min(floor(y g), g - 1), and xq the top b bits
+    of x, flipped (xq ^ mask) on odd rows, which run right to left. The
+    return lane, x g < 1, is row g, with mask - yq, so that it runs down.
+    Every integer scalar is an np.uint64: numpy 1.x turns uint64 mixed
+    with a Python int into float64, which would round the keys above 2^53.
+    """
+    u = np.uint64
+    mask = u((1 << b) - 1)
+    scale = float(1 << b)
+    x, y = points[:, 0], points[:, 1]
+    lane = x * g < 1.0
+    # in place, like instance._cell_keys: a float to uint64 cast truncates
+    key, xq = (np.empty(len(points), dtype=np.uint64) for _ in (0, 1))
+    np.multiply(y, g, out=key, casting="unsafe")
+    np.minimum(key, u(g - 1), out=key)
+    np.multiply(x, scale, out=xq, casting="unsafe")
+    np.minimum(xq, mask, out=xq)
+    # odd rows run right to left: xq ^ mask there, as (row & 1) * mask
+    odd = key & u(1)
+    odd *= mask
+    xq ^= odd
+    del odd
+    key <<= u(b)
+    key |= xq
+    del xq
+    yq = np.multiply(y[lane], scale).astype(np.uint64)
+    np.minimum(yq, mask, out=yq)
+    key[lane] = u(((g + 1) << b) - 1) - yq
     return key
 
 

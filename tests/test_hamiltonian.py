@@ -687,8 +687,8 @@ def test_midrange_fuzz_returns_cycle_or_typed_failure():
 # --------------------------------------------------------------------------
 
 def masked_serpentine_keys(points, p, r):
-    """The serpentine keys as a masked subtract flipped the odd rows, the
-    reference for _serpentine_keys."""
+    """The float serpentine keys, odd rows flipped by a masked subtract: a
+    reference whose stable argsort is _serpentine_tour's order."""
     g = math.ceil(min(_lp_from_abs(p, 1.0, 1.0) / r, 2.0 ** 32))
     g += g % 2
     gx = points[:, 0] * g
@@ -704,23 +704,57 @@ def masked_serpentine_keys(points, p, r):
 
 
 @pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
-@pytest.mark.parametrize("r", [0.3, 0.02, 1e-9])
+@pytest.mark.parametrize("r", [0.3, 0.02, 1e-9, 1e-10, math.inf])
 def test_serpentine_keys_match_the_masked_row_flip(p, r):
-    # random points, the same points repeated (ties, which the stable sort
-    # breaks by index) and points in the return lane, x < 1 / g
+    # random points, the same points repeated (ties, which the sort breaks
+    # by index), points in the return lane, x < 1 / g, and points on x = 1
+    # and y = 1. At r = 1e-10, g is at its cap, 2^32; at r = inf it is 0,
+    # and the tour is index order
     rng = np.random.default_rng(5)
-    g = math.ceil(_lp_from_abs(p, 1.0, 1.0) / r)
+    g = max(math.ceil(_lp_from_abs(p, 1.0, 1.0) / r), 1)
+    edge = rng.random(60)
     cases = [rng.random((3000, 2)),
              np.repeat(rng.random((40, 2)), 6, axis=0)[rng.permutation(240)],
              np.column_stack((rng.random(300) / g, rng.random(300))),
              np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 1.0], [1.0, 0.0],
-                       [0.5, 1.0], [1.0, 0.5]] * 3)]
+                       [0.5, 1.0], [1.0, 0.5]] * 3),
+             np.vstack([np.column_stack((np.ones(60), edge)),
+                        np.column_stack((edge, np.ones(60))),
+                        rng.random((60, 2))])[rng.permutation(180)]]
     for pts in cases:
         want = masked_serpentine_keys(pts, p, r)
-        got = hamiltonian._serpentine_keys(pts, p, r)
-        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
         assert np.array_equal(hamiltonian._serpentine_tour(pts, p, r),
                               np.argsort(want, kind="stable"))
+
+
+def test_serpentine_keys_are_exact_beyond_float_precision():
+    # n = 4 and g = 2 leave b = 60 bits of x: row 1's keys lie in
+    # [2^60, 2^61), where a float64 rounds by 256. Two points of row 1, one
+    # ulp of x apart near 0.75, get keys 128 apart, which a float64 would
+    # round to a tie; the index would then break it the wrong way, since
+    # row 1 runs right to left and the higher index has the higher x
+    x = 0.75
+    below = np.nextafter(x, 0.0)
+    assert x - below == 2.0 ** -53
+    pts = np.array([[below, 0.75], [x, 0.75], [0.25, 0.5], [x, 0.25]])
+    assert math.ceil(_lp_from_abs(2.0, 1.0, 1.0) / 1.0) == 2
+    # row 0, row 1 right to left, then the lane (x < 0.5)
+    tour = hamiltonian._serpentine_tour(pts, 2.0, 1.0)
+    assert tour.tolist() == [3, 1, 0, 2]
+
+
+def test_serpentine_ties_go_by_index_below_b_bits():
+    # at r = 1e-10, g is capped at 2^32 (33 bits), so n = 4 (2 index bits)
+    # leaves b = 29 bits of x: x that agree to 29 bits tie, and ties go by
+    # index; x one unit of 2^-29 apart do not
+    g, b = 2 ** 32, 29
+    y = 0.5 + 0.5 / g   # row g / 2, even: left to right
+    pts = np.array([[0.5 + 2.0 ** -31, y], [0.5, y],
+                    [0.5 + 2.0 ** -29, y], [0.5 - 2.0 ** -29, y]])
+    assert math.ceil(_lp_from_abs(2.0, 1.0, 1.0) / 1e-10) > g
+    assert 64 - 2 - g.bit_length() == b
+    tour = hamiltonian._serpentine_tour(pts, 2.0, 1e-10)
+    assert tour.tolist() == [3, 0, 1, 2]
 
 
 @pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
