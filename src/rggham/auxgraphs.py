@@ -26,7 +26,7 @@ from typing import NamedTuple, Union
 import numpy as np
 
 from .failures import ConstructionError, FailureReason
-from .instance import find_slots
+from .instance import doubling_batches, find_slots, gather_runs
 from .tessellation import (FRIEND_CHEBYSHEV, MAX_FRIENDS, CellClassification,
                            Tessellation, first_hits, hook_cells)
 
@@ -75,11 +75,11 @@ def _close_cell_pairs(t: Tessellation, dsc: int, dsr: int) -> tuple[np.ndarray, 
     same offset.
     """
     k, g = t.cells_per_side, t.grid
-    lr_r, lc_r, lr_s, lc_s = (a.ravel() for a in np.meshgrid(
-        *[np.arange(k)] * 4, indexing="ij"))
-    hit = t.close_table[np.abs(dsr * k + lr_s - lr_r),
-                        np.abs(dsc * k + lc_s - lc_r)]
-    return (lr_r * g + lc_r)[hit], (lr_s * g + lc_s)[hit]
+    lr_r, lc_r, lr_s, lc_s = np.meshgrid(*[np.arange(k)] * 4, indexing="ij",
+                                         sparse=True)
+    lr_r, lc_r, lr_s, lc_s = np.nonzero(t.close_table[
+        np.abs(dsr * k + lr_s - lr_r), np.abs(dsc * k + lc_s - lc_r)])
+    return lr_r * g + lc_r, lr_s * g + lc_s
 
 
 # friend offsets (dcol, drow) of the squares after a square in row-major order
@@ -165,48 +165,39 @@ def attach_sparse_groups(t: Tessellation, cls: CellClassification,
     """Hook every occupied cell of a sparse square to its smallest close
     dense cell (hook_cells), and group the cells by (square, hook square).
 
-    Raises ConstructionError(HOOK_MISSING) at the first cell without a
-    hook, sparse squares ascending, each one's cells row-major; in the
-    intended density regime every sparse cell has one.
+    The cells come off cls.by_square, sparse squares ascending, each one's
+    cells row-major, in doubling_batches: the first batch that holds a cell
+    without a hook raises ConstructionError(HOOK_MISSING) for the first
+    such cell; in the intended density regime every sparse cell has one.
     """
     m, g, k = t.squares_per_side, t.grid, t.cells_per_side
     adjacency: dict[Node, list[Node]] = {s: list(nbrs)
                                          for s, nbrs in dg.adjacency.items()}
     groups: dict[GroupKey, list[int]] = {}
-    hooks: dict[int, int] = {}
 
-    cells = cls.cells
-    if cells.size and not dg.square_ids.size:
-        # no cell has a hook: search only the first row of squares, which
-        # holds the first square
-        band = cls.squares[0] // m * k * g
-        cells = cells[:np.searchsorted(cells, band + k * g)]
-    # occupied cells by square, then row-major; the squares come in the
-    # order of cls.squares, so a cell's slot there counts the runs before
-    row, col = np.divmod(cells, g)
-    square = row // k * m + col // k
-    by = np.argsort(square, kind="stable")
-    cells, square = cells[by], square[by]
-    slot = np.cumsum(np.diff(square, prepend=-1) != 0) - 1
-    sparse = cls.square_dense_count[slot] == 0
-    cells, square = cells[sparse], square[sparse]
-    hook = hook_cells(t, cls, cells)
-    if (hook < 0).any():
-        i = int(np.argmax(hook < 0))
-        c = int(cells[i])
-        raise ConstructionError(
-            FailureReason.HOOK_MISSING,
-            {"detail": "no dense cell close to an occupied cell",
-             "cell": [c % g, c // g],
-             "square": [c % g // k, c // g // k],
-             "occupancy": int(cls.occupancy(c)[1])})
+    sparse = cls.square_dense_count == 0
+    size = np.diff(cls.square_starts)[sparse]
+    slot = gather_runs(cls.by_square, cls.square_starts[:-1][sparse], size)
+    cells, square = cls.cells[slot], np.repeat(cls.squares[sparse], size)
+    hook = np.empty_like(cells)
+    for at in doubling_batches(len(cells)):
+        hook[at] = hook_cells(t, cls, cells[at])
+        missing = np.flatnonzero(hook[at] < 0)
+        if missing.size:
+            i = at.start + int(missing[0])
+            c = int(cells[i])
+            raise ConstructionError(
+                FailureReason.HOOK_MISSING,
+                {"detail": "no dense cell close to an occupied cell",
+                 "cell": [c % g, c // g],
+                 "square": [c % g // k, c // g // k],
+                 "occupancy": int(cls.counts[slot[i]])})
     hook_sq = hook // g // k * m + hook % g // k
     assert (np.maximum(abs(hook_sq % m - square % m),
                        abs(hook_sq // m - square // m)) <= FRIEND_CHEBYSHEV).all(), \
         "hook square must be a friend of the sparse square"
-    for cell, s_flat, hook_cell, label in zip(cells.tolist(), square.tolist(),
-                                              hook.tolist(), hook_sq.tolist()):
-        hooks[cell] = hook_cell
+    for cell, s_flat, label in zip(cells.tolist(), square.tolist(),
+                                   hook_sq.tolist()):
         key = GroupKey(s_flat, label)
         if key not in groups:
             groups[key] = []
@@ -218,7 +209,7 @@ def attach_sparse_groups(t: Tessellation, cls: CellClassification,
     # a square has at most 24 friends, so at most 24 group nodes
     assert all(len(nbrs) <= MAX_FRIENDS for nbrs in adjacency.values())
     return AugmentedGraph(density=dg, adjacency=adjacency, groups=groups,
-                          hooks=hooks)
+                          hooks=dict(zip(cells.tolist(), hook.tolist())))
 
 
 # --------------------------------------------------------------------------

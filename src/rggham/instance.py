@@ -205,7 +205,7 @@ _MAX_SIDE = 1 << 32  # flat cell keys row * side + col then fit in uint64
 # points, and near the threshold is_connected may search from almost all
 # of them
 _PAIR_CHUNK = 1 << 16
-# vertices in the first batch of _isolated_vertex
+# entries in the first of doubling_batches
 _FIRST_BATCH = 256
 
 
@@ -470,21 +470,27 @@ def neighbour_lists(idx: SpatialIndex,
     return tuple(np.concatenate(part) for part in zip(*got))
 
 
+def doubling_batches(count: int):
+    """Slices that cover range(count) in order, the first _FIRST_BATCH long
+    and each next one twice as long: a search for a first failure stops
+    after a few hundred entries where failures are common."""
+    lo, size = 0, _FIRST_BATCH
+    while lo < count:
+        yield slice(lo, lo + size)
+        lo += size
+        size *= 2
+
+
 def _isolated_vertex(idx: SpatialIndex, u: np.ndarray) -> Optional[int]:
     """The first of the vertices u that has no other point within r, None
     when each of them has one: a vertex neighbour_lists pairs with nothing.
-    The vertices go in batches that double from _FIRST_BATCH, one
-    neighbour_lists call each, so that a set with many isolated vertices
-    stops after a few hundred."""
-    lo, size = 0, _FIRST_BATCH
-    while lo < len(u):
-        batch = u[lo:lo + size]
+    One neighbour_lists call per batch of doubling_batches."""
+    for at in doubling_batches(len(u)):
+        batch = u[at]
         alone = np.ones(len(batch), dtype=bool)
         alone[neighbour_lists(idx, batch)[0]] = False
         if alone.any():
             return int(batch[alone.argmax()])
-        lo += size
-        size *= 2
     return None
 
 

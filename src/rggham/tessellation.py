@@ -130,7 +130,9 @@ class CellClassification:
     """The occupied cells and squares, in O(n) memory: cells and squares
     hold their flat ids, ascending. counts, dense_mask and starts align with
     cells, and order[starts[i]:starts[i + 1]] lists the vertices of cells[i]
-    in ascending index order; the square_ arrays align with squares."""
+    in ascending index order; the square counts align with squares, and
+    by_square[square_starts[j]:square_starts[j + 1]] lists the slots in
+    cells of the occupied cells of squares[j], row-major."""
 
     cells: np.ndarray
     counts: np.ndarray
@@ -140,6 +142,8 @@ class CellClassification:
     squares: np.ndarray
     square_vertex_count: np.ndarray
     square_dense_count: np.ndarray
+    by_square: np.ndarray
+    square_starts: np.ndarray
 
     def occupancy(self, flat) -> tuple[np.ndarray, np.ndarray]:
         """Each flat id's slot in cells and its occupancy (0 if empty or -1)."""
@@ -151,10 +155,10 @@ class CellClassification:
 
 
 def classify_cells(t: Tessellation, vs: VertexSet) -> CellClassification:
-    """Bucket the vertices by cell (occupied_cells) and mark the dense
-    cells; the square summaries group the occupied cells by square. Steps
-    work in place where they can: at large n, the memory a step churns is
-    page faults in the next one."""
+    """Bucket the vertices by cell (occupied_cells), mark the dense cells,
+    and group the occupied cells by square, once: the grouping is kept, and
+    the square counts are read off it. Steps work in place where they can:
+    at large n, the memory a step churns is page faults in the next one."""
     g, m, k = t.grid, t.squares_per_side, t.cells_per_side
     cells, order, starts = occupied_cells(vs.points, g)
     cells = cells.view(np.int64)    # below g^2, which fits int64
@@ -172,13 +176,12 @@ def classify_cells(t: Tessellation, vs: VertexSet) -> CellClassification:
                                minlength=len(squares))
     del square
     vertex = counts[by]
-    del by
     np.cumsum(vertex, out=vertex)
     vertex = np.diff(vertex[first[1:] - 1], prepend=0)
     return CellClassification(
         cells=cells, counts=counts, order=order, starts=starts,
         dense_mask=dense, squares=squares, square_vertex_count=vertex,
-        square_dense_count=square_dense)
+        square_dense_count=square_dense, by_square=by, square_starts=first)
 
 
 # ceiling on the tests first_hits makes at once

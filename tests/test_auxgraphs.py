@@ -6,15 +6,15 @@ import pytest
 
 from helpers import (CellId, augmented_nodes, cell_points, cells_close,
                      grid_cells)
-from rggham import tessellation
+from rggham import auxgraphs, instance, tessellation
 from rggham.auxgraphs import (AugmentedGraph, DensityGraph, GroupKey,
                               SpanningTree, _close_cell_pairs,
                               attach_sparse_groups, build_density_graph,
                               euler_traversal, spanning_tree)
 from rggham.failures import ConstructionError, FailureReason
-from rggham.instance import VertexSet
+from rggham.instance import VertexSet, threshold_radius
 from rggham.tessellation import (DENSE_THRESHOLD, build_tessellation,
-                                 classify_cells, hook_cells)
+                                 classify_cells, hook_cells, tessellation_for)
 
 # p = 2, r = 0.5: m = 4, k = 4, g = 16; cells with index offsets (dc, dr)
 # are close iff (|dc|+1)^2 + (|dr|+1)^2 <= 64, so offsets reach out to 6
@@ -212,12 +212,12 @@ def _per_cell_groups(t, pts):
 
 @pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
 @pytest.mark.parametrize("dense_share", [0.0, 0.3, 0.6, 0.9])
-def test_attach_groups_match_a_per_cell_search(p, dense_share):
+def test_attach_groups_match_a_per_cell_search(monkeypatch, p, dense_share):
     # over m = 10 squares of k = 4 cells a side, a square holds one or two
     # dense cells with chance dense_share; every square holds a few one- to
     # three-point cells. The rarer the dense squares, the more layouts stop
-    # at HookMissing, which must name the same first cell (with none, the
-    # search covers only the first row of squares)
+    # at HookMissing, which must name the same first cell whatever batches
+    # the cells are hooked in: batches decide only where the search stops
     t = build_tessellation(p, 0.2, 4)
     m, k = t.squares_per_side, t.cells_per_side
     outcomes = set()
@@ -234,21 +234,59 @@ def test_attach_groups_match_a_per_cell_search(p, dense_share):
         pts = np.vstack(blocks)
         cls = classify_cells(t, VertexSet(pts))
         want = _per_cell_groups(t, pts)
-        try:
-            ag = attach_sparse_groups(t, cls, build_density_graph(t, cls))
-        except ConstructionError as err:
-            assert err.reason is FailureReason.HOOK_MISSING
-            assert err.context == want
-            outcomes.add("missing")
-            continue
-        groups, hooks = want
-        assert list(ag.groups.items()) == list(groups.items())
-        assert ag.hooks == hooks
-        for key in groups:
-            assert ag.adjacency[key] == [key.label_square]
-            assert key in ag.adjacency[key.label_square]
-        outcomes.add("groups" if groups else "none")
+        for first in (1, 5, 256):
+            monkeypatch.setattr(instance, "_FIRST_BATCH", first)
+            try:
+                ag = attach_sparse_groups(t, cls, build_density_graph(t, cls))
+            except ConstructionError as err:
+                assert err.reason is FailureReason.HOOK_MISSING
+                assert err.context == want
+                outcomes.add("missing")
+                continue
+            groups, hooks = want
+            assert list(ag.groups.items()) == list(groups.items())
+            assert ag.hooks == hooks
+            for key in groups:
+                assert ag.adjacency[key] == [key.label_square]
+                assert key in ag.adjacency[key.label_square]
+            outcomes.add("groups" if groups else "none")
     assert outcomes <= {"groups", "missing"}
+
+
+def test_attach_stops_at_the_first_batch_with_a_hookless_cell(monkeypatch):
+    # seed 0 at n = 5e4, p = inf, 25x: a few dense squares, and the first
+    # sparse cell has no hook. The search must stop after the first batch,
+    # not hook every sparse cell first, and still name the cell that a
+    # search over every sparse cell, in square order, finds first
+    n = 50000
+    pts = np.random.Generator(np.random.PCG64(0)).random((n, 2))
+    t = tessellation_for(n, math.inf, 25 * threshold_radius(n, math.inf))
+    m, k, g = t.squares_per_side, t.cells_per_side, t.grid
+    cls = classify_cells(t, VertexSet(pts))
+    dg = build_density_graph(t, cls)
+    assert dg.square_ids.size
+    square = cls.cells // g // k * m + cls.cells % g // k
+    by = np.lexsort((cls.cells, square))
+    cells = cls.cells[by][~np.isin(square[by], dg.square_ids)]
+    assert len(cells) > 2 * instance._FIRST_BATCH
+    missing = np.flatnonzero(hook_cells(t, cls, cells) < 0)
+    assert missing[0] == 0
+    c = int(cells[missing[0]])
+    rows = []
+
+    def spy(t, cls, cells):
+        rows.append(len(cells))
+        return hook_cells(t, cls, cells)
+
+    monkeypatch.setattr(auxgraphs, "hook_cells", spy)
+    with pytest.raises(ConstructionError) as err:
+        attach_sparse_groups(t, cls, dg)
+    assert err.value.reason is FailureReason.HOOK_MISSING
+    assert sum(rows) <= instance._FIRST_BATCH
+    assert err.value.context == {
+        "detail": "no dense cell close to an occupied cell",
+        "cell": [c % g, c // g], "square": [c % g // k, c // g // k],
+        "occupancy": int(cls.counts[np.searchsorted(cls.cells, c)])}
 
 
 def test_attach_groups_row_major_membership(t):

@@ -1406,6 +1406,30 @@ def test_split_augmented_graph_falls_back(n, p, r, seed):
     assert verify_cycle(pts, r, p, out.cycle).valid
 
 
+def test_hook_missing_beside_dense_squares_falls_back(monkeypatch):
+    # seed 3 at n = 5e4, p = inf, 25x (rggham gen's points and radius): the
+    # attempt finds 4 dense squares, hooks the first sparse cells, stops at
+    # HookMissing at cell (7, 0), and the fallback builds the cycle, pinned
+    # by its sha256 (also pinned in the CI smoke run)
+    raised = []
+
+    def spy(t, cls, dg):
+        try:
+            return attach_sparse_groups(t, cls, dg)
+        except ConstructionError as err:
+            raised.append((err.reason, err.context["cell"], len(dg.square_ids)))
+            raise
+
+    monkeypatch.setattr(hamiltonian, "attach_sparse_groups", spy)
+    n = 50000
+    out = full_construction(rand_points(n, 3), math.inf,
+                            25 * threshold_radius(n, math.inf))
+    assert raised == [(FailureReason.HOOK_MISSING, [7, 0], 4)]
+    assert out.cells_per_side is None
+    assert hashlib.sha256(out.cycle.tobytes()).hexdigest() == (
+        "faf5080df51ad6a58d5c85a4de0886ba3e197764ca7eb987d4ad1af1fbb2b177")
+
+
 # --------------------------------------------------------------------------
 # the screen that skips the tessellation where no cell can be dense
 # --------------------------------------------------------------------------

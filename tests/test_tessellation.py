@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import (CellId, cell_box, cell_points, cells_close, filled_grid,
-                     grid_cells, locate)
+                     grid_cells, locate, square_cells)
 from rggham import tessellation
 from rggham.auxgraphs import build_density_graph
 from rggham.geometry import _lp_from_abs, max_box_distance, unit_disk_area
@@ -233,19 +233,58 @@ def test_classify_square_summaries_match_reshape_sums(k, with_dense):
                    for c, r in ((0, 0), (g - 1, 0), (0, g - 1), (g - 1, g - 1),
                                 (k + 1, g - 1), (g - 1, k), (k, k))]
     pts = np.vstack(blocks)
+    assert square_arrays_match_grid_cells(t, pts) == with_dense
+
+
+def square_arrays_match_grid_cells(t, pts):
+    """Check classify_cells' square arrays against the dense reference
+    grid_cells, and return whether any cell is dense. The reference sums a
+    dense per-cell array over the k x k cells of every square, lists the
+    squares that hold a vertex, and reads each one's occupied cells off a
+    (m, k, m, k) view of the flat ids, where square (scol, srow) holds
+    [srow, :, scol, :] in row-major order."""
+    m, k = t.squares_per_side, t.cells_per_side
     cls = classify_cells(t, VertexSet(pts))
-    # the reference sums a dense per-cell array over the k x k cells of
-    # every square, and lists the squares that hold a vertex
     counts, _, _ = grid_cells(t, pts)
     vertex = counts.reshape(m, k, m, k).sum(axis=(1, 3)).reshape(-1)
     dense = (counts >= DENSE_THRESHOLD).reshape(m, k, m, k).sum(axis=(1, 3)).reshape(-1)
-    assert dense.any() == with_dense
     occupied = np.flatnonzero(vertex)
     assert np.array_equal(cls.squares, occupied)
     for got, want in ((cls.square_vertex_count, vertex[occupied]),
                       (cls.square_dense_count, dense[occupied])):
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
+    flat = np.arange(t.grid ** 2).reshape(m, k, m, k)
+    starts = cls.square_starts
+    assert len(starts) == len(occupied) + 1 and starts[0] == 0
+    assert starts[-1] == len(cls.by_square) == len(cls.cells)
+    for j, sq in enumerate(occupied.tolist()):
+        cells = flat[sq // m, :, sq % m, :]
+        got = cls.cells[cls.by_square[starts[j]:starts[j + 1]]]
+        assert got.tolist() == cells[counts[cells] > 0].tolist()
+    return bool(dense.any())
+
+
+@pytest.mark.parametrize("case", ["filled, squares skipped", "sparse, small r",
+                                  "three points"])
+def test_classify_groups_cells_by_square(case):
+    if case == "filled, squares skipped":
+        # every cell holds two points but those of three squares and two
+        # single cells, and one cell is dense
+        t = build_tessellation(2.0, 0.5, 4)
+        skip = (square_cells(t, 1, 0) | square_cells(t, 3, 1)
+                | square_cells(t, 0, 3) | {(2, 5), (9, 14)})
+        pts = np.vstack([filled_grid(t, 2, skip), cell_points(t, 6, 9, DENSE_THRESHOLD)])
+    elif case == "sparse, small r":
+        # m = 40: most squares empty, the rest hold a cell or two
+        t = build_tessellation(2.0, 0.05, 4)
+        pts = np.random.default_rng(11).random((900, 2))
+    else:
+        # square (0, 0)'s cells (3, 0) and (0, 1) sit either side of square
+        # (1, 0)'s cell (4, 0) in flat id order
+        t = build_tessellation(2.0, 0.5, 4)
+        pts = np.vstack([cell_points(t, c, r, 1) for c, r in ((0, 1), (4, 0), (3, 0))])
+    assert square_arrays_match_grid_cells(t, pts) == (case == "filled, squares skipped")
 
 
 def test_classify_members_grouped_and_ascending():
