@@ -3,8 +3,9 @@
 Two graphs drive the cycle construction:
 
   * the density graph has one vertex per dense square and an edge between
-    friend squares that own a close pair of dense cells (the witness pair,
-    one cell in each square);
+    friend squares R < S that own a close pair of dense cells. The witness
+    pair is the first one, R's cells then S's cells, both row-major,
+    searched one row of R's cells at a time;
   * the augmented graph adds one leaf node per (sparse square S, label
     square R) where R is a dense square holding hook cells for some of S's
     vertices. Every vertex of S is hooked to its lexicographically smallest
@@ -64,24 +65,6 @@ class DensityGraph:
         return ca, cb
 
 
-def _close_cell_pairs(t: Tessellation, dsc: int, dsr: int) -> tuple[np.ndarray, np.ndarray]:
-    """Cell pairs close across square offset (dsc, dsr), as two aligned
-    arrays of flat id offsets (of R's cell from R's first cell, of S's cell
-    from S's first cell).
-
-    Scan order is row-major over R's cells, then row-major over S's cells,
-    so taking the first dense hit is deterministic. Closeness depends on the
-    index offset only, hence the table is shared by all square pairs at the
-    same offset.
-    """
-    k, g = t.cells_per_side, t.grid
-    lr_r, lc_r, lr_s, lc_s = np.meshgrid(*[np.arange(k)] * 4, indexing="ij",
-                                         sparse=True)
-    lr_r, lc_r, lr_s, lc_s = np.nonzero(t.close_table[
-        np.abs(dsr * k + lr_s - lr_r), np.abs(dsc * k + lc_s - lc_r)])
-    return lr_r * g + lc_r, lr_s * g + lc_s
-
-
 # friend offsets (dcol, drow) of the squares after a square in row-major order
 _FORWARD_FRIENDS = [(dc, dr) for dr in range(FRIEND_CHEBYSHEV + 1)
                     for dc in range(-FRIEND_CHEBYSHEV, FRIEND_CHEBYSHEV + 1)
@@ -91,36 +74,45 @@ _FORWARD_FRIENDS = [(dc, dr) for dr in range(FRIEND_CHEBYSHEV + 1)
 def build_density_graph(t: Tessellation, cls: CellClassification) -> DensityGraph:
     """Link dense friend squares that own a close pair of dense cells.
 
-    The witness of an edge is the first such pair in _close_cell_pairs'
-    scan order. For each of the 12 forward friend offsets, all dense square
-    pairs at that offset are searched at once along its table (first_hits).
+    The witness of an edge (R, S), R before S, is the first such pair, R's
+    cells row-major, then S's cells row-major. Each of the 12 forward friend
+    offsets is searched one row of R's cells at a time: the row's close
+    pairs come off close_table (at most k^3), and the square pairs at that
+    offset still without a witness are searched at once along them
+    (first_hits).
     """
     m = t.squares_per_side
     k = t.cells_per_side
     g = t.grid
     dense_squares = cls.squares[cls.square_dense_count > 0]
-    if not dense_squares.size:
-        return DensityGraph(square_ids=dense_squares, adjacency={}, witness={})
     r_row, r_col = np.divmod(dense_squares, m)
+    first_cell = r_row * k * g + r_col * k
+    lc_r, lr_s, lc_s = np.ogrid[:k, :k, :k]
     # columns (R, S, R's witness cell, S's witness cell), one per edge
     blocks = [np.zeros((4, 0), dtype=np.int64)]
     for dc, dr in _FORWARD_FRIENDS:
         s_col, s_row = r_col + dc, r_row + dr
         at = np.flatnonzero((s_col >= 0) & (s_col < m) & (s_row < m))
         at = at[find_slots(dense_squares, s_row[at] * m + s_col[at])[1]]
-        if not at.size:
-            continue
-        base_r = r_row[at] * k * g + r_col[at] * k
-        base_s = s_row[at] * k * g + s_col[at] * k
-        da, db = _close_cell_pairs(t, dc, dr)
-        j = first_hits(len(at), len(da), lambda rows, lo, hi: (
-            cls.dense(base_r[rows, None] + da[lo:hi])
-            & cls.dense(base_s[rows, None] + db[lo:hi])))
-        hit = j >= 0
-        j = j[hit]
-        blocks.append(np.stack((dense_squares[at[hit]],
-                                s_row[at[hit]] * m + s_col[at[hit]],
-                                base_r[hit] + da[j], base_s[hit] + db[j])))
+        for lr_r in range(k):
+            if not at.size:
+                break
+            # the row's close pairs: R's cell (lr_r, cr), S's cell (sr, sc)
+            cr, sr, sc = np.nonzero(t.close_table[
+                np.abs(dr * k + lr_s - lr_r), np.abs(dc * k + lc_s - lc_r)])
+            if not cr.size:
+                continue
+            # both cells as flat id offsets from R's first cell
+            da, db = lr_r * g + cr, (dr * k + sr) * g + dc * k + sc
+            base = first_cell[at]
+            j = first_hits(len(at), len(da), lambda rows, lo, hi: (
+                cls.dense(base[rows, None] + da[lo:hi])
+                & cls.dense(base[rows, None] + db[lo:hi])))
+            hit = j >= 0
+            sq, sq_base, j = dense_squares[at[hit]], base[hit], j[hit]
+            blocks.append(np.stack((sq, sq + dr * m + dc,
+                                    sq_base + da[j], sq_base + db[j])))
+            at = at[~hit]
     edges = np.concatenate(blocks, axis=1)
     # R ascending, then S ascending: the order a scan of R's friends finds
     r_sq, s_sq, ca, cb = edges[:, np.lexsort((edges[1], edges[0]))].tolist()

@@ -234,7 +234,7 @@ def radix_sort(key: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
     del key     # occupied_cells hands over its only reference
     packed |= np.arange(len(packed), dtype=dtype)
     packed.sort()
-    order = (packed & dtype((1 << bits) - 1)).astype(np.int64)
+    order = np.bitwise_and(packed, dtype((1 << bits) - 1), dtype=np.int64)
     packed >>= shift
     return order, packed.astype(out, copy=False)
 

@@ -5,7 +5,9 @@ from typing import NamedTuple
 import numpy as np
 
 from rggham.geometry import Box, _lp_from_abs
-from rggham.instance import _ABS_SLACK, _REL_SLACK, SpatialIndex, occupied_cells
+from rggham.instance import (_ABS_SLACK, _REL_SLACK, SpatialIndex,
+                             occupied_cells, threshold_radius)
+from rggham.tessellation import tessellation_for
 
 
 class CellId(NamedTuple):
@@ -101,6 +103,20 @@ def augmented_nodes(ag):
     """Every node of an AugmentedGraph: its old vertices ascending, then
     its group nodes."""
     return [int(s) for s in ag.density.square_ids] + list(ag.groups)
+
+
+def adjacent_clumps():
+    """10,096 points and r = 1.01 x threshold at p = 2, where
+    tessellation_for picks k = 64: 10,000 uniform points and two clumps of
+    48 in the middle halves of cells (0, 0) and (64, 0), the first cells of
+    squares 0 and 1. The clumps are the only dense cells."""
+    n = 10_096
+    r = 1.01 * threshold_radius(n, 2.0)
+    s = tessellation_for(n, 2.0, r).cell_side
+    clumps = [s * (0.25 + 0.5 * np.random.default_rng(c).random((48, 2))
+                   + [c, 0]) for c in (0, 64)]
+    uniform = np.random.default_rng(5).random((n - 96, 2))
+    return np.vstack([uniform] + clumps), r
 
 
 def corner_clusters():

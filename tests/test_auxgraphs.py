@@ -1,16 +1,17 @@
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from helpers import (CellId, augmented_nodes, cell_points, cells_close,
-                     grid_cells)
+from helpers import (CellId, adjacent_clumps, augmented_nodes, cell_points,
+                     cells_close, grid_cells)
 from rggham import auxgraphs, instance, tessellation
 from rggham.auxgraphs import (AugmentedGraph, DensityGraph, GroupKey,
-                              SpanningTree, _close_cell_pairs,
-                              attach_sparse_groups, build_density_graph,
-                              euler_traversal, spanning_tree)
+                              SpanningTree, attach_sparse_groups,
+                              build_density_graph, euler_traversal,
+                              spanning_tree)
 from rggham.failures import ConstructionError, FailureReason
 from rggham.instance import VertexSet, threshold_radius
 from rggham.tessellation import (DENSE_THRESHOLD, build_tessellation,
@@ -65,26 +66,6 @@ def test_density_witness_takes_first_row_major_pair(t):
     assert dg.witness[(0, 1)] == (0, 4)
 
 
-@pytest.mark.parametrize("p", [1.0, 2.0, 3.0, math.inf])
-@pytest.mark.parametrize("r, k", [(0.5, 4), (0.2, 4), (0.45, 6)])
-def test_close_cell_pairs_match_a_scan_of_cells_close(p, r, k):
-    # every friend offset later in row-major order, against the scan over
-    # R's cells then S's cells, both row-major
-    t = build_tessellation(p, r, k)
-    g = t.grid
-    for dsr in range(3):
-        for dsc in range(-2, 3):
-            if dsr == 0 and dsc <= 0:
-                continue
-            want = [(lr_r * g + lc_r, lr_s * g + lc_s)
-                    for lr_r in range(k) for lc_r in range(k)
-                    for lr_s in range(k) for lc_s in range(k)
-                    if cells_close(t, CellId(lc_r, lr_r),
-                                   CellId(dsc * k + lc_s, dsr * k + lr_s))]
-            da, db = _close_cell_pairs(t, dsc, dsr)
-            assert list(zip(da.tolist(), db.tolist())) == want
-
-
 def _scanned_density_graph(t, pts):
     """Edges and witnesses by a scan: every dense square R, its dense
     friends S after it in row-major order, and the first close pair of
@@ -92,51 +73,89 @@ def _scanned_density_graph(t, pts):
     from per-cell counts over the whole grid, built from the points."""
     m, k, g = t.squares_per_side, t.cells_per_side, t.grid
     dense_mask = grid_cells(t, pts)[0] >= DENSE_THRESHOLD
-    square_dense_count = dense_mask.reshape(m, k, m, k).sum(axis=(1, 3)).ravel()
-    dense = [s for s in range(m * m) if square_dense_count[s] > 0]
-    adjacency = {s: [] for s in dense}
+    # each square's dense cells; ascending flat ids are row-major
+    cells = {}
+    for row, col in zip(*np.divmod(np.flatnonzero(dense_mask), g)):
+        cells.setdefault(row // k * m + col // k, []).append(
+            CellId(int(col), int(row)))
+    adjacency = {s: [] for s in sorted(cells)}
     witness = {}
-    for r_sq in dense:
+    for r_sq in adjacency:
         r_row, r_col = divmod(r_sq, m)
         for s_row in range(r_row - 2, r_row + 3):
             for s_col in range(r_col - 2, r_col + 3):
                 s_sq = s_row * m + s_col
                 if (not (0 <= s_row < m and 0 <= s_col < m) or s_sq <= r_sq
-                        or square_dense_count[s_sq] == 0):
+                        or s_sq not in cells):
                     continue
-                pairs = ((ra * g + rc, sa * g + sc)
-                         for ra in range(r_row * k, r_row * k + k)
-                         for rc in range(r_col * k, r_col * k + k)
-                         for sa in range(s_row * k, s_row * k + k)
-                         for sc in range(s_col * k, s_col * k + k)
-                         if cells_close(t, CellId(rc, ra), CellId(sc, sa)))
-                for ca, cb in pairs:
-                    if dense_mask[ca] and dense_mask[cb]:
-                        witness[(r_sq, s_sq)] = (ca, cb)
-                        adjacency[r_sq].append(s_sq)
-                        adjacency[s_sq].append(r_sq)
-                        break
+                pair = next(((a, b) for a in cells[r_sq] for b in cells[s_sq]
+                             if cells_close(t, a, b)), None)
+                if pair is not None:
+                    witness[(r_sq, s_sq)] = tuple(c.row * g + c.col
+                                                  for c in pair)
+                    adjacency[r_sq].append(s_sq)
+                    adjacency[s_sq].append(r_sq)
     return adjacency, witness
 
 
+# (k, r, share of dense cells, late): late layouts keep no dense cell in the
+# first k / 2 cell rows of any square, so later rows of R's cells decide
+_DENSE_LAYOUTS = (
+    [pytest.param((4, 0.2, share, False), id=str(share))
+     for share in (0.02, 0.1, 0.5)]
+    + [pytest.param((k, r, share, late),
+                    id=f"k{k}-{share}" + "-late" * late)
+       for k, r, share, late in [(4, 0.2, 0.2, True), (6, 0.3, 0.03, False),
+                                 (6, 0.3, 0.2, True), (8, 0.45, 0.03, False),
+                                 (8, 0.45, 0.1, False), (8, 0.45, 0.2, True)]])
+
+
 @pytest.mark.parametrize("p", [1.0, 2.0, 3.0, math.inf])
-@pytest.mark.parametrize("share", [0.02, 0.1, 0.5])
+@pytest.mark.parametrize("layout", _DENSE_LAYOUTS)
 @pytest.mark.parametrize("chunk", [None, 7])
-def test_density_graph_matches_a_scan_of_friend_pairs(p, share, chunk,
+def test_density_graph_matches_a_scan_of_friend_pairs(p, layout, chunk,
                                                       monkeypatch):
-    # random dense cells over m = 10 squares of k = 4 cells a side; chunk 7
-    # tests a few table entries at a time, so most pairs need several blocks
+    # random dense cells over m = floor(2 / r) squares of k cells a side;
+    # chunk 7 tests a few close pairs at a time, so most square pairs need
+    # several blocks, and a row of R's cells several
     if chunk is not None:
         monkeypatch.setattr(tessellation, "_TEST_CHUNK", chunk)
-    t = build_tessellation(p, 0.2, 4)
+    k, r, share, late = layout
+    t = build_tessellation(p, r, k)
     rng = np.random.default_rng(int(share * 100))
     cells = np.flatnonzero(rng.random(t.grid ** 2) < share)
+    if late:
+        cells = cells[cells // t.grid % k >= k // 2]
     pts = np.vstack([dense(t, c % t.grid, c // t.grid) for c in cells])
     dg = build_density_graph(t, classify_cells(t, VertexSet(pts)))
     adjacency, witness = _scanned_density_graph(t, pts)
     assert dg.adjacency == {s: sorted(v) for s, v in adjacency.items()}
     assert list(dg.witness.items()) == list(witness.items())
     assert len(witness) > 0
+
+
+def test_density_graph_without_dense_squares_is_empty(t):
+    cls = classify(t, [cell_points(t, 5, 3, DENSE_THRESHOLD - 1)])
+    dg = build_density_graph(t, cls)
+    assert dg.square_ids.dtype == np.int64 and not dg.square_ids.size
+    assert dg.adjacency == {} and dg.witness == {}
+
+
+def test_density_graph_searches_in_little_memory():
+    # at k = 64 the square offset (1, 0) has 16.7M close cell pairs, 510 MB
+    # as an int64 table of four columns: the search holds one row's at most
+    pts, r = adjacent_clumps()
+    t = tessellation_for(len(pts), 2.0, r)
+    assert t.cells_per_side == 64
+    cls = classify_cells(t, VertexSet(pts))
+    tracemalloc.start()
+    try:
+        dg = build_density_graph(t, cls)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dg.witness == {(0, 1): (0, 64)}
+    assert peak < 64 << 20
 
 
 def test_density_graph_needs_close_dense_pair(t):

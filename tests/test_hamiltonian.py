@@ -1857,3 +1857,30 @@ def test_tiny_radius_runs_in_little_memory():
                          capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stderr
     assert run.stdout.split() == ["Disconnected"] * 9
+
+
+def test_adjacent_clumps_at_k64_run_in_little_memory():
+    # k = 64, where a square offset has 16.7M close cell pairs: under a
+    # 400 MB address-space cap the construction must still end in its typed
+    # failure, not in a MemoryError
+    code = textwrap.dedent("""
+        import resource
+        resource.setrlimit(resource.RLIMIT_AS, (400_000 << 10, 400_000 << 10))
+        from helpers import adjacent_clumps
+        from rggham.failures import ConstructionError
+        from rggham.hamiltonian import full_construction
+        pts, r = adjacent_clumps()
+        try:
+            full_construction(pts, 2.0, r)
+        except ConstructionError as exc:
+            print(exc.reason.value)
+    """)
+    src = pathlib.Path(hamiltonian.__file__).resolve().parents[1]
+    tests = pathlib.Path(__file__).resolve().parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), str(tests)]),
+               OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["EdgeTooLong"]
