@@ -68,7 +68,14 @@ move depends on the order of the neighbour lists, so neither do the
 cycles: ties go to the lower tour position or vertex index.
 
 Every constructed cycle is self-verified (zero tolerance) before being
-returned, so callers get either a valid cycle or a typed failure.
+returned, so callers get either a valid cycle or a typed failure. The
+fallback's cycle goes through verify_cycle. The tessellation path's is
+checked from its runs of cls.order (_check_runs), with the report
+verify_cycle would give: the runs must tile cls.order, each inside one
+cell, and only the hops between runs whose cells the offset table does not
+put within r, less is_connected's rounding margin, are measured; where the
+runs do not tile, or a cell is not within that margin, verify_cycle judges
+the gathered cycle.
 """
 
 from __future__ import annotations
@@ -84,9 +91,9 @@ from .auxgraphs import (AugmentedGraph, GroupKey, Node, attach_sparse_groups,
                         build_density_graph, euler_traversal, spanning_tree)
 from .failures import ConstructionError, FailureReason
 from .geometry import _lp_from_abs, lp_norms, validate_p
-from .instance import (_PAIR_CHUNK, SpatialIndex, VertexSet, _grid,
-                       _isolated_vertex, gather_runs, is_connected,
-                       neighbour_lists, point_array, radix_sort,
+from .instance import (_ABS_SLACK, _PAIR_CHUNK, _REL_SLACK, SpatialIndex,
+                       VertexSet, _grid, _isolated_vertex, gather_runs,
+                       is_connected, neighbour_lists, point_array, radix_sort,
                        validate_points)
 from .tessellation import (DENSE_THRESHOLD, CellClassification, Tessellation,
                            classify_cells, tessellation_for)
@@ -235,9 +242,14 @@ def construct_cycle(points: np.ndarray, t: Tessellation,
     the cell of the withdrawal placed last before it, and the cell to end
     near). Array passes then rank the withdrawals, pick every sweep's
     variant, and gather the cycle once from cls.order, so the Python work
-    grows with squares and tree nodes, not with n. Raises ConstructionError
-    (EdgeTooLong) when the self check finds an overlong edge; structural
-    breakage surfaces as LedgerExhausted or an assertion.
+    grows with squares and tree nodes, not with n. The self check reads the
+    runs before the gather (_check_runs): their tiling of cls.order, and
+    only the hops between runs that the offset table does not clear with
+    is_connected's margin; it falls back to verify_cycle on the gathered
+    cycle where the runs do not tile or a cell does not clear the margin.
+    Raises ConstructionError (EdgeTooLong) when the check finds an overlong
+    edge; structural breakage surfaces as LedgerExhausted or an
+    AssertionError, raised explicitly so that python -O keeps it.
     """
     last_pos: dict[Node, int] = {node: i for i, node in enumerate(order)}
     takes: list[int] = []       # withdrawal cells
@@ -299,18 +311,73 @@ def construct_cycle(points: np.ndarray, t: Tessellation,
     lo = np.concatenate([take_lo, drain_lo, sweep_lo])[by]
     size = np.concatenate([np.ones(len(take_lo), dtype=np.int64),
                            drain_size, sweep_size])[by]
-    cycle = gather_runs(cls.order, lo, size).astype(np.int64, copy=False)
-    report = verify_cycle(points, t.radius, t.p, cycle)
+    report = _check_runs(points, t, cls, lo, size)
     if not report.valid:
         violation = report.violation
-        assert violation.kind == "EdgeTooLong", \
-            f"constructed cycle is not a permutation: {violation}"
+        # raised, not asserted: under python -O a bare assert would let a
+        # broken permutation pass as EdgeTooLong, which full_construction
+        # answers with the fallback
+        if violation.kind != "EdgeTooLong":
+            raise AssertionError(
+                f"constructed cycle is not a permutation: {violation}")
         raise ConstructionError(
             FailureReason.EDGE_TOO_LONG,
             {"position": violation.position,
              "distance": violation.distance,
              "radius": t.radius})
-    return cycle
+    return gather_runs(cls.order, lo, size).astype(np.int64, copy=False)
+
+
+def _check_runs(points: np.ndarray, t: Tessellation, cls: CellClassification,
+                lo: np.ndarray, size: np.ndarray) -> VerificationReport:
+    """verify_cycle(points, t.radius, t.p, cycle)'s report on the cycle
+    gather_runs(cls.order, lo, size), read off its runs.
+
+    The non-empty runs, sorted by lo, must tile [0, n), each inside one
+    cell's span of cls.order, a permutation: then so is the cycle. A hop
+    inside a run joins two points of one cell; a hop between consecutive
+    runs, cyclically, joins the two runs' cells, |dr| rows and |dc| columns
+    apart. Where offset_norms[|dr| + 1, |dc| + 1] <= r (1 - _REL_SLACK) -
+    _ABS_SLACK, the margin is_connected's near joins rely on, the hop is
+    within r as lp_norms measures it. floor(x g) files a coordinate at most
+    2^-53 outside its cell, so each axis separation exceeds (|d| + 1) cell
+    sides by at most 2^-52, which adds at most 2^-51 to any l_p norm, under
+    _ABS_SLACK; offset_norms and lp_norms are each a few ulps off the exact
+    norm, far under _REL_SLACK. Only the other hops between runs are
+    measured, with _long_hops' formula, and the first one longer than r is
+    reported at verify_cycle's position. Where the runs do not tile, or a
+    cell's own diameter does not clear the margin, the cycle is gathered
+    and verify_cycle judges it whole.
+    """
+    n, r = len(points), t.radius
+    bound = r * (1.0 - _REL_SLACK) - _ABS_SLACK
+    keep = size > 0
+    lo, size = lo[keep], size[keep]
+    end = lo + size
+    by = np.argsort(lo)
+    tiled = (len(lo) > 0 and cls.starts[-1] == n and lo[by[0]] == 0
+             and end[by[-1]] == n and np.array_equal(lo[by[1:]], end[by[:-1]]))
+    if tiled:
+        slot = np.searchsorted(cls.starts, lo, side="right") - 1
+        tiled = bool((end <= cls.starts[slot + 1]).all())
+    if not (tiled and t.offset_norms[1, 1] <= bound):
+        return verify_cycle(points, r, t.p, gather_runs(cls.order, lo, size))
+    row, col = np.divmod(cls.cells[slot], t.grid)
+    span = len(t.offset_norms) - 1      # 3k: no closer pair lies beyond it
+    drow = np.minimum(np.abs(np.roll(row, -1) - row) + 1, span + 1)
+    dcol = np.minimum(np.abs(np.roll(col, -1) - col) + 1, span + 1)
+    near = (drow <= span) & (dcol <= span)
+    near[near] = t.offset_norms[drow[near], dcol[near]] <= bound
+    hop = np.flatnonzero(~near)
+    qa = np.take(points, cls.order[end[hop] - 1], axis=0)
+    qb = np.take(points, cls.order[np.roll(lo, -1)[hop]], axis=0)
+    d = lp_norms(t.p, np.abs(qb[:, 0] - qa[:, 0]), np.abs(qb[:, 1] - qa[:, 1]))
+    far = np.flatnonzero(d > r)
+    if far.size:
+        at = int(np.cumsum(size)[hop[far[0]]]) - 1
+        return VerificationReport(False, n, Violation(at, "EdgeTooLong",
+                                                      float(d[far[0]])))
+    return VerificationReport(True, n, None)
 
 
 # --------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import hashlib
 import math
 import os
@@ -593,6 +594,235 @@ def test_construction_matches_the_reference_on_crafted_instances():
     walk = tessellation_walk(pts, 2.0, 0.5, 4)
     assert walk[3] == [0]
     same_as_reference(pts, walk)
+
+
+# --------------------------------------------------------------------------
+# the self check, read off the cycle's runs
+# --------------------------------------------------------------------------
+
+def gathered_report(points, t, cls, lo, size):
+    """verify_cycle's report on the cycle that the runs stand for."""
+    return verify_cycle(points, t.radius, t.p,
+                        gather_runs(cls.order, lo, size))
+
+
+def checked_runs(monkeypatch, points, walk):
+    """The runs construct_cycle checks on walk, with the report of each
+    check compared to verify_cycle's on the gathered cycle."""
+    check, seen = hamiltonian._check_runs, []
+
+    def spy(points, t, cls, lo, size):
+        report = check(points, t, cls, lo, size)
+        assert report == gathered_report(points, t, cls, lo, size)
+        seen.append((lo, size, report))
+        return report
+
+    with monkeypatch.context() as m:
+        m.setattr(hamiltonian, "_check_runs", spy)
+        try:
+            construct_cycle(points, *walk)
+        except ConstructionError as err:
+            assert err.reason is FailureReason.EDGE_TOO_LONG
+    assert len(seen) == 1
+    return seen[0]
+
+
+def run_mutants(cls, lo, size, rng):
+    """Broken run lists: two runs swapped (three times), one dropped, one
+    duplicated, one run extended past its cell over the next run, and one
+    extended while the run after it keeps its first vertex."""
+    out = []
+    for _ in range(3):
+        i, j = rng.choice(len(lo), 2, replace=False)
+        swap = np.arange(len(lo))
+        swap[[i, j]] = swap[[j, i]]
+        out.append((lo[swap], size[swap]))
+    i = rng.integers(len(lo))
+    out.append((np.delete(lo, i), np.delete(size, i)))
+    out.append((np.insert(lo, i, lo[i]), np.insert(size, i, size[i])))
+    # a run that ends where its cell does, and not at the end of order
+    cell_end = np.isin(lo + size, cls.starts[1:-1])
+    i = rng.choice(np.flatnonzero(cell_end))
+    j = int(np.flatnonzero((lo == lo[i] + size[i]) & (size > 0))[0])
+    lo2, size2 = lo.copy(), size.copy()
+    size2[i] += 1
+    lo2[j] += 1
+    size2[j] -= 1
+    out.append((lo2, size2))
+    size3 = size.copy()
+    size3[i] += 1
+    out.append((lo, size3))
+    return out
+
+
+# tessellation cycles (n, r, seed) at k = 4 for every p: seed 1 at n = 1e4,
+# r = 0.45 has group nodes (its augmented graph splits at p = 1), and at
+# p = 1, r = 0.3 seeds 0 and 1 have a hop longer than r
+CHECKED_WALKS = [(20000, 0.45, 0), (10000, 0.45, 1), (50000, 0.3, 0),
+                 (50000, 0.3, 1)]
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0, math.inf])
+def test_run_check_reports_what_verify_cycle_reports(monkeypatch, p):
+    rng = np.random.default_rng(3)
+    cycles, mutants = [], []
+    for n, r, seed in CHECKED_WALKS:
+        pts = rand_points(n, seed)
+        walk = tessellation_walk(pts, p, r, 4)
+        if walk is None:
+            assert (p, n, seed) == (1.0, 10000, 1)
+            continue
+        t, cls = walk[:2]
+        lo, size, report = checked_runs(monkeypatch, pts, walk)
+        cycles.append(report.valid)
+        for mlo, msize in run_mutants(cls, lo, size, rng):
+            got = hamiltonian._check_runs(pts, t, cls, mlo, msize)
+            assert got == gathered_report(pts, t, cls, mlo, msize)
+            mutants.append(got.violation.kind if got.violation else "valid")
+    if p == 1.0:
+        assert cycles == [True, False, False]
+    else:
+        assert cycles == [True] * 4
+    assert {"NotPermutation", "EdgeTooLong"} <= set(mutants)
+
+
+def test_run_check_failures_reach_construct_cycle(monkeypatch):
+    # each mutant through construct_cycle: a cycle that is no permutation
+    # raises AssertionError, a long hop EdgeTooLong at verify_cycle's
+    # position and length
+    pts = rand_points(WORKING["n"], 0)
+    walk = tessellation_walk(pts, 2.0, 0.45, 4)
+    t, cls = walk[:2]
+    lo, size, _ = checked_runs(monkeypatch, pts, walk)
+    check = hamiltonian._check_runs
+    answers = set()
+    for mlo, msize in run_mutants(cls, lo, size, np.random.default_rng(5)):
+        want = gathered_report(pts, t, cls, mlo, msize)
+        monkeypatch.setattr(
+            hamiltonian, "_check_runs",
+            lambda points, t, cls, lo, size: check(points, t, cls, mlo, msize))
+        if want.valid:
+            construct_cycle(pts, *walk)
+        elif want.violation.kind == "NotPermutation":
+            with pytest.raises(AssertionError, match="not a permutation"):
+                construct_cycle(pts, *walk)
+        else:
+            with pytest.raises(ConstructionError) as err:
+                construct_cycle(pts, *walk)
+            ctx = err.value.context
+            assert err.value.reason is FailureReason.EDGE_TOO_LONG
+            assert (ctx["position"], ctx["distance"]) == (
+                want.violation.position, want.violation.distance)
+        answers.add(want.violation.kind if want.violation else "valid")
+    assert "NotPermutation" in answers
+
+
+def test_non_permutation_raises_under_optimisation():
+    # python -O strips assert statements: the check must still raise, not
+    # pass a broken cycle on as EdgeTooLong, which full_construction would
+    # answer with the fallback's cycle
+    code = textwrap.dedent("""
+        import numpy as np
+        from rggham import hamiltonian
+        check = hamiltonian._check_runs
+
+        def duplicated(points, t, cls, lo, size):
+            return check(points, t, cls, np.append(lo, lo[:1]),
+                         np.append(size, size[:1]))
+
+        hamiltonian._check_runs = duplicated
+        print(__debug__)
+        pts = np.random.Generator(np.random.PCG64(0)).random((20000, 2))
+        try:
+            out = hamiltonian.full_construction(pts, 2.0, 0.45)
+            print("cycle", out.cells_per_side)
+        except AssertionError as exc:
+            print(type(exc).__name__, str(exc).split(":")[0])
+    """)
+    src = str(pathlib.Path(hamiltonian.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, OMP_NUM_THREADS="1",
+               OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    run = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines() == [
+        "False", "AssertionError constructed cycle is not a permutation"]
+
+
+def edge_chain(g, i, j):
+    """Points k (i, j) / g, k = 0, 1, ..., on cell edges up to 1.0, every
+    other x and every other y the float just below its edge: each step
+    spans i by j cells, give or take an ulp per axis."""
+    k = np.arange(g // max(i, j) + 1)
+    x, y = k * i / g, k * j / g
+    x[1::2] = np.nextafter(x[1::2], 0.0)
+    y[2::2] = np.nextafter(y[2::2], 0.0)
+    return np.column_stack([x, y])
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0, math.inf])
+def test_run_check_margin_on_cell_edges(monkeypatch, p):
+    # points on cell edges: at c / g, the float just below it and 1.0,
+    # where floor(x g) can file a point an ulp outside its cell. r is an
+    # offset_norms entry, one ulp either side of it, and the least r whose
+    # margin clears the entry
+    t0 = build_tessellation(p, 0.45, 4)
+    g, span = t0.grid, len(t0.offset_norms) - 1
+    edges = np.arange(g + 1) / g
+    axis = np.unique(np.concatenate([edges, np.nextafter(edges[1:], 0.0),
+                                     [1.0]]))
+    xs, ys = np.meshgrid(axis, axis)
+    pts = np.column_stack([xs.ravel(), ys.ravel()])
+    cls = classify_cells(t0, VertexSet(pts))
+    # every point pair, and the table entry of its two cells
+    cell = np.empty(len(pts), dtype=np.int64)
+    cell[cls.order] = np.repeat(cls.cells, cls.counts)
+    row, col = np.divmod(cell, g)
+    drow = np.abs(row[:, None] - row[None, :]) + 1
+    dcol = np.abs(col[:, None] - col[None, :]) + 1
+    table = np.full((g + 1, g + 1), np.inf)
+    table[:span + 1, :span + 1] = t0.offset_norms
+    entry = table[drow, dcol]
+    d = lp_norms(p, pts[:, None, 0] - pts[None, :, 0],
+                 pts[:, None, 1] - pts[None, :, 1])
+    fell_back = []
+
+    def whole(*args):
+        fell_back.append(args)
+        return verify_cycle(*args)
+
+    monkeypatch.setattr(hamiltonian, "verify_cycle", whole)
+    # cycles over the lattice, one run per cell, and along chains of steps
+    # of about (i, j) cells, one run per point
+    rng = np.random.default_rng(0)
+    cycles = [(pts, cls, cls.starts[:-1][by], cls.counts[by])
+              for by in [np.arange(len(cls.cells)),
+                         np.argsort(cls.cells % g, kind="stable")]
+              + [rng.permutation(len(cls.cells)) for _ in range(3)]]
+    for i, j in ((1, 1), (2, 1), (2, 2), (3, 1), (3, 2)):
+        chain = edge_chain(g, i, j)
+        chain_cls = classify_cells(t0, VertexSet(chain))
+        at = np.empty(len(chain), dtype=np.int64)
+        at[chain_cls.order] = np.arange(len(chain))
+        cycles.append((chain, chain_cls, at, np.ones(len(chain), np.int64)))
+    early = 0
+    for i, j in ((1, 1), (2, 1), (2, 2), (3, 1), (3, 2)):
+        e = t0.offset_norms[j, i]
+        cleared = (e + instance._ABS_SLACK) / (1.0 - instance._REL_SLACK)
+        for r in (np.nextafter(e, 0.0), e, np.nextafter(e, np.inf), cleared,
+                  np.nextafter(cleared, np.inf)):
+            t = dataclasses.replace(t0, radius=float(r))
+            bound = r * (1.0 - instance._REL_SLACK) - instance._ABS_SLACK
+            assert (d[entry <= bound] <= r).all()
+            for points, c, lo, size in cycles:
+                fell_back.clear()
+                got = hamiltonian._check_runs(points, t, c, lo, size)
+                assert got == gathered_report(points, t, c, lo, size)
+                assert bool(fell_back) == (t.offset_norms[1, 1] > bound)
+                early += (c is not cls and not got.valid
+                          and got.violation.position < len(points) - 1)
+    # some chain step is longer than r, and found before the closing hop
+    assert early
 
 
 def test_full_construction_validates_arguments():
@@ -1388,6 +1618,14 @@ TESSELLATION_GIVES_UP = {(10000, 1.0, 0.45, 0): SPLIT,
                          (60000, 2.0, 0.2, 0): SPLIT,
                          (50000, 1.0, 0.3, 0): LONG_HOP,
                          (50000, 1.0, 0.3, 1): LONG_HOP}
+# the long hops, rggham gen's seeds 0 and 1 of 12 at n = 5e4, p = 1, r = 0.3
+# (seed 0 also pinned in the CI smoke run): the attempt's first hop longer
+# than r, its position and length, and the sha256 of the fallback's cycle
+LONG_HOPS = {
+    0: (16718, 0.30759793445730854,
+        "4664bd9a16e4d2c8bbf69b564d2e80ef50ff2692cce052549fe9b86d5697c77a"),
+    1: (45848, 0.3123048955369575,
+        "91925ebd4dcc1b599709f2502b3be2b7051ae5542f82c4ece9497043a595bd4e")}
 
 
 @pytest.mark.parametrize("n, p, r, seed", list(TESSELLATION_GIVES_UP))
@@ -1404,6 +1642,11 @@ def test_split_augmented_graph_falls_back(n, p, r, seed):
     out = full_construction(pts, p, r)
     assert out.cells_per_side is None
     assert verify_cycle(pts, r, p, out.cycle).valid
+    if reason is FailureReason.EDGE_TOO_LONG:
+        position, distance, digest = LONG_HOPS[seed]
+        ctx = err.value.context
+        assert (ctx["position"], ctx["distance"]) == (position, distance)
+        assert hashlib.sha256(out.cycle.tobytes()).hexdigest() == digest
 
 
 def test_hook_missing_beside_dense_squares_falls_back(monkeypatch):
