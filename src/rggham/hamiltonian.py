@@ -70,12 +70,10 @@ cycles: ties go to the lower tour position or vertex index.
 Every constructed cycle is self-verified (zero tolerance) before being
 returned, so callers get either a valid cycle or a typed failure. The
 fallback's cycle goes through verify_cycle. The tessellation path's is
-checked from its runs of cls.order (_check_runs), with the report
-verify_cycle would give: the runs must tile cls.order, each inside one
-cell, and only the hops between runs whose cells the offset table does not
-put within r, less is_connected's rounding margin, are measured; where the
-runs do not tile, or a cell is not within that margin, verify_cycle judges
-the gathered cycle.
+checked from its runs of cls.order (_check_runs): the runs must tile
+cls.order, each inside one cell, and every hop between consecutive runs is
+measured as verify_cycle measures it. A hop inside a run joins two points
+of one cell, which build_tessellation makes a clique at r.
 """
 
 from __future__ import annotations
@@ -244,12 +242,10 @@ def construct_cycle(points: np.ndarray, t: Tessellation,
     variant, and gather the cycle once from cls.order, so the Python work
     grows with squares and tree nodes, not with n. The self check reads the
     runs before the gather (_check_runs): their tiling of cls.order, and
-    only the hops between runs that the offset table does not clear with
-    is_connected's margin; it falls back to verify_cycle on the gathered
-    cycle where the runs do not tile or a cell does not clear the margin.
-    Raises ConstructionError (EdgeTooLong) when the check finds an overlong
-    edge; structural breakage surfaces as LedgerExhausted or an
-    AssertionError, raised explicitly so that python -O keeps it.
+    every hop between runs. Raises ConstructionError (EdgeTooLong) at the
+    first hop longer than r; structural breakage surfaces as
+    LedgerExhausted or an AssertionError, raised explicitly so that
+    python -O keeps it.
     """
     last_pos: dict[Node, int] = {node: i for i, node in enumerate(order)}
     takes: list[int] = []       # withdrawal cells
@@ -311,73 +307,44 @@ def construct_cycle(points: np.ndarray, t: Tessellation,
     lo = np.concatenate([take_lo, drain_lo, sweep_lo])[by]
     size = np.concatenate([np.ones(len(take_lo), dtype=np.int64),
                            drain_size, sweep_size])[by]
-    report = _check_runs(points, t, cls, lo, size)
-    if not report.valid:
-        violation = report.violation
-        # raised, not asserted: under python -O a bare assert would let a
-        # broken permutation pass as EdgeTooLong, which full_construction
-        # answers with the fallback
-        if violation.kind != "EdgeTooLong":
-            raise AssertionError(
-                f"constructed cycle is not a permutation: {violation}")
+    at, length = _check_runs(points, t, cls, lo, size)
+    if at.size:
         raise ConstructionError(
             FailureReason.EDGE_TOO_LONG,
-            {"position": violation.position,
-             "distance": violation.distance,
+            {"position": int(at[0]), "distance": float(length[0]),
              "radius": t.radius})
     return gather_runs(cls.order, lo, size).astype(np.int64, copy=False)
 
 
 def _check_runs(points: np.ndarray, t: Tessellation, cls: CellClassification,
-                lo: np.ndarray, size: np.ndarray) -> VerificationReport:
-    """verify_cycle(points, t.radius, t.p, cycle)'s report on the cycle
+                lo: np.ndarray, size: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_long_hops(points, t.p, t.radius, cycle) for the cycle
     gather_runs(cls.order, lo, size), read off its runs.
 
     The non-empty runs, sorted by lo, must tile [0, n), each inside one
-    cell's span of cls.order, a permutation: then so is the cycle. A hop
-    inside a run joins two points of one cell; a hop between consecutive
-    runs, cyclically, joins the two runs' cells, |dr| rows and |dc| columns
-    apart. Where offset_norms[|dr| + 1, |dc| + 1] <= r (1 - _REL_SLACK) -
-    _ABS_SLACK, the margin is_connected's near joins rely on, the hop is
-    within r as lp_norms measures it. floor(x g) files a coordinate at most
-    2^-53 outside its cell, so each axis separation exceeds (|d| + 1) cell
-    sides by at most 2^-52, which adds at most 2^-51 to any l_p norm, under
-    _ABS_SLACK; offset_norms and lp_norms are each a few ulps off the exact
-    norm, far under _REL_SLACK. Only the other hops between runs are
-    measured, with _long_hops' formula, and the first one longer than r is
-    reported at verify_cycle's position. Where the runs do not tile, or a
-    cell's own diameter does not clear the margin, the cycle is gathered
-    and verify_cycle judges it whole.
+    cell's span of cls.order: then the cycle is a permutation. Else raises
+    AssertionError, explicitly, so that python -O keeps it. A hop inside a
+    run joins two points of one cell, within r (build_tessellation); every
+    hop between consecutive runs, cyclically, is measured, about 2,000 at
+    n = 4e5, r = 0.2.
     """
-    n, r = len(points), t.radius
-    bound = r * (1.0 - _REL_SLACK) - _ABS_SLACK
+    n = len(points)
     keep = size > 0
     lo, size = lo[keep], size[keep]
     end = lo + size
     by = np.argsort(lo)
-    tiled = (len(lo) > 0 and cls.starts[-1] == n and lo[by[0]] == 0
-             and end[by[-1]] == n and np.array_equal(lo[by[1:]], end[by[:-1]]))
-    if tiled:
-        slot = np.searchsorted(cls.starts, lo, side="right") - 1
-        tiled = bool((end <= cls.starts[slot + 1]).all())
-    if not (tiled and t.offset_norms[1, 1] <= bound):
-        return verify_cycle(points, r, t.p, gather_runs(cls.order, lo, size))
-    row, col = np.divmod(cls.cells[slot], t.grid)
-    span = len(t.offset_norms) - 1      # 3k: no closer pair lies beyond it
-    drow = np.minimum(np.abs(np.roll(row, -1) - row) + 1, span + 1)
-    dcol = np.minimum(np.abs(np.roll(col, -1) - col) + 1, span + 1)
-    near = (drow <= span) & (dcol <= span)
-    near[near] = t.offset_norms[drow[near], dcol[near]] <= bound
-    hop = np.flatnonzero(~near)
-    qa = np.take(points, cls.order[end[hop] - 1], axis=0)
-    qb = np.take(points, cls.order[np.roll(lo, -1)[hop]], axis=0)
-    d = lp_norms(t.p, np.abs(qb[:, 0] - qa[:, 0]), np.abs(qb[:, 1] - qa[:, 1]))
-    far = np.flatnonzero(d > r)
-    if far.size:
-        at = int(np.cumsum(size)[hop[far[0]]]) - 1
-        return VerificationReport(False, n, Violation(at, "EdgeTooLong",
-                                                      float(d[far[0]])))
-    return VerificationReport(True, n, None)
+    # sorted by lo, each run starts where the one before ends; then, every
+    # lo in range, each run's first and last vertex must share a cell
+    if not (cls.starts[-1] == n
+            and np.array_equal(np.append(0, end[by]), np.append(lo[by], n))
+            and np.array_equal(np.searchsorted(cls.starts, lo, "right"),
+                               np.searchsorted(cls.starts, end - 1, "right"))):
+        raise AssertionError("constructed cycle is not a permutation")
+    qa = np.take(points, cls.order[end - 1], axis=0)
+    qb = np.take(points, cls.order[np.roll(lo, -1)], axis=0)
+    hop, length = _beyond(t.p, t.radius, np.abs(qb[:, 0] - qa[:, 0]),
+                          np.abs(qb[:, 1] - qa[:, 1]))
+    return np.cumsum(size)[hop] - 1, length
 
 
 # --------------------------------------------------------------------------
@@ -406,13 +373,6 @@ class VerificationReport:
         return out
 
 
-# l_p <= l_1 for every p >= 1: a hop whose l_1 length stays this far below
-# the bound is within it at every p. The relative margin is thousands of
-# times lp_norms' rounding error (a few ulps); the absolute one covers
-# subnormal lengths, which round by an absolute step.
-_SCREEN_REL, _SCREEN_ABS = 1e-12, 1e-300
-
-
 def verify_cycle(points: np.ndarray, r: float, p: float,
                  cycle: np.ndarray, tolerance: float = 0.0) -> VerificationReport:
     """Check that cycle is a vertex permutation with all hops <= r + tolerance.
@@ -422,12 +382,10 @@ def verify_cycle(points: np.ndarray, r: float, p: float,
     first overlong hop, including the wraparound edge, with the hop's
     length as lp_norms gives it.
 
-    Hops are screened by their l_1 length: l_p <= l_1 for every p >= 1, so a
-    hop whose l_1 length is below r + tolerance by more than lp_norms can
-    round is within the bound at any p. Only the other hops get the exact
-    l_p norm: none to about 700 of 4e5 on tessellation cycles at r = 0.2
-    and 0.1. NaN lengths fail the screen and then pass the exact test, as
-    they always did. The report is the one lp_norms over every hop gives.
+    Hops are screened by their l_1 length (_beyond), and only those the
+    screen does not clear get the exact l_p norm: none to about 700 of 4e5
+    on tessellation cycles at r = 0.2 and 0.1. The report is the one
+    lp_norms over every hop gives.
 
     Raises ValueError unless r > 0 and tolerance >= 0. NaN fails both; no
     hop is longer than a NaN bound, so it would pass any permutation. Also
@@ -471,7 +429,7 @@ _HOP_CHUNK = 1 << 14
 def _long_hops(points: np.ndarray, p: float, bound: float,
                cycle: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Ascending positions i whose hop cycle[i] -> cycle[i + 1], cyclically,
-    is longer than bound, and their lp_norms, after verify_cycle's screen."""
+    is longer than bound, and their lp_norms, measured by _beyond."""
     n = len(cycle)
     at, length = [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
     for lo in range(0, n, _HOP_CHUNK):
@@ -481,11 +439,27 @@ def _long_hops(points: np.ndarray, p: float, bound: float,
         # np.take gathers whole rows, much faster than fancy indexing here
         q = np.take(points, ends, axis=0)
         ax, ay = (np.abs(x, out=x) for x in (q[1:, 0] - q[:-1, 0], q[1:, 1] - q[:-1, 1]))
-        far = np.flatnonzero(~(ax + ay <= bound * (1.0 - _SCREEN_REL) - _SCREEN_ABS))
-        d = lp_norms(p, ax[far], ay[far])
-        at.append(lo + far[d > bound])
-        length.append(d[d > bound])
+        far, d = _beyond(p, bound, ax, ay)
+        at.append(lo + far)
+        length.append(d)
     return np.concatenate(at), np.concatenate(length)
+
+
+def _beyond(p: float, bound: float, ax: np.ndarray,
+            ay: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The indices i with lp_norms(p, ax[i], ay[i]) > bound, ascending, and
+    those lengths, for axis separations ax, ay >= 0.
+
+    Screened by the l_1 length: l_p <= l_1 for every p >= 1, so a hop whose
+    l_1 length is below bound by more than the grid's rounding margin
+    (instance._REL_SLACK, _ABS_SLACK; lp_norms rounds by a few ulps) is
+    within it at any p. Only the other hops get the exact l_p norm. NaN
+    lengths fail the screen and then pass the exact test.
+    """
+    far = np.flatnonzero(~(ax + ay <= bound * (1.0 - _REL_SLACK) - _ABS_SLACK))
+    d = lp_norms(p, ax[far], ay[far])
+    over = d > bound
+    return far[over], d[over]
 
 
 # --------------------------------------------------------------------------

@@ -267,8 +267,9 @@ def test_verify_matches_the_exact_norm_at_the_bound(p, tolerance):
         hops = lp_norms(p, *(np.roll(pts, -1, axis=0) - pts).T)
         assert hops.argmax() == long_at
         longest = hops.max()
+        # longest (1 + 1e-10) lies inside the screen's rounding margin
         for bound in (np.nextafter(longest, 0), longest,
-                      np.nextafter(longest, 1)):
+                      np.nextafter(longest, 1), longest * (1.0 + 1e-10)):
             for r in (bound - tolerance, bound):
                 rep = _assert_same_verdict(pts, float(r), p, cycle, tolerance)
             assert rep.valid == (bound + tolerance >= longest)
@@ -600,22 +601,36 @@ def test_construction_matches_the_reference_on_crafted_instances():
 # the self check, read off the cycle's runs
 # --------------------------------------------------------------------------
 
-def gathered_report(points, t, cls, lo, size):
-    """verify_cycle's report on the cycle that the runs stand for."""
-    return verify_cycle(points, t.radius, t.p,
-                        gather_runs(cls.order, lo, size))
+# the check itself, which the spies below stand in for
+CHECK_RUNS = hamiltonian._check_runs
+
+
+def assert_run_check(points, t, cls, lo, size):
+    """_check_runs on the runs is _long_hops on the gathered cycle, in
+    positions and lengths, and its first hop is verify_cycle's violation.
+    Returns its hops."""
+    at, length = CHECK_RUNS(points, t, cls, lo, size)
+    cycle = gather_runs(cls.order, lo, size)
+    want_at, want_length = hamiltonian._long_hops(points, t.p, t.radius, cycle)
+    assert at.tolist() == want_at.tolist()
+    assert np.array_equal(length, want_length)
+    report = verify_cycle(points, t.radius, t.p, cycle)
+    assert report.valid == (at.size == 0)
+    if at.size:
+        assert report.violation == (int(at[0]), "EdgeTooLong",
+                                    float(length[0]))
+    return at, length
 
 
 def checked_runs(monkeypatch, points, walk):
-    """The runs construct_cycle checks on walk, with the report of each
-    check compared to verify_cycle's on the gathered cycle."""
-    check, seen = hamiltonian._check_runs, []
+    """The runs construct_cycle checks on walk, each check compared with
+    _long_hops and verify_cycle on the gathered cycle; and its hops."""
+    seen = []
 
     def spy(points, t, cls, lo, size):
-        report = check(points, t, cls, lo, size)
-        assert report == gathered_report(points, t, cls, lo, size)
-        seen.append((lo, size, report))
-        return report
+        hops = assert_run_check(points, t, cls, lo, size)
+        seen.append((lo, size, hops))
+        return hops
 
     with monkeypatch.context() as m:
         m.setattr(hamiltonian, "_check_runs", spy)
@@ -628,18 +643,19 @@ def checked_runs(monkeypatch, points, walk):
 
 
 def run_mutants(cls, lo, size, rng):
-    """Broken run lists: two runs swapped (three times), one dropped, one
-    duplicated, one run extended past its cell over the next run, and one
-    extended while the run after it keeps its first vertex."""
+    """Broken run lists, each with whether its runs tile cls.order: two
+    runs swapped (three times), which tile; and, which do not, one run
+    dropped, one duplicated, one run extended past its cell over the next
+    run, and one extended while the run after it keeps its first vertex."""
     out = []
     for _ in range(3):
         i, j = rng.choice(len(lo), 2, replace=False)
         swap = np.arange(len(lo))
         swap[[i, j]] = swap[[j, i]]
-        out.append((lo[swap], size[swap]))
+        out.append((lo[swap], size[swap], True))
     i = rng.integers(len(lo))
-    out.append((np.delete(lo, i), np.delete(size, i)))
-    out.append((np.insert(lo, i, lo[i]), np.insert(size, i, size[i])))
+    out.append((np.delete(lo, i), np.delete(size, i), False))
+    out.append((np.insert(lo, i, lo[i]), np.insert(size, i, size[i]), False))
     # a run that ends where its cell does, and not at the end of order
     cell_end = np.isin(lo + size, cls.starts[1:-1])
     i = rng.choice(np.flatnonzero(cell_end))
@@ -648,10 +664,10 @@ def run_mutants(cls, lo, size, rng):
     size2[i] += 1
     lo2[j] += 1
     size2[j] -= 1
-    out.append((lo2, size2))
+    out.append((lo2, size2, False))
     size3 = size.copy()
     size3[i] += 1
-    out.append((lo, size3))
+    out.append((lo, size3, False))
     return out
 
 
@@ -673,48 +689,55 @@ def test_run_check_reports_what_verify_cycle_reports(monkeypatch, p):
             assert (p, n, seed) == (1.0, 10000, 1)
             continue
         t, cls = walk[:2]
-        lo, size, report = checked_runs(monkeypatch, pts, walk)
-        cycles.append(report.valid)
-        for mlo, msize in run_mutants(cls, lo, size, rng):
-            got = hamiltonian._check_runs(pts, t, cls, mlo, msize)
-            assert got == gathered_report(pts, t, cls, mlo, msize)
-            mutants.append(got.violation.kind if got.violation else "valid")
+        lo, size, (at, _) = checked_runs(monkeypatch, pts, walk)
+        cycles.append(at.size == 0)
+        for mlo, msize, tiles in run_mutants(cls, lo, size, rng):
+            if tiles:
+                at, _ = assert_run_check(pts, t, cls, mlo, msize)
+                mutants.append("EdgeTooLong" if at.size else "valid")
+            else:
+                with pytest.raises(AssertionError, match="not a permutation"):
+                    CHECK_RUNS(pts, t, cls, mlo, msize)
     if p == 1.0:
         assert cycles == [True, False, False]
     else:
         assert cycles == [True] * 4
-    assert {"NotPermutation", "EdgeTooLong"} <= set(mutants)
+    assert "EdgeTooLong" in mutants
 
 
 def test_run_check_failures_reach_construct_cycle(monkeypatch):
-    # each mutant through construct_cycle: a cycle that is no permutation
-    # raises AssertionError, a long hop EdgeTooLong at verify_cycle's
-    # position and length
+    # each mutant through construct_cycle: runs that do not tile raise
+    # AssertionError, a long hop EdgeTooLong at _long_hops' first position
+    # and length, which are verify_cycle's
     pts = rand_points(WORKING["n"], 0)
     walk = tessellation_walk(pts, 2.0, 0.45, 4)
     t, cls = walk[:2]
     lo, size, _ = checked_runs(monkeypatch, pts, walk)
-    check = hamiltonian._check_runs
     answers = set()
-    for mlo, msize in run_mutants(cls, lo, size, np.random.default_rng(5)):
-        want = gathered_report(pts, t, cls, mlo, msize)
+    for mlo, msize, tiles in run_mutants(cls, lo, size,
+                                         np.random.default_rng(5)):
         monkeypatch.setattr(
             hamiltonian, "_check_runs",
-            lambda points, t, cls, lo, size: check(points, t, cls, mlo, msize))
-        if want.valid:
-            construct_cycle(pts, *walk)
-        elif want.violation.kind == "NotPermutation":
+            lambda points, t, cls, lo, size: CHECK_RUNS(points, t, cls, mlo,
+                                                        msize))
+        if not tiles:
             with pytest.raises(AssertionError, match="not a permutation"):
                 construct_cycle(pts, *walk)
-        else:
-            with pytest.raises(ConstructionError) as err:
-                construct_cycle(pts, *walk)
-            ctx = err.value.context
-            assert err.value.reason is FailureReason.EDGE_TOO_LONG
-            assert (ctx["position"], ctx["distance"]) == (
-                want.violation.position, want.violation.distance)
-        answers.add(want.violation.kind if want.violation else "valid")
-    assert "NotPermutation" in answers
+            answers.add("raised")
+            continue
+        at, length = assert_run_check(pts, t, cls, mlo, msize)
+        if not at.size:
+            construct_cycle(pts, *walk)
+            answers.add("valid")
+            continue
+        with pytest.raises(ConstructionError) as err:
+            construct_cycle(pts, *walk)
+        ctx = err.value.context
+        assert err.value.reason is FailureReason.EDGE_TOO_LONG
+        assert (ctx["position"], ctx["distance"]) == (int(at[0]),
+                                                      float(length[0]))
+        answers.add("EdgeTooLong")
+    assert {"raised", "EdgeTooLong"} <= answers
 
 
 def test_non_permutation_raises_under_optimisation():
@@ -761,37 +784,21 @@ def edge_chain(g, i, j):
 
 
 @pytest.mark.parametrize("p", [1.0, 2.0, 3.0, math.inf])
-def test_run_check_margin_on_cell_edges(monkeypatch, p):
+def test_run_check_margin_on_cell_edges(p):
     # points on cell edges: at c / g, the float just below it and 1.0,
     # where floor(x g) can file a point an ulp outside its cell. r is an
     # offset_norms entry, one ulp either side of it, and the least r whose
-    # margin clears the entry
+    # margin clears the entry; at the (1, 1) entry, the cell's own
+    # diameter, only the last two: build_tessellation refuses a cell whose
+    # diameter misses the margin
     t0 = build_tessellation(p, 0.45, 4)
-    g, span = t0.grid, len(t0.offset_norms) - 1
+    g = t0.grid
     edges = np.arange(g + 1) / g
     axis = np.unique(np.concatenate([edges, np.nextafter(edges[1:], 0.0),
                                      [1.0]]))
     xs, ys = np.meshgrid(axis, axis)
     pts = np.column_stack([xs.ravel(), ys.ravel()])
     cls = classify_cells(t0, VertexSet(pts))
-    # every point pair, and the table entry of its two cells
-    cell = np.empty(len(pts), dtype=np.int64)
-    cell[cls.order] = np.repeat(cls.cells, cls.counts)
-    row, col = np.divmod(cell, g)
-    drow = np.abs(row[:, None] - row[None, :]) + 1
-    dcol = np.abs(col[:, None] - col[None, :]) + 1
-    table = np.full((g + 1, g + 1), np.inf)
-    table[:span + 1, :span + 1] = t0.offset_norms
-    entry = table[drow, dcol]
-    d = lp_norms(p, pts[:, None, 0] - pts[None, :, 0],
-                 pts[:, None, 1] - pts[None, :, 1])
-    fell_back = []
-
-    def whole(*args):
-        fell_back.append(args)
-        return verify_cycle(*args)
-
-    monkeypatch.setattr(hamiltonian, "verify_cycle", whole)
     # cycles over the lattice, one run per cell, and along chains of steps
     # of about (i, j) cells, one run per point
     rng = np.random.default_rng(0)
@@ -809,18 +816,15 @@ def test_run_check_margin_on_cell_edges(monkeypatch, p):
     for i, j in ((1, 1), (2, 1), (2, 2), (3, 1), (3, 2)):
         e = t0.offset_norms[j, i]
         cleared = (e + instance._ABS_SLACK) / (1.0 - instance._REL_SLACK)
-        for r in (np.nextafter(e, 0.0), e, np.nextafter(e, np.inf), cleared,
-                  np.nextafter(cleared, np.inf)):
+        radii = [np.nextafter(e, 0.0), e, np.nextafter(e, np.inf), cleared,
+                 np.nextafter(cleared, np.inf)]
+        for r in radii[3:] if (i, j) == (1, 1) else radii:
             t = dataclasses.replace(t0, radius=float(r))
-            bound = r * (1.0 - instance._REL_SLACK) - instance._ABS_SLACK
-            assert (d[entry <= bound] <= r).all()
+            assert t.offset_norms[1, 1] <= (
+                r * (1.0 - instance._REL_SLACK) - instance._ABS_SLACK)
             for points, c, lo, size in cycles:
-                fell_back.clear()
-                got = hamiltonian._check_runs(points, t, c, lo, size)
-                assert got == gathered_report(points, t, c, lo, size)
-                assert bool(fell_back) == (t.offset_norms[1, 1] > bound)
-                early += (c is not cls and not got.valid
-                          and got.violation.position < len(points) - 1)
+                at, _ = assert_run_check(points, t, c, lo, size)
+                early += c is not cls and 0 < at.size and at[0] < len(points) - 1
     # some chain step is longer than r, and found before the closing hop
     assert early
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from helpers import (CellId, cell_box, cell_points, cells_close, filled_grid,
                      grid_cells, locate, square_cells)
-from rggham import tessellation
+from rggham import instance, tessellation
 from rggham.auxgraphs import build_density_graph
 from rggham.geometry import _lp_from_abs, max_box_distance, unit_disk_area
 from rggham.instance import VertexSet, find_slots
@@ -47,6 +47,33 @@ def test_build_bounds_k_by_the_search():
         build_tessellation(2.0, 0.45, MAX_CELLS_PER_SIDE + 1)
     t = build_tessellation(2.0, 0.45, MAX_CELLS_PER_SIDE)
     assert t.close_table.shape == (3 * MAX_CELLS_PER_SIDE,) * 2
+
+
+def test_every_cell_is_a_clique_with_the_rounding_margin():
+    # the premise the tessellation cycle's self check rests on: a cell's
+    # diameter is at most 3r/(2k) (3r/4 at k = 2), under r less the grid's
+    # rounding margin, at every radius build_tessellation accepts; 1,000
+    # radii from 4e-9 to 1, and every boundary 2/j of m up to j = 1000 with
+    # one ulp either side
+    bounds = 2.0 / np.arange(2, 1001)
+    radii = np.unique(np.concatenate([
+        np.geomspace(4e-9, 1.0, 1000), bounds, np.nextafter(bounds, 0.0),
+        np.nextafter(bounds, 2.0)]))
+    radii = radii[radii <= 1.0].tolist()
+    built = 0
+    for p in (1.0, 1.5, 2.0, 3.0, math.inf):
+        for k in (2, 4, 6, 8, 16, 64):
+            for r in radii:
+                if not tessellation.tessellation_fits(r, k):
+                    continue
+                side = build_tessellation(p, r, k).cell_side
+                diameter = _lp_from_abs(p, side, side)
+                assert diameter <= 1.5 * r / k <= 0.75 * r, (p, k, r)
+                assert diameter <= r * (1.0 - instance._REL_SLACK) \
+                    - instance._ABS_SLACK, (p, k, r)
+                built += 1
+    # k = 64 cell ids overflow int64 below about 5e-7
+    assert built > 110_000
 
 
 def filed_cells(t, points):
